@@ -31,6 +31,12 @@ if str(_REPO_ROOT) not in sys.path:  # pragma: no cover - import plumbing
     sys.path.insert(0, str(_REPO_ROOT))
 
 
+def bench_file(name: str) -> Path:
+    """Where a ``BENCH_*.json`` report lives: the repo root, whatever the
+    CWD — running pytest from ``benchmarks/`` must not fork the report."""
+    return _REPO_ROOT / name
+
+
 def build_twitter_serving_setup(
     *,
     n_tweets: int,

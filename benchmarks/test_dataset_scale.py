@@ -17,9 +17,8 @@ import json
 import resource
 import sys
 import time
-from pathlib import Path
 
-from _bench_utils import SCALE, SEED, emit
+from _bench_utils import SCALE, SEED, bench_file, emit
 
 from repro.experiments.setups import dataset_setup
 
@@ -88,7 +87,7 @@ def test_dataset_builders_at_scale():
         "peak_rss_mb": _peak_rss_mb(),
         **reports,
     }
-    Path("BENCH_datasets.json").write_text(
+    bench_file("BENCH_datasets.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True)
     )
     lines.append(f"  peak process RSS: {payload['peak_rss_mb']:.1f} MB")

@@ -21,11 +21,10 @@ equivalence smoke) only the bit-identity assertions run.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from _bench_utils import SCALE, build_twitter_serving_setup, emit
+from _bench_utils import SCALE, bench_file, build_twitter_serving_setup, emit
 
 from repro.viz import TWITTER_TRANSLATOR
 
@@ -151,7 +150,7 @@ def test_execution_throughput_batched_vs_sequential(benchmark):
             "sequential_stage_seconds": sequential_stage,
         },
     }
-    Path("BENCH_execution.json").write_text(
+    bench_file("BENCH_execution.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True)
     )
 

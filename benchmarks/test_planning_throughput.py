@@ -21,9 +21,8 @@ smoke) only the bit-identity assertions run.
 
 import json
 import time
-from pathlib import Path
 
-from _bench_utils import SCALE, build_twitter_serving_setup, emit
+from _bench_utils import SCALE, bench_file, build_twitter_serving_setup, emit
 
 from repro.core import TrainingConfig
 from repro.core.trainer import DQNTrainer
@@ -169,7 +168,7 @@ def test_planning_throughput_batched_vs_sequential(benchmark):
             "lockstep_s": lock_epoch_s,
         },
     }
-    Path("BENCH_planning.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    bench_file("BENCH_planning.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
 
     stages = "  ".join(
         f"{stage}={seconds:.3f}s" for stage, seconds in stage_seconds.items()

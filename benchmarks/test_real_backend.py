@@ -17,7 +17,6 @@ the ratio is noise.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from repro.serving import BackendMalivaService, MalivaService
 from repro.viz import TAXI_TRANSLATOR
 from repro.workloads import TaxiWorkloadGenerator
 
-from _bench_utils import SCALE, SEED, emit
+from _bench_utils import SCALE, SEED, bench_file, emit
 
 from tests.conftest import build_trained_maliva
 
@@ -112,7 +111,7 @@ def test_taxi_dashboard_on_sqlite():
             raw_ms += (time.perf_counter() - started) * 1e3
         speedup = raw_ms / rewritten_ms if rewritten_ms else 0.0
 
-    bench_path = Path("BENCH_serving.json")
+    bench_path = bench_file("BENCH_serving.json")
     payload = json.loads(bench_path.read_text()) if bench_path.is_file() else {}
     payload.setdefault("workload", {}).setdefault("scale", SCALE.name)
     payload["real_backend"] = {

@@ -26,9 +26,8 @@ import asyncio
 import json
 import os
 import time
-from pathlib import Path
 
-from _bench_utils import SCALE, SEED, build_twitter_serving_setup, emit
+from _bench_utils import SCALE, SEED, bench_file, build_twitter_serving_setup, emit
 
 from repro.serving import AsyncMalivaService, ShardedMalivaService, VizRequest
 from repro.viz import TWITTER_TRANSLATOR
@@ -85,7 +84,7 @@ def test_serving_throughput_cold_vs_warm(benchmark):
 
     speedup = warm.throughput_qps / cold.throughput_qps
     report = service.report()
-    bench_path = Path("BENCH_serving.json")
+    bench_path = bench_file("BENCH_serving.json")
     # Read-merge: the sharded / pipelined_stream sections are written by
     # sibling benchmarks and must survive a re-run of this one.
     payload = json.loads(bench_path.read_text()) if bench_path.is_file() else {}
@@ -226,7 +225,7 @@ def test_pipelined_stream_async_vs_sync(benchmark):
     async_qps = len(stream) / async_s if async_s else 0.0
     ratio = async_qps / sync_qps if sync_qps else 0.0
 
-    bench_path = Path("BENCH_serving.json")
+    bench_path = bench_file("BENCH_serving.json")
     payload = json.loads(bench_path.read_text()) if bench_path.is_file() else {}
     payload.setdefault("workload", {}).setdefault("scale", SCALE.name)
     payload["pipelined_stream"] = {
@@ -365,7 +364,7 @@ def test_replicated_failover(benchmark):
     surviving_qps = len(stream) / faulted_s if faulted_s else 0.0
     ratio = surviving_qps / healthy_qps if healthy_qps else 0.0
 
-    bench_path = Path("BENCH_serving.json")
+    bench_path = bench_file("BENCH_serving.json")
     payload = json.loads(bench_path.read_text()) if bench_path.is_file() else {}
     payload["replicated_failover"] = {
         "n_routers": 2,

@@ -20,9 +20,8 @@ needs for the single-core worst case.
 import json
 import os
 import time
-from pathlib import Path
 
-from _bench_utils import SCALE, SEED, build_twitter_serving_setup, emit
+from _bench_utils import SCALE, SEED, bench_file, build_twitter_serving_setup, emit
 
 from repro.serving import ShardedMalivaService
 from repro.serving.planner_replica import PlannerSync
@@ -133,7 +132,7 @@ def test_scattered_planning_vs_router(benchmark):
     scattered_qps = len(resolved) / scatter_s
     speedup = router_s / scatter_s
 
-    bench_path = Path("BENCH_planning.json")
+    bench_path = bench_file("BENCH_planning.json")
     payload = json.loads(bench_path.read_text()) if bench_path.is_file() else {}
     payload["sharded_planning"] = {
         "n_shards": N_SHARDS,

@@ -26,11 +26,10 @@ the router-side serial fraction (planning + merge) keeps under the bar.
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from _bench_utils import SCALE, SEED, build_twitter_serving_setup, emit
+from _bench_utils import SCALE, SEED, bench_file, build_twitter_serving_setup, emit
 
 from repro.db import RangePredicate, SelectQuery
 from repro.db.sharding import (
@@ -146,7 +145,7 @@ def test_sharded_throughput_vs_single_engine(benchmark):
     cold_speedup = sharded_cold / single_cold if single_cold else 0.0
     warm_speedup = sharded_warm / single_warm if single_warm else 0.0
 
-    bench_path = Path("BENCH_serving.json")
+    bench_path = bench_file("BENCH_serving.json")
     payload = (
         json.loads(bench_path.read_text()) if bench_path.is_file() else {}
     )
@@ -258,7 +257,7 @@ def test_degraded_fleet_throughput(benchmark):
     assert steady["n_scattered"] == len(stream)
 
     ratio = degraded_qps / healthy_qps if healthy_qps else 0.0
-    bench_path = Path("BENCH_serving.json")
+    bench_path = bench_file("BENCH_serving.json")
     payload = (
         json.loads(bench_path.read_text()) if bench_path.is_file() else {}
     )
@@ -363,7 +362,7 @@ def test_strided_partitioning_balances_time_ordered_skew():
     contiguous_imbalance, contiguous_s = imbalance("rows")
     strided_imbalance, strided_s = imbalance("rows-strided")
 
-    bench_path = Path("BENCH_serving.json")
+    bench_path = bench_file("BENCH_serving.json")
     payload = (
         json.loads(bench_path.read_text()) if bench_path.is_file() else {}
     )

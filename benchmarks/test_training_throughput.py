@@ -32,11 +32,10 @@ run.
 import gc
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from _bench_utils import SCALE, SEED, emit
+from _bench_utils import SCALE, SEED, bench_file, emit
 
 from repro.core import DQNTrainer, RewriteOptionSpace, TrainingConfig
 from repro.core.trainer import train_validated
@@ -248,7 +247,7 @@ def test_training_throughput_tensorized_vs_reference(benchmark):
             "speedup": validated_speedup,
         },
     }
-    Path("BENCH_training.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    bench_file("BENCH_training.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
 
     emit(
         f"training throughput ({len(train_queries)}-episode cold epochs, "

@@ -2,9 +2,11 @@
 
 This package is the architectural seam between "a middleware algorithm"
 (``repro.core``) and "a middleware deployment" (many dashboard users, one
-engine).  See DESIGN.md §4 for the cache hierarchy it coordinates, and
-§4.5 for the sharded fleet's failure model (supervised workers, warm
-respawns, router recovery, admission control), and §4.7 for the
+engine).  See DESIGN.md §4 for the cache hierarchy it coordinates, §4.5
+for the worker-fleet substrate both multi-process tiers run on
+(:mod:`repro.serving.fleet`: one transport, fault interpretation,
+deadline classes, supervised slots with warm respawn and a breaker) and
+the shard tier's recovery and admission control, and §4.7 for the
 replicated router tier (journaled failover, decision-cache gossip).
 """
 
@@ -13,12 +15,8 @@ from .async_service import AsyncMalivaService
 from .backend_service import BackendMalivaService
 from .factory import ServiceConfig, build_service
 from .faults import FaultPlan, FaultSpec, RandomFaultPlan, WorkerFault, WorkerTimeout
-from .replicated import (
-    ReplicatedMalivaService,
-    RouterGroup,
-    RouterSpec,
-    router_spec_for,
-)
+from .fleet import SupervisedFleet
+from .replicated import ReplicatedMalivaService, RouterSpec, router_spec_for
 from .requests import VizRequest, interleave, requests_from_steps, with_budget
 from .scheduler import FifoScheduler, SessionAffinityScheduler
 from .service import MalivaService
@@ -44,7 +42,6 @@ __all__ = [
     "RandomFaultPlan",
     "ReplicatedMalivaService",
     "RequestRecord",
-    "RouterGroup",
     "RouterSpec",
     "RouterStats",
     "RouterWindow",
@@ -54,6 +51,7 @@ __all__ = [
     "ShardStats",
     "ShardWindow",
     "ShardedMalivaService",
+    "SupervisedFleet",
     "VizRequest",
     "WorkerFault",
     "WorkerTimeout",

@@ -1,23 +1,26 @@
-"""Deterministic fault injection for the sharded serving tier.
+"""Deterministic fault injection for the worker fleets.
 
-Every recovery path in :class:`~repro.serving.sharded.ShardedMalivaService`
-(worker death, hung replies, garbled payloads, crashes during coherence
-syncs) must be testable on demand, inline and in real worker processes.  A
-:class:`FaultPlan` is the hook: the *router-side* shard handles consult it
-once per worker op and ship the resulting action (crash / hang / garble)
-inside the op message, so the worker misbehaves at exactly the chosen
-call.
+Every recovery path of the two multi-process tiers — shard workers under
+:class:`~repro.serving.sharded.ShardedMalivaService`, router replicas under
+:class:`~repro.serving.replicated.ReplicatedMalivaService` — (worker death,
+hung replies, garbled payloads, crashes during coherence syncs) must be
+testable on demand, inline and in real worker processes.  A
+:class:`FaultPlan` is the hook: the *router-side* channel
+(:mod:`repro.serving.fleet`) consults it once per worker op and ships the
+resulting action (crash / hang / garble) inside the op message, so the
+worker misbehaves at exactly the chosen call.
 
 Counting lives on the router, not in the worker, on purpose: a respawned
 worker is a fresh process built from a re-pickled spec, and worker-side
 counters would reset with it — a one-shot fault would then re-fire after
 every respawn and no test could ever see the service heal.  Router-side
-counting survives respawns, so "crash the 3rd execute on shard 1" means
+counting survives respawns, so "crash the 3rd execute on worker 1" means
 the 3rd execute *ever sent* to slot 1, full stop.
 
-Inline handles interpret the same actions directly (crash/garble raise
-:class:`WorkerFault`, hang raises :class:`WorkerTimeout`), so the whole
-recovery machinery is exercised without process churn in unit tests.
+The inline channel interprets the same actions directly (a crash raises
+:class:`WorkerFault`, a hang :class:`WorkerTimeout`, a garbled reply goes
+through the same validation as a real one), so the whole recovery
+machinery is exercised without process churn in unit tests.
 """
 
 from __future__ import annotations
@@ -44,20 +47,20 @@ ROUTER_OPS = ("serve", "gossip", "router_sync", "router_stats")
 OPS = SHARD_OPS + ROUTER_OPS
 
 #: The junk payload a garbling worker ships in place of its real reply.
-GARBLED_REPLY = "<garbled shard reply>"
+GARBLED_REPLY = "<garbled worker reply>"
 
 
 class WorkerFault(Exception):
-    """A shard worker op failed (EOF, pipe error, garbled or error reply).
+    """A worker op failed (EOF, pipe error, garbled or error reply).
 
-    Internal to the serving tier: the supervisor consumes it — marking the
+    Internal to the serving tiers: the supervisor consumes it — marking the
     worker dead and recovering the affected work — so it never escapes a
     service call.
     """
 
 
 class WorkerTimeout(WorkerFault):
-    """A shard worker op exceeded its per-call reply deadline."""
+    """A worker op exceeded its per-call reply deadline."""
 
 
 @dataclass(frozen=True)

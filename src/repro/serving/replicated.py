@@ -7,9 +7,10 @@ gather loop all died with it.  :class:`ReplicatedMalivaService` removes
 that last single-process ceiling (DESIGN.md §4.7): it runs ``n_routers``
 *complete* router replicas — each a full engine catalog plus a
 :class:`~repro.serving.service.MalivaService` rebuilt from a pickled
-:class:`RouterSpec` — in their own processes over the same duplex-pipe
-machinery the shard fleet uses, fronted by a thin dispatcher that only
-resolves, schedules, journals, and gathers.
+:class:`RouterSpec` — in their own processes over the worker-fleet
+substrate the shard fleet also runs on (:mod:`repro.serving.fleet`:
+transport, fault interpretation, deadlines, supervision), fronted by a
+thin dispatcher that only resolves, schedules, journals, and gathers.
 
 **Dispatch.**  Sessions stick to routers: the first request of a session
 binds it to the live router with the fewest assigned sessions (ties break
@@ -33,8 +34,8 @@ produced.  (Same caveat as shard recovery: the twin property holds on
 deterministic engine profiles; stochastic profiles draw from per-process
 RNG streams.)
 
-**Supervision.**  Router slots are the shard fleet's
-:class:`~repro.serving.sharded.SupervisedSlot`: deaths null the handle,
+**Supervision.**  Router slots live in a
+:class:`~repro.serving.fleet.SupervisedFleet`: deaths null the handle,
 warm respawns (rebuilt from the dispatcher's *live* catalog, collapsing
 every missed sync, then primed with the dispatcher's recent-decision
 gossip log) follow capped exponential backoff, and a flapping router
@@ -69,11 +70,8 @@ dispatcher planning with in-flight router serving.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-import multiprocessing
 import time
-import traceback
 from typing import Sequence
 
 from ..core.middleware import Maliva, RequestOutcome
@@ -84,19 +82,11 @@ from ..db.statistics import TableStatistics
 from ..db.table import Table
 from ..errors import QueryError
 from ..qte import AccurateQTE, SamplingQTE
-from .faults import (
-    CRASH,
-    GARBLE,
-    GARBLED_REPLY,
-    HANG,
-    FaultPlan,
-    WorkerFault,
-    WorkerTimeout,
-)
+from .faults import FaultPlan, WorkerFault
+from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle, wait_replies
 from .planner_replica import QteSpec
 from .requests import VizRequest
 from .service import MalivaService, _InflightExecution, _PlannedBatch
-from .sharded import _HANG_S, SupervisedSlot
 from .stats import RequestRecord, RouterStats
 
 
@@ -305,422 +295,63 @@ def _apply_router_sync(
 
 
 # ----------------------------------------------------------------------
-# Transport: worker loop and the two handle flavours
+# The router worker: op table and router-side handle
 # ----------------------------------------------------------------------
-def _router_worker_main(conn) -> None:
-    """Router-process loop: rebuild the replica from the spec, serve.
-
-    Every op message carries an optional injected fault action as its
-    third element, interpreted exactly like the shard worker loop:
-    ``crash`` exits before touching the op, ``hang`` sleeps far past any
-    deadline, ``garble`` ships junk in place of the real reply.
-    """
+def router_ops(_upcall) -> dict:
+    """The router worker's op table: one full replica service."""
     service: MalivaService | None = None
-    while True:
-        try:
-            op, payload, fault = conn.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent died
-            return
-        if fault == CRASH:
-            # Die before touching the op — the dispatcher's next recv EOFs.
-            return
-        if fault == HANG:  # pragma: no cover - killed mid-sleep
-            time.sleep(_HANG_S)
-        try:
-            if fault == GARBLE:
-                conn.send(("ok", GARBLED_REPLY))
-            elif op == "init":
-                service = build_router_service(payload)
-                conn.send(("ok", None))
-            elif op == "serve":
-                assert service is not None
-                conn.send(("ok", _serve_on(service, payload)))
-            elif op == "gossip":
-                assert service is not None
-                service.absorb_gossip(payload)
-                conn.send(("ok", None))
-            elif op == "router_sync":
-                assert service is not None
-                table, indexed_columns, stats = payload
-                _apply_router_sync(service, table, indexed_columns, stats)
-                conn.send(("ok", None))
-            elif op == "router_stats":
-                assert service is not None
-                conn.send(("ok", service.report()))
-            elif op == "router_reset":
-                assert service is not None
-                service.reset_stats()
-                conn.send(("ok", None))
-            elif op == "stop":
-                conn.send(("ok", None))
-                return
-            else:  # pragma: no cover - protocol bug
-                conn.send(("error", f"unknown op {op!r}"))
-        except Exception:  # noqa: BLE001 - ship the traceback back
-            conn.send(("error", traceback.format_exc()))
+
+    def init(spec) -> None:
+        nonlocal service
+        service = build_router_service(spec)
+
+    return {
+        "init": init,
+        "serve": lambda jobs: _serve_on(service, jobs),
+        "gossip": lambda items: service.absorb_gossip(items),
+        "router_sync": lambda payload: _apply_router_sync(service, *payload),
+        "router_stats": lambda _: service.report(),
+        "router_reset": lambda _: service.reset_stats(),
+    }
 
 
-class InlineRouterHandle:
-    """A router replica driven in-process (no transport, same semantics).
+class RouterHandle(WorkerHandle):
+    """Dispatcher-side handle of one router replica: one method per op,
+    each holding that op's payload shape check."""
 
-    Faults surface where the process transport would surface them:
-    ``submit_serve`` records the scheduled action, ``collect_serve``
-    raises it, and the supervisor replays identically to a real death.
-    """
-
-    def __init__(
-        self, router_id: int, spec: RouterSpec, fault_plan: FaultPlan | None = None
-    ) -> None:
+    def __init__(self, fleet: SupervisedFleet, router_id: int, spec: RouterSpec):
         self.router_id = router_id
-        self._service = build_router_service(spec)
-        self._fault_plan = fault_plan
-        self._pending: list[tuple[list, str | None]] = []
+        super().__init__(fleet, router_id, router_ops, spec)
 
-    def _action(self, op: str) -> str | None:
-        if self._fault_plan is None:
-            return None
-        return self._fault_plan.action_for(self.router_id, op)
-
-    def _raise_fault(self, action: str | None) -> None:
-        if action == HANG:
-            raise WorkerTimeout(f"router {self.router_id}: injected hang")
-        if action is not None:
-            raise WorkerFault(f"router {self.router_id}: injected {action}")
-
-    def submit_serve(self, jobs) -> None:
-        self._pending.append((list(jobs), self._action("serve")))
-
-    def reply_ready(self) -> bool:
-        """Inline work happens at collect time, so a reply never blocks."""
-        return True
-
-    def collect_serve(
-        self, deadline_s: float | None = None, expected: int | None = None
-    ) -> RouterBatchReply:
-        jobs, action = self._pending.pop(0)
-        self._raise_fault(action)
-        return _serve_on(self._service, jobs)
-
-    def gossip(self, items, deadline_s: float | None = None) -> None:
-        self._raise_fault(self._action("gossip"))
-        self._service.absorb_gossip(items)
-
-    def router_sync(
-        self, table, indexed_columns, stats, deadline_s: float | None = None
-    ) -> None:
-        self._raise_fault(self._action("router_sync"))
-        _apply_router_sync(self._service, table, indexed_columns, stats)
-
-    def router_stats(self, deadline_s: float | None = None) -> dict:
-        self._raise_fault(self._action("router_stats"))
-        return self._service.report()
-
-    def reset_stats(self, deadline_s: float | None = None) -> None:
-        self._service.reset_stats()
-
-    def close(self, graceful: bool = True) -> None:
-        self._pending.clear()
-
-
-class RouterWorkerHandle:
-    """A router replica in a worker process, driven over a duplex pipe.
-
-    Deadline-bounded, shape-validated replies exactly like
-    :class:`~repro.serving.sharded.ShardWorkerHandle`: a timeout,
-    transport error, error reply, or malformed payload raises
-    :class:`WorkerFault` (:class:`WorkerTimeout` for deadline misses)
-    for the supervisor to consume.  The handle never retries — failover
-    policy lives in :class:`ReplicatedMalivaService`.
-    """
-
-    def __init__(
-        self,
-        router_id: int,
-        spec: RouterSpec,
-        start_method: str | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
-        self.router_id = router_id
-        self._fault_plan = fault_plan
-        context = multiprocessing.get_context(start_method)
-        self._conn, worker_conn = context.Pipe(duplex=True)
-        self._process = context.Process(
-            target=_router_worker_main,
-            args=(worker_conn,),
-            daemon=True,
-            name=f"maliva-router-{router_id}",
+    def submit_serve(self, entries) -> None:
+        """Ship journal entries as ``(seq, query, tau_ms, session)`` jobs."""
+        self._channel.send(
+            "serve",
+            [(e.seq, e.query, e.tau_ms, e.session_id) for e in entries],
         )
-        self._process.start()
-        worker_conn.close()
-        # Warm start: the replica builds its full catalog, indexes, QTE,
-        # and service before the dispatcher routes its first session.
-        try:
-            self._request_none("init", spec, deadline_s=None)
-        except Exception:
-            self.close(graceful=False)
-            raise
-
-    def _action(self, op: str) -> str | None:
-        if self._fault_plan is None:
-            return None
-        return self._fault_plan.action_for(self.router_id, op)
-
-    def _send(self, op: str, payload) -> None:
-        try:
-            self._conn.send((op, payload, self._action(op)))
-        except (BrokenPipeError, OSError, ValueError) as error:
-            raise WorkerFault(
-                f"router {self.router_id}: send failed: {error}"
-            ) from error
-
-    def _recv_message(self, deadline_s: float | None):
-        try:
-            if deadline_s is not None and not self._conn.poll(deadline_s):
-                raise WorkerTimeout(
-                    f"router {self.router_id}: no reply within {deadline_s:.3f}s"
-                )
-            message = self._conn.recv()
-        except WorkerFault:
-            raise
-        except Exception as error:  # noqa: BLE001 - any transport failure
-            raise WorkerFault(
-                f"router {self.router_id}: receive failed: {error}"
-            ) from error
-        if not isinstance(message, tuple) or len(message) != 2:
-            raise WorkerFault(
-                f"router {self.router_id}: malformed reply {message!r}"
-            )
-        return message
-
-    def _recv_ok(self, deadline_s: float | None):
-        status, payload = self._recv_message(deadline_s)
-        if status != "ok":
-            raise WorkerFault(f"router {self.router_id} failed:\n{payload}")
-        return payload
-
-    def _request_none(self, op: str, payload, deadline_s: float | None) -> None:
-        self._send(op, payload)
-        reply = self._recv_ok(deadline_s)
-        if reply is not None:
-            raise WorkerFault(
-                f"router {self.router_id}: unexpected {op} reply {reply!r}"
-            )
-
-    def submit_serve(self, jobs) -> None:
-        self._send("serve", list(jobs))
-
-    def reply_ready(self) -> bool:
-        """Non-blocking probe: has the router's next reply arrived?"""
-        try:
-            return bool(self._conn.poll(0))
-        except (OSError, ValueError, EOFError):
-            return True
 
     def collect_serve(
         self, deadline_s: float | None = None, expected: int | None = None
     ) -> RouterBatchReply:
-        reply = self._recv_ok(deadline_s)
-        if not isinstance(reply, RouterBatchReply):
-            raise WorkerFault(
-                f"router {self.router_id}: garbled serve reply {reply!r}"
-            )
-        if expected is not None and len(reply.outcomes) != expected:
-            raise WorkerFault(
-                f"router {self.router_id}: expected {expected} outcomes, "
-                f"got {len(reply.outcomes)}"
-            )
+        reply = self._reply("serve", deadline_s, RouterBatchReply)
+        self._check_count("serve", len(reply.outcomes), expected)
         return reply
 
     def gossip(self, items, deadline_s: float | None = None) -> None:
-        self._request_none("gossip", list(items), deadline_s)
+        self._request("gossip", list(items), deadline_s)
 
     def router_sync(
         self, table, indexed_columns, stats, deadline_s: float | None = None
     ) -> None:
-        self._request_none(
+        self._request(
             "router_sync", (table, tuple(indexed_columns), stats), deadline_s
         )
 
     def router_stats(self, deadline_s: float | None = None) -> dict:
-        self._send("router_stats", None)
-        reply = self._recv_ok(deadline_s)
-        if not isinstance(reply, dict):
-            raise WorkerFault(
-                f"router {self.router_id}: garbled stats reply {reply!r}"
-            )
-        return reply
+        return self._request("router_stats", None, deadline_s, dict)
 
     def reset_stats(self, deadline_s: float | None = None) -> None:
-        self._request_none("router_reset", None, deadline_s)
-
-    def close(self, graceful: bool = True) -> None:
-        """Stop the router, escalating terminate → kill, and free the pipe."""
-        try:
-            if graceful and self._process.is_alive():
-                try:
-                    self._conn.send(("stop", None, None))
-                    if self._conn.poll(1.0):
-                        self._conn.recv()
-                except (BrokenPipeError, EOFError, OSError, ValueError):
-                    pass
-                self._process.join(timeout=5.0)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=2.0)
-            if self._process.is_alive():  # pragma: no cover - stuck router
-                self._process.kill()
-                self._process.join(timeout=2.0)
-        finally:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-
-# ----------------------------------------------------------------------
-# The supervised fleet
-# ----------------------------------------------------------------------
-class RouterGroup:
-    """A supervised fleet of router replicas behind one dispatcher.
-
-    Owns the slots (the shard tier's :class:`SupervisedSlot`; ``shard_id``
-    doubles as the router id here) and the spawn/respawn/retire mechanics:
-    deaths schedule a capped-exponential-backoff respawn from a *fresh*
-    spec (captured off the dispatcher's live catalog, so missed syncs
-    collapse into the spec), and a router that exhausts ``max_respawns``
-    trips the breaker and is retired.  Policy reactions — stats, session
-    rebalancing, gossip priming, admission capacity — live in
-    :class:`ReplicatedMalivaService`.
-    """
-
-    def __init__(
-        self,
-        spec_factory,
-        *,
-        n_routers: int,
-        processes: bool = True,
-        start_method: str | None = None,
-        fault_plan: FaultPlan | None = None,
-        max_respawns: int = 3,
-        respawn_backoff_s: float = 0.05,
-        respawn_backoff_cap_s: float = 2.0,
-    ) -> None:
-        self._spec_factory = spec_factory
-        self.processes = processes
-        self._start_method = start_method
-        self._fault_plan = fault_plan
-        self.max_respawns = max_respawns
-        self.respawn_backoff_s = respawn_backoff_s
-        self.respawn_backoff_cap_s = respawn_backoff_cap_s
-        self.slots: list[SupervisedSlot] = []
-        self._closed = False
-        try:
-            for router_id in range(n_routers):
-                slot = SupervisedSlot(router_id, respawn_backoff_s)
-                slot.handle = self._build_handle(router_id)
-                self.slots.append(slot)
-        except Exception:
-            self.close()
-            raise
-
-    def _build_handle(self, router_id: int):
-        spec = self._spec_factory()
-        if self.processes:
-            return RouterWorkerHandle(
-                router_id, spec, self._start_method, self._fault_plan
-            )
-        return InlineRouterHandle(router_id, spec, self._fault_plan)
-
-    def live_slots(self) -> list[SupervisedSlot]:
-        """Slots with a live handle, in router-id order."""
-        return [
-            slot
-            for slot in self.slots
-            if not slot.retired and slot.handle is not None
-        ]
-
-    def active_slots(self) -> list[SupervisedSlot]:
-        """Slots not retired (their router may be dead awaiting respawn)."""
-        return [slot for slot in self.slots if not slot.retired]
-
-    def _backoff(self, slot: SupervisedSlot) -> None:
-        slot.next_spawn_at = time.monotonic() + slot.backoff_s
-        slot.backoff_s = min(
-            self.respawn_backoff_cap_s,
-            max(slot.backoff_s * 2.0, self.respawn_backoff_s),
-        )
-
-    def record_death(self, slot: SupervisedSlot) -> None:
-        """Mark a slot's router dead and schedule its backed-off respawn."""
-        handle, slot.handle = slot.handle, None
-        slot.deaths += 1
-        if handle is not None:
-            try:
-                handle.close(graceful=False)
-            except Exception:  # noqa: BLE001 - reaping is best-effort
-                pass
-        self._backoff(slot)
-
-    def ensure(self) -> tuple[list[SupervisedSlot], list[SupervisedSlot]]:
-        """Respawn dead slots past their backoff; retire exhausted ones.
-
-        Runs between batches, never mid-dispatch, so a batch sees a
-        stable fleet from routing through gather.  Returns the slots
-        respawned and the slots newly retired this pass.
-        """
-        respawned: list[SupervisedSlot] = []
-        retired: list[SupervisedSlot] = []
-        if self._closed:
-            return respawned, retired
-        now = time.monotonic()
-        for slot in self.slots:
-            if slot.retired or slot.handle is not None:
-                continue
-            if slot.respawns >= self.max_respawns:
-                # Circuit breaker: the respawn budget is spent; stop
-                # flapping and shrink the fleet instead.
-                if self._retire(slot):
-                    retired.append(slot)
-                continue
-            if now < slot.next_spawn_at:
-                continue
-            slot.respawns += 1
-            try:
-                slot.handle = self._build_handle(slot.shard_id)
-            except Exception:  # noqa: BLE001 - retry after backoff
-                self._backoff(slot)
-                if slot.respawns >= self.max_respawns and self._retire(slot):
-                    retired.append(slot)
-                continue
-            slot.backoff_s = self.respawn_backoff_s
-            respawned.append(slot)
-        return respawned, retired
-
-    def _retire(self, slot: SupervisedSlot) -> bool:
-        if slot.retired:
-            return False
-        slot.retired = True
-        handle, slot.handle = slot.handle, None
-        if handle is not None:
-            try:
-                handle.close(graceful=False)
-            except Exception:  # noqa: BLE001
-                pass
-        return True
-
-    def close(self) -> None:
-        """Stop every router replica (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for slot in self.slots:
-            handle, slot.handle = slot.handle, None
-            if handle is None:
-                continue
-            try:
-                handle.close(graceful=True)
-            except Exception:  # noqa: BLE001 - closing is best-effort
-                pass
+        self._request("router_reset", None, deadline_s)
 
 
 # ----------------------------------------------------------------------
@@ -825,21 +456,12 @@ class ReplicatedMalivaService(MalivaService):
         deadline_tau_factor: float = 1.0,
         max_respawns: int = 3,
         respawn_backoff_s: float = 0.05,
-        respawn_backoff_cap_s: float = 2.0,
         gossip_decisions: bool = True,
         fault_plan: FaultPlan | None = None,
         **kwargs,
     ) -> None:
         if n_routers < 1:
             raise QueryError(f"n_routers must be at least 1, got {n_routers}")
-        if rpc_deadline_ms is not None and rpc_deadline_ms <= 0:
-            raise QueryError("rpc_deadline_ms must be positive (None disables)")
-        if deadline_tau_factor < 0:
-            raise QueryError("deadline_tau_factor must be non-negative")
-        if max_respawns < 0:
-            raise QueryError("max_respawns must be non-negative")
-        if respawn_backoff_s < 0 or respawn_backoff_cap_s < 0:
-            raise QueryError("respawn backoffs must be non-negative")
         if kwargs.get("quality_fn") is not None:
             raise QueryError(
                 "replicated serving does not support quality_fn: quality "
@@ -847,8 +469,21 @@ class ReplicatedMalivaService(MalivaService):
                 "be replicated across routers"
             )
         # The invalidation hook the base constructor registers dispatches
-        # to our override; make its guards resolvable first.
-        self._group: RouterGroup | None = None
+        # to our override, which broadcasts; an unspawned fleet (no live
+        # handles) makes that a no-op until the replicas exist.
+        self._group = SupervisedFleet(
+            self._build_handle,
+            n_routers,
+            kind="router",
+            on_death=self._on_router_death,
+            processes=processes,
+            start_method=start_method,
+            fault_plan=fault_plan,
+            rpc_deadline_ms=rpc_deadline_ms,
+            deadline_tau_factor=deadline_tau_factor,
+            max_respawns=max_respawns,
+            respawn_backoff_s=respawn_backoff_s,
+        )
         self._closed = False
         self._dispatch_inflight = False
         self._local_mode = False
@@ -858,30 +493,21 @@ class ReplicatedMalivaService(MalivaService):
         super().__init__(maliva, **kwargs)
         self.n_routers = n_routers
         self.processes = processes
-        self.rpc_deadline_ms = rpc_deadline_ms
-        self.deadline_tau_factor = deadline_tau_factor
         self.gossip_decisions = gossip_decisions
-        self._group = RouterGroup(
-            self._router_spec,
-            n_routers=n_routers,
-            processes=processes,
-            start_method=start_method,
-            fault_plan=fault_plan,
-            max_respawns=max_respawns,
-            respawn_backoff_s=respawn_backoff_s,
-            respawn_backoff_cap_s=respawn_backoff_cap_s,
-        )
+        self._group.spawn()
         self.stats.routers = self._new_router_stats()
 
-    def _router_spec(self) -> RouterSpec:
-        """A fresh replica spec off the live catalog (spawn and respawn)."""
-        return router_spec_for(
+    def _build_handle(self, slot: SupervisedSlot) -> RouterHandle:
+        """A replica from a fresh spec off the live catalog (spawn and
+        respawn alike, so missed syncs collapse into the spec)."""
+        spec = router_spec_for(
             self.maliva,
             default_tau_ms=self.default_tau_ms,
             scheduler=self.scheduler,
             batch_execute=self.batch_execute,
             decision_cache_size=self._decision_cache._capacity,
         )
+        return RouterHandle(self._group, slot.shard_id, spec)
 
     # ------------------------------------------------------------------
     # Lifecycle and observability
@@ -892,22 +518,15 @@ class ReplicatedMalivaService(MalivaService):
     def reset_stats(self) -> None:
         super().reset_stats()
         self.stats.routers = self._new_router_stats()
-        if self._group is None or self._closed or self._dispatch_inflight:
+        if self._closed or self._dispatch_inflight:
             return
-        deadline_s = self._setup_deadline_s()
-        for slot in self._group.live_slots():
-            try:
-                slot.handle.reset_stats(deadline_s)
-            except WorkerFault as error:
-                self._record_router_death(slot, error)
+        deadline_s = self._group.setup_deadline_s()
+        self._group.call_live(lambda slot: slot.handle.reset_stats(deadline_s))
 
     def close(self) -> None:
         """Stop every router replica (idempotent)."""
-        if self._closed:
-            return
         self._closed = True
-        if self._group is not None:
-            self._group.close()
+        self._group.close()
 
     def __del__(self):  # pragma: no cover - belt and braces
         try:
@@ -917,8 +536,6 @@ class ReplicatedMalivaService(MalivaService):
 
     def report(self) -> dict:
         report = super().report()
-        if self._group is None:
-            return report
         report["journal"] = {
             "depth": self._journal.depth,
             "next_seq": self._journal.next_seq,
@@ -931,61 +548,38 @@ class ReplicatedMalivaService(MalivaService):
         # Replica report probes share the duplex pipes with in-flight serve
         # replies; skip them mid-batch rather than desync the protocol.
         if not self._closed and not self._dispatch_inflight:
-            replicas: dict[str, dict] = {}
-            deadline_s = self._setup_deadline_s()
-            for slot in self._group.live_slots():
-                try:
-                    replicas[str(slot.shard_id)] = slot.handle.router_stats(
-                        deadline_s
-                    )
-                except WorkerFault as error:
-                    self._record_router_death(slot, error)
-            report["router_replicas"] = replicas
+            deadline_s = self._group.setup_deadline_s()
+            report["router_replicas"] = {
+                str(slot.shard_id): replica_report
+                for slot, replica_report in self._group.call_live(
+                    lambda slot: slot.handle.router_stats(deadline_s)
+                )
+            }
         return report
-
-    # ------------------------------------------------------------------
-    # Deadlines (same shape as the sharded tier)
-    # ------------------------------------------------------------------
-    def _call_deadline_s(self, tau_ms: float | None = None) -> float | None:
-        if self.rpc_deadline_ms is None:
-            return None
-        tau = tau_ms if tau_ms is not None else 0.0
-        return (self.rpc_deadline_ms + self.deadline_tau_factor * tau) / 1000.0
-
-    def _setup_deadline_s(self) -> float | None:
-        if self.rpc_deadline_ms is None:
-            return None
-        return max(30.0, 4.0 * self.rpc_deadline_ms / 1000.0)
 
     # ------------------------------------------------------------------
     # Supervision reactions
     # ------------------------------------------------------------------
-    def _record_router_death(self, slot: SupervisedSlot, error: Exception) -> None:
-        del error  # normalized WorkerFault/WorkerTimeout; logged via stats
-        assert self._group is not None
-        self._group.record_death(slot)
+    def _on_router_death(self, slot: SupervisedSlot) -> None:
         if self.stats.routers is not None:
-            self.stats.routers.record_death(slot.shard_id)
+            self.stats.routers.record_death(slot.shard_id, slot.last_fault)
 
     def _ensure_routers(self) -> None:
         """Respawn/retire between batches; re-aim sessions and admission."""
-        if self._group is None or self._closed:
-            return
         respawned, retired = self._group.ensure()
         routers = self.stats.routers
-        deadline_s = self._setup_deadline_s()
-        for slot in respawned:
-            if routers is not None:
+        if routers is not None:
+            for slot in respawned:
                 routers.record_respawn(slot.shard_id)
-            # Prime the fresh replica with recently gossiped decisions so
-            # it rejoins warm; its catalog is already current (the spec
-            # was captured off the live dispatcher engine).
+        if respawned and self._gossip_mirror and self.gossip_decisions:
+            # Prime fresh replicas with recently gossiped decisions so they
+            # rejoin warm; their catalog is already current (the spec was
+            # captured off the live dispatcher engine).
             items = list(self._gossip_mirror.items())
-            if items and self.gossip_decisions:
-                try:
-                    slot.handle.gossip(items, deadline_s)
-                except WorkerFault as error:
-                    self._record_router_death(slot, error)
+            deadline_s = self._group.setup_deadline_s()
+            self._group.call_live(
+                lambda slot: slot.handle.gossip(items, deadline_s), respawned
+            )
         for slot in retired:
             if routers is not None:
                 routers.record_retired(slot.shard_id)
@@ -994,11 +588,9 @@ class ReplicatedMalivaService(MalivaService):
 
     def _update_capacity(self) -> None:
         """Scale the admission watermark to the surviving fleet fraction."""
-        if self.admission is None or self._group is None:
+        if self.admission is None:
             return
         total = len(self._group.slots)
-        if total == 0:
-            return
         active = len(self._group.active_slots())
         # With every router retired the dispatcher itself serves — it is
         # roughly one router's worth of capacity, never zero.
@@ -1009,7 +601,6 @@ class ReplicatedMalivaService(MalivaService):
     # ------------------------------------------------------------------
     def _route(self, session_id: str | None) -> int:
         """Pick the router for one request (sticky per session)."""
-        assert self._group is not None
         live = self._group.live_slots()
         if not live:
             return -1
@@ -1035,13 +626,12 @@ class ReplicatedMalivaService(MalivaService):
     # Pipeline overrides: plan on routers, dispatch at the execute seam
     # ------------------------------------------------------------------
     def _plan_batch(self, requests: Sequence[VizRequest]) -> _PlannedBatch | None:
-        if self._group is not None and not self._dispatch_inflight:
+        if not self._dispatch_inflight:
             self._ensure_routers()
             self._local_mode = not self._group.live_slots()
         planned = super()._plan_batch(requests)
         if (
             planned is not None
-            and self._group is not None
             and self._local_mode
             and self.stats.routers is not None
         ):
@@ -1049,15 +639,15 @@ class ReplicatedMalivaService(MalivaService):
         return planned
 
     def _plan_stage(self, resolved):
-        if self._group is None or self._local_mode:
-            # Local mode (construction, or an empty fleet): the dispatcher
-            # plans with its own decision cache and gossip mirror.
+        if self._local_mode:
+            # Local mode (an empty fleet): the dispatcher plans with its
+            # own decision cache and gossip mirror.
             return super()._plan_stage(resolved)
         # Dispatch mode: routers plan; the dispatcher ships raw requests.
         return [None] * len(resolved), [False] * len(resolved)
 
     def _execute_begin(self, planned: _PlannedBatch) -> _InflightExecution:
-        if self._group is None or self._local_mode:
+        if self._local_mode:
             return super()._execute_begin(planned)
         if self._dispatch_inflight:
             raise QueryError(
@@ -1072,24 +662,10 @@ class ReplicatedMalivaService(MalivaService):
         if not isinstance(state, _ReplicatedInflight):
             await super()._execute_wait(token)
             return
-        assert self._group is not None
-        deadline_at = (
-            None
-            if state.deadline_s is None
-            else time.monotonic() + state.deadline_s
+        await wait_replies(
+            [self._group.slots[router_id] for router_id in state.submitted],
+            state.deadline_s,
         )
-        while True:
-            pending = False
-            for router_id in state.submitted:
-                slot = self._group.slots[router_id]
-                if slot.handle is not None and not slot.handle.reply_ready():
-                    pending = True
-                    break
-            if not pending:
-                return
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                return
-            await asyncio.sleep(0.0005)
 
     def _execute_finish(self, token: _InflightExecution) -> list[RequestOutcome]:
         state = token.state
@@ -1107,7 +683,6 @@ class ReplicatedMalivaService(MalivaService):
         """Journal the batch, then ship session-affine sub-batches."""
         if self._closed:
             raise QueryError("replicated service is closed")
-        assert self._group is not None
         state = _ReplicatedInflight()
         state.execute_started = time.perf_counter()
         max_tau = 0.0
@@ -1121,50 +696,34 @@ class ReplicatedMalivaService(MalivaService):
             entry = self._journal.record(session_id, query, tau_ms, router_id)
             state.jobs.setdefault(router_id, []).append(entry)
             state.seq_by_index[index] = entry.seq
-        state.deadline_s = self._call_deadline_s(max_tau)
+        state.deadline_s = self._group.call_deadline_s(max_tau)
         routers = self.stats.routers
         if routers is not None:
             routers.n_dispatched += len(planned.requests)
             routers.record_journal_depth(self._journal.depth)
-        for router_id in sorted(state.jobs):
-            if router_id < 0:
-                continue  # no live router at routing time; replay path
-            slot = self._group.slots[router_id]
-            if slot.handle is None:
-                continue
-            payload = [
-                (entry.seq, entry.query, entry.tau_ms, entry.session_id)
-                for entry in state.jobs[router_id]
-            ]
-            try:
-                slot.handle.submit_serve(payload)
-            except WorkerFault as error:
-                self._record_router_death(slot, error)
-                continue
-            state.submitted.append(router_id)
+        # Entries routed to -1 found no live router; they take the replay
+        # path, as do those whose router dies at (or after) submit.
+        submitted = self._group.call_live(
+            lambda slot: slot.handle.submit_serve(state.jobs[slot.shard_id]),
+            [self._group.slots[r] for r in sorted(state.jobs) if r >= 0],
+        )
+        state.submitted = [slot.shard_id for slot, _ in submitted]
         return state
 
     def _dispatch_finish(
         self, planned: _PlannedBatch, state: _ReplicatedInflight
     ) -> list[RequestOutcome]:
         """Gather router replies, replay the unacknowledged, assemble."""
-        assert self._group is not None
         routers = self.stats.routers
         outcomes_by_seq: dict[int, RequestOutcome] = {}
         cached_by_seq: dict[int, bool] = {}
         fresh: dict[tuple, object] = {}
-        for router_id in state.submitted:
-            slot = self._group.slots[router_id]
-            entries = state.jobs[router_id]
-            if slot.handle is None:  # pragma: no cover - died in a sync op
-                continue
-            try:
-                reply = slot.handle.collect_serve(
-                    state.deadline_s, expected=len(entries)
-                )
-            except WorkerFault as error:
-                self._record_router_death(slot, error)
-                continue
+        for slot, reply in self._group.call_live(
+            lambda slot: slot.handle.collect_serve(
+                state.deadline_s, expected=len(state.jobs[slot.shard_id])
+            ),
+            [self._group.slots[router_id] for router_id in state.submitted],
+        ):
             for seq, outcome, cached in reply.outcomes:
                 outcomes_by_seq[seq] = outcome
                 cached_by_seq[seq] = cached
@@ -1172,8 +731,8 @@ class ReplicatedMalivaService(MalivaService):
             fresh.update(reply.fresh)
             if routers is not None:
                 routers.record_serve(
-                    router_id,
-                    len(entries),
+                    slot.shard_id,
+                    len(reply.outcomes),
                     reply.wall_s,
                     reply.n_cached,
                     reply.gossip_hits,
@@ -1236,24 +795,19 @@ class ReplicatedMalivaService(MalivaService):
         deterministic, so *which* engine answers cannot change the
         decision, the virtual times, or the counters.
         """
-        assert self._group is not None
         routers = self.stats.routers
         while True:
             live = self._group.live_slots()
             if not live:
                 break
             slot = live[0]
-            payload = [
-                (entry.seq, entry.query, entry.tau_ms, entry.session_id)
-                for entry in entries
-            ]
             try:
-                slot.handle.submit_serve(payload)
+                slot.handle.submit_serve(entries)
                 reply = slot.handle.collect_serve(
                     deadline_s, expected=len(entries)
                 )
             except WorkerFault as error:
-                self._record_router_death(slot, error)
+                self._group.record_death(slot, error)
                 continue
             if routers is not None:
                 for entry in entries:
@@ -1329,17 +883,11 @@ class ReplicatedMalivaService(MalivaService):
         the mirror doubles as the warm-start log a respawned router is
         primed with.
         """
-        assert self._group is not None
         self.absorb_gossip(items)
-        deadline_s = self._setup_deadline_s()
-        delivered = False
-        for slot in self._group.live_slots():
-            try:
-                slot.handle.gossip(items, deadline_s)
-            except WorkerFault as error:
-                self._record_router_death(slot, error)
-                continue
-            delivered = True
+        deadline_s = self._group.setup_deadline_s()
+        delivered = self._group.call_live(
+            lambda slot: slot.handle.gossip(items, deadline_s)
+        )
         if delivered and self.stats.routers is not None:
             self.stats.routers.n_gossip_broadcast += len(items)
 
@@ -1348,8 +896,6 @@ class ReplicatedMalivaService(MalivaService):
     # ------------------------------------------------------------------
     def _on_table_invalidated(self, table_name: str) -> None:
         super()._on_table_invalidated(table_name)
-        if self._group is None:
-            return
         if self._dispatch_inflight:
             # The dispatcher's own caches are already evicted (above), but
             # a sync broadcast would interleave with in-flight serve
@@ -1368,13 +914,11 @@ class ReplicatedMalivaService(MalivaService):
         table = database.table(table_name)
         indexed = tuple(sorted(database.indexes_for(table_name)))
         stats = database.stats(table_name)
-        deadline_s = self._setup_deadline_s()
-        for slot in self._group.live_slots():
-            # Dead slots skip the sync: their respawn rebuilds from the
-            # live catalog and cannot go stale.
-            try:
-                slot.handle.router_sync(table, indexed, stats, deadline_s)
-            except WorkerFault as error:
-                self._record_router_death(slot, error)
+        deadline_s = self._group.setup_deadline_s()
+        # Dead slots skip the sync: their respawn rebuilds from the live
+        # catalog and cannot go stale.
+        self._group.call_live(
+            lambda slot: slot.handle.router_sync(table, indexed, stats, deadline_s)
+        )
         if self.stats.routers is not None:
             self.stats.routers.n_syncs += 1

@@ -29,39 +29,17 @@ in its own process over a row slice (contiguous ``rows``, round-robin
   tables execute on the router's full engine, preserving the equivalence
   contract trivially.
 
-Failure model (DESIGN.md §4.5): a worker that times out past its per-call
-RPC deadline, EOFs, breaks its pipe, or replies garbage is *dead*, never
-*wrong* — every reply is validated before use and a failed validation is
-treated exactly like a crash.  The supervisor then:
-
-* **recovers the affected work on the router.**  Scattered entries whose
-  report set is incomplete re-execute through ``execute_planned`` on the
-  router engine, *in scheduled order, inside the same assembly loop* — the
-  engine consumed its hint draws and plan-cache sequence during
-  classification, so the recovered outcome is bit-identical to both the
-  healthy scatter outcome and the single-engine service.  Plan chunks lost
-  to a dead planner replica replan on the router (the twin-planning
-  property makes those decisions bit-identical too).  A batch never fails
-  because a worker died.
-* **respawns the worker warm.**  The slot rebuilds a fresh
-  :class:`~repro.db.sharding.ShardSpec` from the *live* catalog
-  (:func:`~repro.db.sharding.rebuild_shard_spec`), collapsing every
-  missed ``sync_table`` into the spec itself, after a capped exponential
-  backoff.  Respawns are budgeted (``max_respawns``); a flapping shard
-  exhausts the budget and trips the circuit breaker.
-* **retires and rebalances.**  A breaker-open shard is permanently
-  removed; surviving rows-mode shards re-slice to the smaller arity (rank
-  order follows shard-id order, so merged concatenation stays canonical)
-  and orphaned table-mode groups are re-adopted round-robin.  Subsequent
-  batches scatter across the smaller fleet; with zero survivors every
-  request runs on the router.
-
-Fault injection threads through the same transport: the *router-side*
-handles consult an optional :class:`~repro.serving.faults.FaultPlan` once
-per worker op and ship the chosen action (crash / hang / garble) inside
-the op message, so workers misbehave at exactly the scheduled call —
-deterministically, inline and in real processes (see ``faults.py`` for
-why the counting lives router-side).
+Transport, fault interpretation, deadlines, and the death → warm respawn →
+breaker life-cycle are the shared substrate in :mod:`repro.serving.fleet`
+(its docstring carries the failure model); this module contributes the
+shard op table, the :class:`ShardHandle` reply checks, and the tier's
+reactions.  A respawning slot rebuilds a fresh
+:class:`~repro.db.sharding.ShardSpec` from the *live* catalog
+(:func:`~repro.db.sharding.rebuild_shard_spec`).  When the breaker retires
+a shard, surviving rows-mode shards re-slice to the smaller arity (rank
+order follows shard-id order, so merged concatenation stays canonical) and
+orphaned table-mode groups are re-adopted round-robin; subsequent batches
+scatter across the smaller fleet.
 
 A note on per-request engine-cache deltas: outcomes served by this class
 attribute cache activity from the *execute phase only*.  Scattered queries
@@ -81,20 +59,11 @@ Router planning decisions are additionally mirrored to worker replicas
 (``mirror`` op) so repeated miss leaders plan from cache shard-side; the
 mirror is evicted wholesale on every planner sync, which keeps it exactly
 as coherent as the replica state it fronts.
-
-Worker transport is a duplex pipe per shard; the shard spec is pickled
-across it (:class:`~repro.db.sharding.ShardSpec` is deliberately plain
-data), so the design is start-method agnostic.  ``processes=False`` runs
-the same engines inline — bit-identical, handy for tests and for
-single-core hosts where process parallelism cannot pay for its transport.
 """
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 import time
-import traceback
 from typing import Sequence
 
 from ..core.middleware import Maliva, RequestOutcome
@@ -114,15 +83,8 @@ from ..db.sharding import (
     scatter_eligible,
 )
 from ..errors import QueryError
-from .faults import (
-    CRASH,
-    GARBLE,
-    GARBLED_REPLY,
-    HANG,
-    FaultPlan,
-    WorkerFault,
-    WorkerTimeout,
-)
+from .faults import FaultPlan, WorkerFault
+from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle, wait_replies
 from .planner_replica import (
     PlannerReplica,
     PlannerSpec,
@@ -135,432 +97,110 @@ from .requests import VizRequest
 from .service import MalivaService, _InflightExecution, _PlannedBatch
 from .stats import RequestRecord, ShardStats
 
-#: How long a worker told to HANG sleeps — far past any realistic deadline.
-_HANG_S = 3600.0
 
+def shard_ops(upcall) -> dict:
+    """The shard worker's op table: a shard engine plus a planner replica.
 
-class InlineShardHandle:
-    """A shard engine driven in-process (no transport, same semantics).
-
-    Injected faults surface where the process transport would surface
-    them: submit records the scheduled action, collect raises it
-    (:class:`WorkerTimeout` for hangs, :class:`WorkerFault` otherwise),
-    and the supervisor recovers identically to a real worker death.
-    """
-
-    def __init__(self, spec, fault_plan: FaultPlan | None = None) -> None:
-        self.shard_id = spec.shard_id
-        self.owned_tables = spec.owned_tables
-        self._engine = ShardEngine(spec)
-        self._fault_plan = fault_plan
-        self._pending: list[tuple[list[ShardEntry], str | None]] = []
-        self._replica: PlannerReplica | None = None
-        self._pending_plans: list[tuple[list, list, str | None]] = []
-
-    def _action(self, op: str) -> str | None:
-        if self._fault_plan is None:
-            return None
-        return self._fault_plan.action_for(self.shard_id, op)
-
-    def _raise_fault(self, action: str | None) -> None:
-        if action == HANG:
-            raise WorkerTimeout(f"shard worker {self.shard_id}: injected hang")
-        if action is not None:
-            raise WorkerFault(f"shard worker {self.shard_id}: injected {action}")
-
-    def submit_execute(self, entries: Sequence[ShardEntry]) -> None:
-        self._pending.append((list(entries), self._action("execute")))
-
-    def reply_ready(self) -> bool:
-        """Inline work happens at collect time, so a reply never blocks."""
-        return True
-
-    def collect(self, deadline_s: float | None = None, expected: int | None = None):
-        entries, action = self._pending.pop(0)
-        self._raise_fault(action)
-        return self._engine.execute(entries)
-
-    def init_planner(self, spec: PlannerSpec, rpc) -> None:
-        """Build the worker's planning replica (rpc is a direct callable)."""
-        self._replica = PlannerReplica(spec, rpc)
-
-    def submit_plan(self, queries, taus) -> None:
-        self._pending_plans.append(
-            (list(queries), list(taus), self._action("plan"))
-        )
-
-    def collect_plan(
-        self, deadline_s: float | None = None, expected: int | None = None
-    ):
-        assert self._replica is not None
-        queries, taus, action = self._pending_plans.pop(0)
-        self._raise_fault(action)
-        before = self._replica.mirror_hits
-        started = time.perf_counter()
-        decisions = self._replica.rewrite_batch(queries, taus)
-        wall_s = time.perf_counter() - started
-        return decisions, wall_s, self._replica.mirror_hits - before
-
-    def mirror_decisions(self, items, deadline_s: float | None = None) -> None:
-        self._raise_fault(self._action("mirror"))
-        if self._replica is not None:
-            self._replica.absorb_mirror(items)
-
-    def sync_table(
-        self, table, indexed_columns, deadline_s: float | None = None
-    ) -> None:
-        self._raise_fault(self._action("sync"))
-        self._engine.sync_table(table, indexed_columns)
-
-    def sync_planner(
-        self, sync: PlannerSync, deadline_s: float | None = None
-    ) -> None:
-        self._raise_fault(self._action("sync_planner"))
-        if self._replica is not None:
-            self._replica.apply_sync(sync)
-
-    def cache_stats(self, deadline_s: float | None = None):
-        self._raise_fault(self._action("cache_stats"))
-        return self._engine.cache_stats()
-
-    def close(self, graceful: bool = True) -> None:
-        self._pending.clear()
-        self._pending_plans.clear()
-
-
-def _shard_worker_main(conn) -> None:
-    """Worker-process loop: build the engine from the pickled spec, serve.
-
-    While a ``plan`` op runs, the worker's accurate-QTE proxy may need
-    oracle values only the router's full engine holds; it sends an
-    ``("rpc", (pairs, queries))`` message up the same pipe and blocks on
-    the reply, which the router services inline during its gather loop
-    (:meth:`ShardWorkerHandle.collect_plan`).  The final ``("ok", ...)``
-    reply closes the op as usual, so the pipe protocol stays in lockstep.
-
-    Every op message carries an optional injected fault action as its
-    third element: ``crash`` exits before touching the op (the router
-    sees EOF, exactly like a segfault), ``hang`` sleeps far past any
-    deadline, ``garble`` ships junk in place of the real reply.
+    While a ``plan`` op runs, the replica's accurate-QTE proxy may need
+    oracle values only the router's full engine holds; it ``upcall``s a
+    ``(pairs, queries)`` payload and blocks on the answer, which the
+    router services inline during its gather
+    (:meth:`ShardHandle.init_planner` installs the resolver).
     """
     engine: ShardEngine | None = None
     replica: PlannerReplica | None = None
 
-    def _probe_rpc(pairs, queries):
-        conn.send(("rpc", (list(pairs), list(queries))))
-        return conn.recv()
+    def init(spec) -> None:
+        nonlocal engine
+        engine = ShardEngine(spec)
 
-    while True:
-        try:
-            op, payload, fault = conn.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent died
-            return
-        if fault == CRASH:
-            # Die before touching the op — the router's next recv EOFs.
-            return
-        if fault == HANG:  # pragma: no cover - killed mid-sleep by router
-            time.sleep(_HANG_S)
-        try:
-            if fault == GARBLE:
-                conn.send(("ok", GARBLED_REPLY))
-            elif op == "init":
-                engine = ShardEngine(payload)
-                conn.send(("ok", None))
-            elif op == "execute":
-                assert engine is not None
-                conn.send(("ok", engine.execute(payload)))
-            elif op == "sync":
-                assert engine is not None
-                table, indexed_columns = payload
-                engine.sync_table(table, indexed_columns)
-                conn.send(("ok", None))
-            elif op == "init_planner":
-                replica = PlannerReplica(payload, _probe_rpc)
-                conn.send(("ok", None))
-            elif op == "plan":
-                assert replica is not None
-                queries, taus = payload
-                before = replica.mirror_hits
-                started = time.perf_counter()
-                decisions = replica.rewrite_batch(queries, taus)
-                wall_s = time.perf_counter() - started
-                conn.send(
-                    ("ok", (decisions, wall_s, replica.mirror_hits - before))
-                )
-            elif op == "sync_planner":
-                assert replica is not None
-                replica.apply_sync(payload)
-                conn.send(("ok", None))
-            elif op == "mirror":
-                assert replica is not None
-                replica.absorb_mirror(payload)
-                conn.send(("ok", None))
-            elif op == "cache_stats":
-                assert engine is not None
-                conn.send(("ok", engine.cache_stats()))
-            elif op == "stop":
-                conn.send(("ok", None))
-                return
-            else:  # pragma: no cover - protocol bug
-                conn.send(("error", f"unknown op {op!r}"))
-        except Exception:  # noqa: BLE001 - ship the traceback to the router
-            conn.send(("error", traceback.format_exc()))
+    def sync(payload) -> None:
+        table, indexed_columns = payload
+        engine.sync_table(table, indexed_columns)
+
+    def init_planner(spec) -> None:
+        nonlocal replica
+        replica = PlannerReplica(
+            spec, lambda pairs, queries: upcall((list(pairs), list(queries)))
+        )
+
+    def plan(payload):
+        queries, taus = payload
+        before = replica.mirror_hits
+        started = time.perf_counter()
+        decisions = replica.rewrite_batch(queries, taus)
+        wall_s = time.perf_counter() - started
+        return decisions, wall_s, replica.mirror_hits - before
+
+    return {
+        "init": init,
+        "execute": lambda entries: engine.execute(entries),
+        "sync": sync,
+        "init_planner": init_planner,
+        "plan": plan,
+        "sync_planner": lambda planner_sync: replica.apply_sync(planner_sync),
+        "mirror": lambda items: replica.absorb_mirror(items),
+        "cache_stats": lambda _: engine.cache_stats(),
+    }
 
 
-class ShardWorkerHandle:
-    """A shard engine in a worker process, driven over a duplex pipe.
+class ShardHandle(WorkerHandle):
+    """Router-side handle of one shard worker: one method per op, each
+    holding that op's payload shape check."""
 
-    Every receive is deadline-bounded (``conn.poll`` before ``recv``) and
-    every reply is shape-validated before use; a timeout, transport
-    error, error reply, or malformed payload raises :class:`WorkerFault`
-    (:class:`WorkerTimeout` for deadline misses) for the supervisor to
-    consume.  The handle itself never retries — recovery policy lives in
-    :class:`ShardedMalivaService`.
-    """
-
-    def __init__(
-        self,
-        spec,
-        start_method: str | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
+    def __init__(self, fleet: SupervisedFleet, spec) -> None:
         self.shard_id = spec.shard_id
         self.owned_tables = spec.owned_tables
-        self._fault_plan = fault_plan
-        context = multiprocessing.get_context(start_method)
-        self._conn, worker_conn = context.Pipe(duplex=True)
-        self._process = context.Process(
-            target=_shard_worker_main,
-            args=(worker_conn,),
-            daemon=True,
-            name=f"maliva-shard-{spec.shard_id}",
-        )
-        self._process.start()
-        worker_conn.close()
-        # Warm start: the spec travels pickled; the worker builds tables
-        # and indexes before the service answers its first request.
+        super().__init__(fleet, spec.shard_id, shard_ops, spec)
+
+    def submit_execute(self, entries: Sequence[ShardEntry]) -> None:
+        self._channel.send("execute", list(entries))
+
+    def collect(self, deadline_s: float | None = None, expected: int | None = None):
+        reply = self._reply("execute", deadline_s, ShardBatchReply)
+        self._check_count("execute", len(reply.reports), expected)
+        return reply
+
+    def init_planner(self, spec: PlannerSpec, rpc) -> None:
+        """Ship the planner replica spec; keep the router-side RPC resolver
+        for the worker's mid-plan probe upcalls (which also warm the
+        router's own QTE memos, exactly as local planning would)."""
+        self._channel.on_upcall = lambda payload: rpc(*payload)
         try:
-            self._request_none("init", spec, deadline_s=None)
+            self._request("init_planner", spec, self._setup_deadline_s)
         except Exception:
             self.close(graceful=False)
             raise
 
-    def _action(self, op: str) -> str | None:
-        if self._fault_plan is None:
-            return None
-        return self._fault_plan.action_for(self.shard_id, op)
-
-    def _send(self, op: str, payload) -> None:
-        try:
-            self._conn.send((op, payload, self._action(op)))
-        except (BrokenPipeError, OSError, ValueError) as error:
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: send failed: {error}"
-            ) from error
-
-    def _recv_message(self, deadline_s: float | None):
-        try:
-            if deadline_s is not None and not self._conn.poll(deadline_s):
-                raise WorkerTimeout(
-                    f"shard worker {self.shard_id}: no reply within "
-                    f"{deadline_s:.3f}s"
-                )
-            message = self._conn.recv()
-        except WorkerFault:
-            raise
-        except Exception as error:  # noqa: BLE001 - any transport failure
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: receive failed: {error}"
-            ) from error
-        if not isinstance(message, tuple) or len(message) != 2:
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: malformed reply {message!r}"
-            )
-        return message
-
-    def _recv_ok(self, deadline_s: float | None):
-        status, payload = self._recv_message(deadline_s)
-        if status != "ok":
-            raise WorkerFault(
-                f"shard worker {self.shard_id} failed:\n{payload}"
-            )
-        return payload
-
-    def _request_none(self, op: str, payload, deadline_s: float | None) -> None:
-        self._send(op, payload)
-        reply = self._recv_ok(deadline_s)
-        if reply is not None:
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: unexpected {op} reply {reply!r}"
-            )
-
-    def submit_execute(self, entries: Sequence[ShardEntry]) -> None:
-        self._send("execute", list(entries))
-
-    def reply_ready(self) -> bool:
-        """Non-blocking probe: has the worker's next reply arrived?
-
-        Transport errors report ready — the subsequent :meth:`collect`
-        will surface them as a :class:`WorkerFault` for the supervisor.
-        """
-        try:
-            return bool(self._conn.poll(0))
-        except (OSError, ValueError, EOFError):
-            return True
-
-    def collect(self, deadline_s: float | None = None, expected: int | None = None):
-        reply = self._recv_ok(deadline_s)
-        if not isinstance(reply, ShardBatchReply):
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: garbled execute reply "
-                f"{reply!r}"
-            )
-        if expected is not None and len(reply.reports) != expected:
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: expected {expected} reports, "
-                f"got {len(reply.reports)}"
-            )
-        return reply
-
-    def init_planner(self, spec: PlannerSpec, rpc) -> None:
-        """Ship the planner replica spec; keep the router-side RPC resolver."""
-        self._rpc = rpc
-        self._request_none("init_planner", spec, deadline_s=None)
-
     def submit_plan(self, queries, taus) -> None:
-        self._send("plan", (list(queries), list(taus)))
+        self._channel.send("plan", (list(queries), list(taus)))
 
     def collect_plan(
         self, deadline_s: float | None = None, expected: int | None = None
     ):
-        """Gather a plan reply, servicing worker probe RPCs inline.
-
-        A worker blocked on oracle values sends ``("rpc", payload)``
-        instead of its final reply; the router answers on the spot (which
-        also warms its own QTE memos, exactly as local planning would)
-        and keeps waiting for the ``("ok", (decisions, wall_s, hits))``
-        close.  The deadline applies to each wait independently — a
-        worker making RPC progress is alive, not hung.
-        """
-        while True:
-            status, payload = self._recv_message(deadline_s)
-            if status == "rpc":
-                try:
-                    pairs, queries = payload
-                    answer = self._rpc(pairs, queries)
-                    self._conn.send(answer)
-                except (BrokenPipeError, OSError, ValueError, TypeError) as error:
-                    raise WorkerFault(
-                        f"shard worker {self.shard_id}: probe rpc failed: "
-                        f"{error}"
-                    ) from error
-            elif status == "ok":
-                if (
-                    not isinstance(payload, tuple)
-                    or len(payload) != 3
-                    or not isinstance(payload[0], list)
-                ):
-                    raise WorkerFault(
-                        f"shard worker {self.shard_id}: garbled plan reply "
-                        f"{payload!r}"
-                    )
-                decisions, wall_s, mirror_hits = payload
-                if expected is not None and len(decisions) != expected:
-                    raise WorkerFault(
-                        f"shard worker {self.shard_id}: expected {expected} "
-                        f"decisions, got {len(decisions)}"
-                    )
-                return decisions, float(wall_s), int(mirror_hits)
-            else:
-                raise WorkerFault(
-                    f"shard worker {self.shard_id} failed:\n{payload}"
-                )
+        """Gather a plan reply: ``(decisions, wall_s, mirror_hits)``."""
+        reply = self._reply("plan", deadline_s, tuple)
+        if len(reply) != 3 or not isinstance(reply[0], list):
+            raise WorkerFault(f"{self._channel.label}: garbled plan reply {reply!r}")
+        decisions, wall_s, mirror_hits = reply
+        self._check_count("plan", len(decisions), expected)
+        return decisions, float(wall_s), int(mirror_hits)
 
     def mirror_decisions(self, items, deadline_s: float | None = None) -> None:
-        self._request_none("mirror", list(items), deadline_s)
+        self._request("mirror", list(items), deadline_s)
 
     def sync_table(
         self, table, indexed_columns, deadline_s: float | None = None
     ) -> None:
-        self._request_none("sync", (table, tuple(indexed_columns)), deadline_s)
+        self._request("sync", (table, tuple(indexed_columns)), deadline_s)
 
     def sync_planner(
         self, sync: PlannerSync, deadline_s: float | None = None
     ) -> None:
-        self._request_none("sync_planner", sync, deadline_s)
+        self._request("sync_planner", sync, deadline_s)
 
     def cache_stats(self, deadline_s: float | None = None):
-        self._send("cache_stats", None)
-        reply = self._recv_ok(deadline_s)
-        if not isinstance(reply, CacheStatsReport):
-            raise WorkerFault(
-                f"shard worker {self.shard_id}: garbled cache_stats reply "
-                f"{reply!r}"
-            )
-        return reply
-
-    def close(self, graceful: bool = True) -> None:
-        """Stop the worker, escalating terminate → kill, and free the pipe.
-
-        Both pipe ends are always closed, even when the worker is already
-        dead — a respawning supervisor must not leak one FD per death.
-        """
-        try:
-            if graceful and self._process.is_alive():
-                try:
-                    self._conn.send(("stop", None, None))
-                    if self._conn.poll(1.0):
-                        self._conn.recv()
-                except (BrokenPipeError, EOFError, OSError, ValueError):
-                    pass
-                self._process.join(timeout=5.0)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=2.0)
-            if self._process.is_alive():  # pragma: no cover - stuck worker
-                self._process.kill()
-                self._process.join(timeout=2.0)
-        finally:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-
-#: Backwards-compatible alias (the handle predates the supervisor).
-ProcessShardHandle = ShardWorkerHandle
-
-
-class SupervisedSlot:
-    """One supervised position in a worker fleet: a handle plus its history.
-
-    The slot outlives any individual worker: deaths null the handle,
-    respawns refill it, and the breaker retires the slot for good.  Slot
-    index == shard id for the service's lifetime; only the *rank* among
-    active slots (which drives rows-mode slice assignment) shifts when a
-    neighbour retires.  The replicated router tier
-    (:mod:`repro.serving.replicated`) supervises its router replicas with
-    the same slots — ``shard_id`` doubles as the router id there.
-    """
-
-    __slots__ = (
-        "shard_id",
-        "handle",
-        "retired",
-        "deaths",
-        "respawns",
-        "backoff_s",
-        "next_spawn_at",
-    )
-
-    def __init__(self, shard_id: int, backoff_s: float) -> None:
-        self.shard_id = shard_id
-        self.handle = None
-        self.retired = False
-        self.deaths = 0
-        self.respawns = 0
-        self.backoff_s = backoff_s
-        self.next_spawn_at = 0.0
+        return self._request("cache_stats", None, deadline_s, CacheStatsReport)
 
 
 class _ScatterState:
@@ -612,6 +252,7 @@ class _ShardedInflight:
     )
 
 
+
 class ShardedMalivaService(MalivaService):
     """Scatter/gather serving over N supervised shard engines."""
 
@@ -629,7 +270,6 @@ class ShardedMalivaService(MalivaService):
         deadline_tau_factor: float = 1.0,
         max_respawns: int = 3,
         respawn_backoff_s: float = 0.05,
-        respawn_backoff_cap_s: float = 2.0,
         mirror_decisions: bool = True,
         fault_plan: FaultPlan | None = None,
         **kwargs,
@@ -638,21 +278,24 @@ class ShardedMalivaService(MalivaService):
             raise QueryError(f"n_shards must be at least 1, got {n_shards}")
         if worker_batch_size is not None and worker_batch_size < 1:
             raise QueryError("worker_batch_size must be at least 1")
-        if rpc_deadline_ms is not None and rpc_deadline_ms <= 0:
-            raise QueryError("rpc_deadline_ms must be positive (None disables)")
-        if deadline_tau_factor < 0:
-            raise QueryError("deadline_tau_factor must be non-negative")
-        if max_respawns < 0:
-            raise QueryError("max_respawns must be non-negative")
-        if respawn_backoff_s < 0 or respawn_backoff_cap_s < 0:
-            raise QueryError("respawn backoffs must be non-negative")
         # The invalidation hook the base constructor registers dispatches to
-        # our override, which broadcasts; make its guards resolvable first.
-        self._slots: list[SupervisedSlot] = []
+        # our override, which broadcasts; an unspawned fleet (no live
+        # handles) makes that a no-op until the workers exist.
+        self._fleet = SupervisedFleet(
+            self._build_handle,
+            n_shards,
+            kind="shard",
+            on_death=self._on_worker_death,
+            processes=processes,
+            start_method=start_method,
+            fault_plan=fault_plan,
+            rpc_deadline_ms=rpc_deadline_ms,
+            deadline_tau_factor=deadline_tau_factor,
+            max_respawns=max_respawns,
+            respawn_backoff_s=respawn_backoff_s,
+        )
+        self._slots: list[SupervisedSlot] = self._fleet.slots
         self._closed = False
-        self._plan_scattered = False
-        self._rebalancing = False
-        self._rebalance_pending = False
         #: True between _execute_begin and _execute_finish: the worker
         #: pipes carry in-flight execute replies, so no other op may use
         #: them until the batch is collected.
@@ -668,41 +311,49 @@ class ShardedMalivaService(MalivaService):
         #: an oversized batch in successive chunks (outcome-invariant).
         self.worker_batch_size = worker_batch_size
         self.plan_on_shards = plan_on_shards
-        self.rpc_deadline_ms = rpc_deadline_ms
-        self.deadline_tau_factor = deadline_tau_factor
-        self.max_respawns = max_respawns
-        self.respawn_backoff_s = respawn_backoff_s
-        self.respawn_backoff_cap_s = respawn_backoff_cap_s
         self.mirror_decisions = mirror_decisions
-        self._fault_plan = fault_plan
-        self._start_method = start_method
-        specs = build_shard_specs(maliva.database, n_shards, shard_by)
-        self._table_owner = {
-            name: spec.shard_id for spec in specs for name in spec.owned_tables
-        }
-        try:
-            for spec in specs:
-                slot = SupervisedSlot(spec.shard_id, respawn_backoff_s)
-                slot.handle = self._build_handle(spec)
-                self._slots.append(slot)
-            # Replicate the planning state so decision-cache misses scatter
-            # too.  An unsupported QTE leaves planning on the router
-            # (_rewrite_misses falls through to the base class), counted as
-            # plan fallbacks.
-            planner_spec = planner_spec_for(maliva) if plan_on_shards else None
-            if planner_spec is not None:
-                for slot in self._slots:
-                    slot.handle.init_planner(planner_spec, self._probe_rpc)
-                self._plan_scattered = True
-        except Exception:
-            self.close()
-            raise
+        # Table mode: whole base tables (plus their samples) are owned
+        # round-robin.  Rows modes own nothing — every shard holds a slice
+        # of every table.
+        self._table_owner = (
+            {}
+            if rows_partitioned(shard_by)
+            else {
+                name: spec.shard_id
+                for spec in build_shard_specs(maliva.database, n_shards, shard_by)
+                for name in spec.owned_tables
+            }
+        )
+        # Replicate the planning state so decision-cache misses scatter
+        # too.  An unsupported QTE leaves planning on the router
+        # (_rewrite_misses falls through to the base class), counted as
+        # plan fallbacks.
+        self._plan_scattered = (
+            plan_on_shards and planner_spec_for(maliva) is not None
+        )
+        self._fleet.spawn()
         self.stats.shards = self._new_shard_stats()
 
-    def _build_handle(self, spec):
-        if self.processes:
-            return ShardWorkerHandle(spec, self._start_method, self._fault_plan)
-        return InlineShardHandle(spec, self._fault_plan)
+    def _build_handle(self, slot: SupervisedSlot) -> ShardHandle:
+        """Warm-(re)spawn one slot from the live catalog, bit-coherent."""
+        active = self._active_slots()
+        owned = sorted(
+            name
+            for name, owner in self._table_owner.items()
+            if owner == slot.shard_id
+        )
+        spec = rebuild_shard_spec(
+            self.maliva.database,
+            slot.shard_id,
+            active.index(slot),
+            len(active),
+            self.shard_by,
+            owned,
+        )
+        handle = ShardHandle(self._fleet, spec)
+        if self._plan_scattered:
+            handle.init_planner(planner_spec_for(self.maliva), self._probe_rpc)
+        return handle
 
     # ------------------------------------------------------------------
     # Lifecycle and observability
@@ -710,7 +361,10 @@ class ShardedMalivaService(MalivaService):
     @property
     def _handles(self) -> list:
         """Live handles, in shard-id order (dead/retired slots omitted)."""
-        return [slot.handle for slot in self._slots if slot.handle is not None]
+        return [slot.handle for slot in self._fleet.live_slots()]
+
+    def _active_slots(self) -> list[SupervisedSlot]:
+        return self._fleet.active_slots()
 
     def _new_shard_stats(self) -> ShardStats:
         return ShardStats(shard_by=self.shard_by, n_shards=self.n_shards)
@@ -721,17 +375,8 @@ class ShardedMalivaService(MalivaService):
 
     def close(self) -> None:
         """Stop every shard worker (idempotent)."""
-        if self._closed:
-            return
         self._closed = True
-        for slot in self._slots:
-            handle, slot.handle = slot.handle, None
-            if handle is None:
-                continue
-            try:
-                handle.close(graceful=True)
-            except Exception:  # noqa: BLE001 - closing is best-effort
-                pass
+        self._fleet.close()
 
     def __del__(self):  # pragma: no cover - belt and braces
         try:
@@ -745,161 +390,64 @@ class ShardedMalivaService(MalivaService):
         # replies; skip them mid-batch (the async tier may report between
         # overlapped chunks) rather than desync the protocol.
         if not self._closed and not self._execute_inflight:
-            caches: dict[str, dict] = {}
-            deadline_s = self._call_deadline_s()
-            for slot in self._active_slots():
-                if slot.handle is None:
-                    continue
-                try:
-                    stats = slot.handle.cache_stats(deadline_s)
-                except WorkerFault as error:
-                    self._record_death(slot, error)
-                    continue
-                caches[str(slot.shard_id)] = stats.to_dict()
-            report["shard_caches"] = caches
+            deadline_s = self._fleet.call_deadline_s()
+            report["shard_caches"] = {
+                str(slot.shard_id): stats.to_dict()
+                for slot, stats in self._fleet.call_live(
+                    lambda slot: slot.handle.cache_stats(deadline_s)
+                )
+            }
         return report
 
     # ------------------------------------------------------------------
-    # Deadlines
+    # Supervision reactions: stats, rebalance on retirement
     # ------------------------------------------------------------------
-    def _call_deadline_s(self, tau_ms: float | None = None) -> float | None:
-        """Reply deadline for request-path ops, scaled by the batch budget.
-
-        A worker serving a big-budget batch legitimately works longer, so
-        the deadline grows with the largest ``tau_ms`` in flight; the
-        base ``rpc_deadline_ms`` covers transport and fixed overheads.
-        ``rpc_deadline_ms=None`` disables deadlines entirely.
-        """
-        if self.rpc_deadline_ms is None:
-            return None
-        tau = tau_ms if tau_ms is not None else 0.0
-        return (self.rpc_deadline_ms + self.deadline_tau_factor * tau) / 1000.0
-
-    def _setup_deadline_s(self) -> float | None:
-        """Generous deadline for coherence ops (syncs, mirrors, rebalances):
-        these rebuild indexes and ship whole tables, so they get a wide
-        fixed multiple of the RPC deadline rather than a tau-scaled one."""
-        if self.rpc_deadline_ms is None:
-            return None
-        return max(30.0, 4.0 * self.rpc_deadline_ms / 1000.0)
-
-    # ------------------------------------------------------------------
-    # Supervision: death, respawn, breaker, rebalance
-    # ------------------------------------------------------------------
-    def _active_slots(self) -> list[SupervisedSlot]:
-        return [slot for slot in self._slots if not slot.retired]
-
-    def _record_death(self, slot: SupervisedSlot, error: Exception) -> None:
-        """Mark a slot's worker dead and schedule its (backed-off) respawn."""
-        handle, slot.handle = slot.handle, None
-        slot.deaths += 1
-        if handle is not None:
-            try:
-                handle.close(graceful=False)
-            except Exception:  # noqa: BLE001 - reaping is best-effort
-                pass
+    def _on_worker_death(self, slot: SupervisedSlot) -> None:
         if self.stats.shards is not None:
-            self.stats.shards.record_death(slot.shard_id)
-        slot.next_spawn_at = time.monotonic() + slot.backoff_s
-        slot.backoff_s = min(
-            self.respawn_backoff_cap_s,
-            max(slot.backoff_s * 2.0, self.respawn_backoff_s),
-        )
+            self.stats.shards.record_death(slot.shard_id, slot.last_fault)
 
     def _ensure_workers(self) -> None:
-        """Respawn dead slots past their backoff; retire exhausted ones.
+        """Respawn/retire at the top of every plan/execute stage — never
+        mid-batch — then re-partition around any retirement."""
+        respawned, retired = self._fleet.ensure()
+        if self.stats.shards is not None:
+            for slot in respawned:
+                self.stats.shards.record_respawn(slot.shard_id)
+            for slot in retired:
+                self.stats.shards.record_retired(slot.shard_id)
+        if retired:
+            self._do_rebalance()
 
-        Runs at the top of every plan/execute stage — never mid-batch, so
-        a batch sees a stable fleet from classification through merge and
-        a death inside the batch only routes work back to the router.
+    def _sync_slices(self, table_name: str, deadline_s: float | None) -> None:
+        """Re-slice one table at the active arity and sync the live shards.
+
+        Dead slots skip the sync: their respawn rebuilds from the live
+        catalog at the current arity and cannot go stale.
         """
-        if self._closed:
-            return
-        now = time.monotonic()
-        for slot in self._slots:
-            if slot.retired or slot.handle is not None:
-                continue
-            if slot.respawns >= self.max_respawns:
-                # Circuit breaker: the respawn budget is spent; stop
-                # flapping and shrink the fleet instead.
-                self._retire(slot)
-                continue
-            if now < slot.next_spawn_at:
-                continue
-            slot.respawns += 1
-            try:
-                self._respawn(slot)
-            except Exception:  # noqa: BLE001 - retry after backoff
-                slot.next_spawn_at = time.monotonic() + slot.backoff_s
-                slot.backoff_s = min(
-                    self.respawn_backoff_cap_s,
-                    max(slot.backoff_s * 2.0, self.respawn_backoff_s),
-                )
-                if slot.respawns >= self.max_respawns:
-                    self._retire(slot)
-        if self._rebalance_pending:
-            self._drain_rebalance()
-
-    def _respawn(self, slot: SupervisedSlot) -> None:
-        """Warm-respawn one slot from the live catalog, bit-coherent."""
+        database = self.maliva.database
         active = self._active_slots()
-        rank = active.index(slot)
-        owned = sorted(
-            name
-            for name, owner in self._table_owner.items()
-            if owner == slot.shard_id
+        slices = reslice_for_sync(database, table_name, len(active), self.shard_by)
+        fresh = {slot.shard_id: part for slot, part in zip(active, slices)}
+        indexed = tuple(sorted(database.indexes_for(table_name)))
+        self._fleet.call_live(
+            lambda slot: slot.handle.sync_table(
+                fresh[slot.shard_id], indexed, deadline_s
+            )
         )
-        spec = rebuild_shard_spec(
-            self.maliva.database,
-            slot.shard_id,
-            rank,
-            len(active),
-            self.shard_by,
-            owned,
+
+    def _sync_owner(self, table_name: str, deadline_s: float | None) -> None:
+        """Table mode: ship one whole table to the shard that owns it."""
+        owner = self._table_owner.get(table_name)
+        if owner is None:
+            return
+        database = self.maliva.database
+        indexed = tuple(sorted(database.indexes_for(table_name)))
+        self._fleet.call_live(
+            lambda slot: slot.handle.sync_table(
+                database.table(table_name), indexed, deadline_s
+            ),
+            [self._slots[owner]],
         )
-        handle = self._build_handle(spec)
-        try:
-            if self._plan_scattered:
-                planner_spec = planner_spec_for(self.maliva)
-                if planner_spec is not None:
-                    handle.init_planner(planner_spec, self._probe_rpc)
-        except Exception:
-            try:
-                handle.close(graceful=False)
-            except Exception:  # noqa: BLE001
-                pass
-            raise
-        slot.handle = handle
-        slot.backoff_s = self.respawn_backoff_s
-        if self.stats.shards is not None:
-            self.stats.shards.record_respawn(slot.shard_id)
-
-    def _retire(self, slot: SupervisedSlot) -> None:
-        """Trip the breaker on one slot and queue a fleet rebalance."""
-        if slot.retired:
-            return
-        slot.retired = True
-        handle, slot.handle = slot.handle, None
-        if handle is not None:
-            try:
-                handle.close(graceful=False)
-            except Exception:  # noqa: BLE001
-                pass
-        if self.stats.shards is not None:
-            self.stats.shards.record_retired(slot.shard_id)
-        self._rebalance_pending = True
-
-    def _drain_rebalance(self) -> None:
-        """Run queued rebalances, absorbing retirements they trigger."""
-        if self._rebalancing:
-            return
-        self._rebalancing = True
-        try:
-            while self._rebalance_pending:
-                self._rebalance_pending = False
-                self._do_rebalance()
-        finally:
-            self._rebalancing = False
 
     def _do_rebalance(self) -> None:
         """Re-partition the survivors after a breaker retirement.
@@ -919,22 +467,10 @@ class ShardedMalivaService(MalivaService):
             # Whole fleet retired: every request recovers on the router.
             return
         database = self.maliva.database
-        deadline_s = self._setup_deadline_s()
+        deadline_s = self._fleet.setup_deadline_s()
         if rows_partitioned(self.shard_by):
             for name in sorted(database.table_names):
-                indexed = tuple(sorted(database.indexes_for(name)))
-                slices = reslice_for_sync(
-                    database, name, len(active), self.shard_by
-                )
-                for slot, fresh in zip(active, slices):
-                    if slot.handle is None:
-                        # A dead survivor respawns from the live catalog
-                        # at the new arity; no sync needed now.
-                        continue
-                    try:
-                        slot.handle.sync_table(fresh, indexed, deadline_s)
-                    except WorkerFault as error:
-                        self._record_death(slot, error)
+                self._sync_slices(name, deadline_s)
             return
         orphaned = sorted(
             name
@@ -952,15 +488,7 @@ class ShardedMalivaService(MalivaService):
             slot = active[position % len(active)]
             for name in sorted(groups[base]):
                 self._table_owner[name] = slot.shard_id
-                if slot.handle is None:
-                    continue
-                indexed = tuple(sorted(database.indexes_for(name)))
-                try:
-                    slot.handle.sync_table(
-                        database.table(name), indexed, deadline_s
-                    )
-                except WorkerFault as error:
-                    self._record_death(slot, error)
+                self._sync_owner(name, deadline_s)
 
     # ------------------------------------------------------------------
     # Cross-shard coherence
@@ -977,51 +505,22 @@ class ShardedMalivaService(MalivaService):
                 f"batch is in flight; drain the async service before "
                 f"mutating"
             )
-        if self._closed or not self._slots:
-            return
         database = self.maliva.database
-        if not database.has_table(table_name):  # pragma: no cover - dropped
+        if self._closed or not database.has_table(table_name):
             return
-        indexed = tuple(sorted(database.indexes_for(table_name)))
-        deadline_s = self._setup_deadline_s()
-        active = self._active_slots()
-        if rows_partitioned(self.shard_by):
-            if active:
-                slices = reslice_for_sync(
-                    database, table_name, len(active), self.shard_by
-                )
-                for slot, fresh in zip(active, slices):
-                    if slot.handle is None:
-                        # Dead slots skip the sync: their respawn rebuilds
-                        # from the live catalog and cannot go stale.
-                        continue
-                    try:
-                        slot.handle.sync_table(fresh, indexed, deadline_s)
-                    except WorkerFault as error:
-                        self._record_death(slot, error)
-        else:
-            owner = self._table_owner.get(table_name)
-            if owner is not None:
-                slot = self._slots[owner]
-                if not slot.retired and slot.handle is not None:
-                    try:
-                        slot.handle.sync_table(
-                            database.table(table_name), indexed, deadline_s
-                        )
-                    except WorkerFault as error:
-                        self._record_death(slot, error)
+        deadline_s = self._fleet.setup_deadline_s()
+        if not rows_partitioned(self.shard_by):
+            self._sync_owner(table_name, deadline_s)
+        elif self._active_slots():
+            self._sync_slices(table_name, deadline_s)
         if self._plan_scattered:
             # Planner replicas carry their own copy of the mutated table's
             # header/sample/statistics state; every live worker refreshes
             # it (and evicts its decision mirror with it).
             sync = planner_sync_for(database, table_name)
-            for slot in active:
-                if slot.handle is None:
-                    continue
-                try:
-                    slot.handle.sync_planner(sync, deadline_s)
-                except WorkerFault as error:
-                    self._record_death(slot, error)
+            self._fleet.call_live(
+                lambda slot: slot.handle.sync_planner(sync, deadline_s)
+            )
         if self.stats.shards is not None:
             self.stats.shards.n_syncs += 1
 
@@ -1061,9 +560,7 @@ class ShardedMalivaService(MalivaService):
             return decisions
         if self._plan_scattered:
             self._ensure_workers()
-        live = [
-            slot for slot in self._active_slots() if slot.handle is not None
-        ]
+        live = self._fleet.live_slots()
         if not self._plan_scattered or not live:
             if shard_stats is not None:
                 shard_stats.n_plan_fallback += len(queries)
@@ -1072,43 +569,38 @@ class ShardedMalivaService(MalivaService):
         for position in range(len(queries)):
             slot = live[position % len(live)]
             per_slot.setdefault(slot.shard_id, []).append(position)
-        deadline_s = self._call_deadline_s(max(taus) if taus else None)
-        submitted: list[int] = []
-        router_positions: list[int] = []
-        for shard_id in sorted(per_slot):
-            slot = self._slots[shard_id]
-            positions = per_slot[shard_id]
-            try:
-                slot.handle.submit_plan(
-                    [queries[p] for p in positions],
-                    [taus[p] for p in positions],
-                )
-            except WorkerFault as error:
-                self._record_death(slot, error)
-                router_positions.extend(positions)
-                if shard_stats is not None:
-                    shard_stats.record_plan_recovered(shard_id, len(positions))
-                continue
-            submitted.append(shard_id)
+        deadline_s = self._fleet.call_deadline_s(max(taus) if taus else None)
+        # Every chunk is submitted before any reply is gathered, so the
+        # workers plan concurrently; call_live drops the slots that died.
+        submitted = self._fleet.call_live(
+            lambda slot: slot.handle.submit_plan(
+                [queries[p] for p in per_slot[slot.shard_id]],
+                [taus[p] for p in per_slot[slot.shard_id]],
+            ),
+            [self._slots[shard_id] for shard_id in sorted(per_slot)],
+        )
+        gathered = self._fleet.call_live(
+            lambda slot: slot.handle.collect_plan(
+                deadline_s, len(per_slot[slot.shard_id])
+            ),
+            [slot for slot, _ in submitted],
+        )
         decisions: list = [None] * len(queries)
-        for shard_id in submitted:
-            slot = self._slots[shard_id]
-            positions = per_slot[shard_id]
-            try:
-                planned, wall_s, mirror_hits = slot.handle.collect_plan(
-                    deadline_s, len(positions)
-                )
-            except WorkerFault as error:
-                self._record_death(slot, error)
-                router_positions.extend(positions)
-                if shard_stats is not None:
-                    shard_stats.record_plan_recovered(shard_id, len(positions))
-                continue
-            for position, decision in zip(positions, planned):
+        for slot, (planned, wall_s, mirror_hits) in gathered:
+            shard_id = slot.shard_id
+            for position, decision in zip(per_slot[shard_id], planned):
                 decisions[position] = decision
             if shard_stats is not None:
                 shard_stats.record_plan(
                     shard_id, len(planned), wall_s, mirror_hits
+                )
+        planned_ids = {slot.shard_id for slot, _ in gathered}
+        router_positions: list[int] = []
+        for shard_id in sorted(per_slot.keys() - planned_ids):
+            router_positions.extend(per_slot[shard_id])
+            if shard_stats is not None:
+                shard_stats.record_plan_recovered(
+                    shard_id, len(per_slot[shard_id])
                 )
         if router_positions:
             # Replan the lost chunks locally — bit-identical decisions, so
@@ -1136,17 +628,10 @@ class ShardedMalivaService(MalivaService):
         ]
         if not items:
             return
-        deadline_s = self._setup_deadline_s()
-        delivered = False
-        for slot in self._active_slots():
-            if slot.handle is None:
-                continue
-            try:
-                slot.handle.mirror_decisions(items, deadline_s)
-            except WorkerFault as error:
-                self._record_death(slot, error)
-                continue
-            delivered = True
+        deadline_s = self._fleet.setup_deadline_s()
+        delivered = self._fleet.call_live(
+            lambda slot: slot.handle.mirror_decisions(items, deadline_s)
+        )
         if delivered and self.stats.shards is not None:
             self.stats.shards.n_mirrored_decisions += len(items)
 
@@ -1187,36 +672,18 @@ class ShardedMalivaService(MalivaService):
         return _InflightExecution(planned=planned, state=state)
 
     async def _execute_wait(self, token: _InflightExecution) -> None:
-        """Poll the submitted round's worker pipes without blocking the loop.
-
-        Returns once every live worker's reply has arrived — or once the
-        reply deadline passes, letting the synchronous collect path in
-        :meth:`_execute_finish` surface the timeout through the
-        supervisor.  Later rounds of a chunked batch block inside finish
-        as usual.
-        """
+        """Poll the submitted round's worker pipes without blocking the
+        loop (:func:`~repro.serving.fleet.wait_replies`).  Later rounds of
+        a chunked batch block inside finish as usual."""
         state = token.state
         if not isinstance(state, _ShardedInflight):
             await super()._execute_wait(token)
             return
         scatter = state.scatter_state
-        deadline_at = (
-            None
-            if scatter.deadline_s is None
-            else time.monotonic() + scatter.deadline_s
+        await wait_replies(
+            [scatter.targets[shard_id][0] for shard_id, _ in scatter.round_ids],
+            scatter.deadline_s,
         )
-        while True:
-            pending = False
-            for shard_id, _expected in scatter.round_ids:
-                slot, _entries = scatter.targets[shard_id]
-                if slot.handle is not None and not slot.handle.reply_ready():
-                    pending = True
-                    break
-            if not pending:
-                return
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                return
-            await asyncio.sleep(0.0005)
 
     def _execute_finish(self, token: _InflightExecution) -> list[RequestOutcome]:
         state = token.state
@@ -1342,7 +809,7 @@ class ShardedMalivaService(MalivaService):
         state.fallback_indexes = fallback_indexes
         state.recovered = recovered
         state.scatter_ids = sorted(slot.shard_id for slot in scatter_slots)
-        deadline_s = self._call_deadline_s(
+        deadline_s = self._fleet.call_deadline_s(
             max((resolved[i][1] for i in order), default=None)
         )
         state.scatter_state = self._scatter_begin(
@@ -1546,7 +1013,7 @@ class ShardedMalivaService(MalivaService):
             try:
                 slot.handle.submit_execute(shard_entries[offset:stop])
             except WorkerFault as error:
-                self._record_death(slot, error)
+                self._fleet.record_death(slot, error)
                 if state.rows_mode:
                     state.aborted = True
                 continue
@@ -1569,7 +1036,7 @@ class ShardedMalivaService(MalivaService):
             try:
                 reply = slot.handle.collect(state.deadline_s, expected)
             except WorkerFault as error:
-                self._record_death(slot, error)
+                self._fleet.record_death(slot, error)
                 if state.rows_mode:
                     state.aborted = True
                 continue

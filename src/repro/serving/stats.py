@@ -48,6 +48,8 @@ class ShardWindow:
     n_plan_recovered: int = 0
     #: Mirrored router decisions this shard's replica served from cache.
     n_mirror_hits: int = 0
+    #: Why this shard's worker last died (the ``WorkerFault`` message).
+    last_fault: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -65,6 +67,7 @@ class ShardWindow:
             "n_recovered": self.n_recovered,
             "n_plan_recovered": self.n_plan_recovered,
             "n_mirror_hits": self.n_mirror_hits,
+            "last_fault": self.last_fault,
         }
 
 
@@ -127,9 +130,11 @@ class ShardStats:
         window.plan_wall_s += wall_s
         window.n_mirror_hits += mirror_hits
 
-    def record_death(self, shard_id: int) -> None:
+    def record_death(self, shard_id: int, reason: str | None) -> None:
         self.n_worker_deaths += 1
-        self.per_shard.setdefault(shard_id, ShardWindow()).n_deaths += 1
+        window = self.per_shard.setdefault(shard_id, ShardWindow())
+        window.n_deaths += 1
+        window.last_fault = reason
 
     def record_respawn(self, shard_id: int) -> None:
         self.n_respawns += 1
@@ -195,6 +200,8 @@ class RouterWindow:
     breaker_open: bool = False
     #: Journaled requests replayed on a survivor after this replica died.
     n_replayed: int = 0
+    #: Why this replica last died (the ``WorkerFault`` message).
+    last_fault: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -207,6 +214,7 @@ class RouterWindow:
             "n_respawns": self.n_respawns,
             "breaker_open": self.breaker_open,
             "n_replayed": self.n_replayed,
+            "last_fault": self.last_fault,
         }
 
 
@@ -257,9 +265,11 @@ class RouterStats:
         window.n_gossip_hits += n_gossip_hits
         self.n_gossip_hits += n_gossip_hits
 
-    def record_death(self, router_id: int) -> None:
+    def record_death(self, router_id: int, reason: str | None) -> None:
         self.n_router_deaths += 1
-        self.per_router.setdefault(router_id, RouterWindow()).n_deaths += 1
+        window = self.per_router.setdefault(router_id, RouterWindow())
+        window.n_deaths += 1
+        window.last_fault = reason
 
     def record_respawn(self, router_id: int) -> None:
         self.n_respawns += 1

@@ -21,6 +21,7 @@ from repro.errors import ServiceOverloadError
 from repro.serving import (
     AdmissionController,
     MalivaService,
+    ReplicatedMalivaService,
     ShardedMalivaService,
 )
 from repro.serving.faults import (
@@ -533,20 +534,28 @@ def test_admission_validation():
 # ----------------------------------------------------------------------
 # Worker handle hygiene
 # ----------------------------------------------------------------------
-def test_close_reaps_and_releases_fds(ft_twins):
+@pytest.mark.parametrize("tier", ["sharded", "replicated"])
+def test_close_reaps_and_releases_fds(ft_twins, tier):
     """close() must terminate (then kill) the worker and close both pipe
     ends even when the worker is already dead — no FD leak per death."""
-    _single, sharded_maliva, _stream = ft_twins
-    sharded = ShardedMalivaService(sharded_maliva, n_shards=2, processes=True)
-    handle = sharded._slots[0].handle
+    _single, fleet_maliva, _stream = ft_twins
+    if tier == "sharded":
+        service = ShardedMalivaService(fleet_maliva, n_shards=2, processes=True)
+        slots = service._slots
+    else:
+        service = ReplicatedMalivaService(
+            fleet_maliva, n_routers=2, processes=True
+        )
+        slots = service._group.slots
+    handle = slots[0].handle
     process, conn = handle._process, handle._conn
     process.kill()
     process.join(timeout=5.0)
     handle.close(graceful=True)  # worker already dead: must not hang/raise
     assert conn.closed
     assert not process.is_alive()
-    sharded.close()
-    for slot in sharded._slots:
+    service.close()
+    for slot in slots:
         assert slot.handle is None
 
 
