@@ -103,6 +103,11 @@ class ExecutionBackend(abc.ABC):
         """Load every catalog table (samples included) into the engine."""
 
     @abc.abstractmethod
+    def append_rows(self, table_name: str, table: "Table", first_new: int) -> None:
+        """Load rows ``first_new..`` of an ingested table: ``table`` is the
+        in-memory table after ``Database.append_rows`` grew it."""
+
+    @abc.abstractmethod
     def execute(self, query: SelectQuery) -> BackendResult:
         """Run one query and time it with a wall clock."""
 
@@ -178,53 +183,24 @@ class SqlBackend(ExecutionBackend):
         if name in self.catalog.schemas:
             raise BackendError(f"table {name!r} already ingested")
         schema = table.schema
-        n = table.n_rows
-        local_ids = np.arange(n, dtype=np.int64)
-
         decls = [
             f"{quote_ident(ROWID_COLUMN)} {self._rowid_decl()}",
             f"{quote_ident(BASE_ROWID_COLUMN)} {self._column_type(ColumnKind.INT)}",
         ]
-        columns: list[list] = [
-            [int(i) for i in local_ids],
-            [int(i) for i in table.to_base_ids(local_ids)],
-        ]
         for column in schema.columns:
-            if column.kind is ColumnKind.INT:
-                decls.append(
-                    f"{quote_ident(column.name)} {self._column_type(column.kind)}"
-                )
-                columns.append([int(v) for v in table.numeric(column.name)])
-            elif column.kind in (ColumnKind.FLOAT, ColumnKind.TIMESTAMP):
-                decls.append(
-                    f"{quote_ident(column.name)} {self._column_type(column.kind)}"
-                )
-                columns.append([float(v) for v in table.numeric(column.name)])
-            elif column.kind is ColumnKind.TEXT:
-                text_type = self._column_type(ColumnKind.TEXT)
-                decls.append(f"{quote_ident(column.name)} {text_type}")
-                decls.append(f"{quote_ident(column.name + '__tok')} {text_type}")
-                texts = table.texts(column.name)
-                columns.append(list(texts))
-                columns.append([" " + " ".join(tokenize(t)) + " " for t in texts])
+            if column.kind is ColumnKind.TEXT:
+                names = (column.name, column.name + "__tok")
             elif column.kind is ColumnKind.POINT:
-                real = self._column_type(ColumnKind.FLOAT)
-                decls.append(f"{quote_ident(column.name + '__x')} {real}")
-                decls.append(f"{quote_ident(column.name + '__y')} {real}")
-                points = table.points(column.name)
-                columns.append([float(v) for v in points[:, 0]])
-                columns.append([float(v) for v in points[:, 1]])
-            else:  # pragma: no cover - exhaustive over ColumnKind
-                raise BackendError(f"unsupported column kind {column.kind!r}")
-
+                names = (column.name + "__x", column.name + "__y")
+            else:
+                names = (column.name,)
+            # POINT axes are FLOAT; every other kind stores its own type.
+            kind = ColumnKind.FLOAT if column.kind is ColumnKind.POINT else column.kind
+            decls.extend(f"{quote_ident(n)} {self._column_type(kind)}" for n in names)
         self._conn.execute(
             f"CREATE TABLE {quote_ident(name)} ({', '.join(decls)})"
         )
-        placeholders = ", ".join("?" for _ in decls)
-        self._conn.executemany(
-            f"INSERT INTO {quote_ident(name)} VALUES ({placeholders})",
-            list(zip(*columns)) if n else [],
-        )
+        self._insert_rows(name, table, 0)
 
         for column in indexed_columns:
             kind = schema.kind_of(column)
@@ -238,6 +214,42 @@ class SqlBackend(ExecutionBackend):
         self.catalog.schemas[name] = schema
         self.catalog.weights[name] = (
             1.0 / table.sample_fraction if table.sample_fraction else 1.0
+        )
+
+    def append_rows(self, table_name: str, table: "Table", first_new: int) -> None:
+        """``INSERT`` only the new rows; the engine maintains its own indexes."""
+        if table_name not in self.catalog.schemas:
+            raise BackendError(f"table {table_name!r} was never ingested")
+        self._insert_rows(table_name, table, first_new)
+        self._post_ingest()
+
+    def _insert_rows(self, name: str, table: "Table", first: int) -> None:
+        """``INSERT`` rows ``first..`` of ``table`` in their mangled form."""
+        local_ids = np.arange(first, table.n_rows, dtype=np.int64)
+        if len(local_ids) == 0:
+            return
+        columns: list[list] = [
+            local_ids.tolist(),
+            table.to_base_ids(local_ids).tolist(),
+        ]
+        for column in table.schema.columns:
+            if column.kind.is_numeric:
+                # tolist() yields python ints for INT, floats otherwise.
+                columns.append(table.numeric(column.name)[first:].tolist())
+            elif column.kind is ColumnKind.TEXT:
+                texts = table.texts(column.name)[first:]
+                columns.append(texts)
+                columns.append([" " + " ".join(tokenize(t)) + " " for t in texts])
+            elif column.kind is ColumnKind.POINT:
+                points = table.points(column.name)[first:]
+                columns.append(points[:, 0].tolist())
+                columns.append(points[:, 1].tolist())
+            else:  # pragma: no cover - exhaustive over ColumnKind
+                raise BackendError(f"unsupported column kind {column.kind!r}")
+        placeholders = ", ".join("?" for _ in columns)
+        self._conn.executemany(
+            f"INSERT INTO {quote_ident(name)} VALUES ({placeholders})",
+            list(zip(*columns)),
         )
 
     def compile(self, query: SelectQuery) -> CompiledQuery:

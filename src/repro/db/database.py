@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,6 +96,23 @@ class SimProfile:
 EngineProfile = SimProfile
 
 
+@dataclass
+class MaintenanceStats:
+    """Work the engine did keeping derived structures current under
+    mutation (``append_rows`` / ``invalidate_table`` / ``replace_table``),
+    cumulative since the database was created.  Initial builds
+    (``create_index``, first tokenization) are set-up, not maintenance."""
+
+    rows_appended: int = 0
+    #: Texts tokenized by ``append_rows`` (the delta, not the table).
+    texts_tokenized: int = 0
+    indexes_extended: int = 0
+    indexes_rebuilt: int = 0
+
+    def to_dict(self) -> dict[str, int]:
+        return asdict(self)
+
+
 class Database:
     """In-memory database with a cost-based optimizer and virtual timing."""
 
@@ -137,6 +154,7 @@ class Database:
         #: invalidated, so layers holding derived state the database cannot
         #: see (QTE memos, serving decision caches) stay coherent.
         self._invalidation_hooks: list = []
+        self.maintenance = MaintenanceStats()
 
     # ------------------------------------------------------------------
     # Catalog
@@ -557,15 +575,23 @@ class Database:
     # Mutation and cache management
     # ------------------------------------------------------------------
     def append_rows(self, table_name: str, columns: Mapping[str, object]) -> Table:
-        """Append rows to a table, rebuilding its indexes and statistics.
+        """Append rows to a table at a cost proportional to the rows.
 
-        Every cache entry derived from the table is invalidated; sample
-        tables drawn from it are *not* refreshed (they keep approximating
-        the table as of their creation, like a stale materialized sample).
+        The table's indexes and token sets are *extended* with the new rows
+        (an index that cannot absorb them exactly is rebuilt), statistics
+        are re-analyzed, and every cache entry derived from the table is
+        evicted — the resulting state is indistinguishable from rebuilding
+        everything on the grown table.  Sample tables drawn from it are
+        *not* refreshed (they keep approximating the table as of their
+        creation, like a stale materialized sample).
         """
         table = self.table(table_name)
+        first_new = table.n_rows
+        tokenized_before = table.texts_tokenized
         table.append_rows(columns)
-        self.invalidate_table(table_name)
+        self.invalidate_table(table_name, appended_from=first_new)
+        self.maintenance.rows_appended += table.n_rows - first_new
+        self.maintenance.texts_tokenized += table.texts_tokenized - tokenized_before
         return table
 
     def replace_table(self, table: Table, analyze: bool = False) -> Table:
@@ -583,19 +609,7 @@ class Database:
         if name not in self._tables:
             raise SchemaError(f"cannot replace unknown table {name!r}")
         self._tables[name] = table
-        for (tname, column) in list(self._indexes):
-            if tname == name:
-                self._indexes[(tname, column)] = self._build_index(table, column)
-        self._match_cache.invalidate_tag(name)
-        self._lookup_cache.invalidate_tag(name)
-        self._plan_cache.invalidate_tag(name)
-        self._true_time_cache.invalidate_tag(name)
-        self._estimate_cache.invalidate_tag(name)
-        for key in [k for k in self._key_cache if k[0] == name]:
-            del self._key_cache[key]
-        for key in [k for k in self._bin_layout_cache if k[0] == name]:
-            del self._bin_layout_cache[key]
-        self._warm_structures.clear()
+        self._refresh_derived(table)
         self._stats.pop(name, None)
         if analyze:
             self.analyze(name)
@@ -623,24 +637,42 @@ class Database:
                 live.append(ref)
         self._invalidation_hooks = live
 
-    def invalidate_table(self, table_name: str) -> None:
-        """Drop caches/indexes/statistics derived from ``table_name``."""
-        table = self.table(table_name)
-        for (tname, column) in list(self._indexes):
-            if tname == table_name:
-                self._indexes[(tname, column)] = self._build_index(table, column)
-        self._match_cache.invalidate_tag(table_name)
-        self._lookup_cache.invalidate_tag(table_name)
-        self._plan_cache.invalidate_tag(table_name)
-        self._true_time_cache.invalidate_tag(table_name)
-        self._estimate_cache.invalidate_tag(table_name)
-        for key in [k for k in self._key_cache if k[0] == table_name]:
-            del self._key_cache[key]
-        for key in [k for k in self._bin_layout_cache if k[0] == table_name]:
-            del self._bin_layout_cache[key]
-        self._warm_structures.clear()
+    def invalidate_table(
+        self, table_name: str, *, appended_from: int | None = None
+    ) -> None:
+        """Bring everything derived from ``table_name`` up to date.
+
+        Indexes are rebuilt — or, when the only change is that rows
+        ``appended_from..`` were appended, extended with those rows — every
+        cache entry tagged with the table is evicted, statistics are
+        re-analyzed and the invalidation hooks fire (statistics moved, so
+        layers above must replan).
+        """
+        self._refresh_derived(self.table(table_name), appended_from)
         self.analyze(table_name)
         self._fire_invalidation_hooks(table_name)
+
+    def _refresh_derived(self, table: Table, appended_from: int | None = None) -> None:
+        """Indexes follow ``table``'s current rows; its cache entries go."""
+        name = table.name
+        for key, index in self._indexes.items():
+            if key[0] != name:
+                continue
+            if appended_from is not None and index.extend(table, appended_from):
+                self.maintenance.indexes_extended += 1
+            else:
+                self._indexes[key] = self._build_index(table, key[1])
+                self.maintenance.indexes_rebuilt += 1
+        self._match_cache.invalidate_tag(name)
+        self._lookup_cache.invalidate_tag(name)
+        self._plan_cache.invalidate_tag(name)
+        self._true_time_cache.invalidate_tag(name)
+        self._estimate_cache.invalidate_tag(name)
+        for key in [k for k in self._key_cache if k[0] == name]:
+            del self._key_cache[key]
+        for key in [k for k in self._bin_layout_cache if k[0] == name]:
+            del self._bin_layout_cache[key]
+        self._warm_structures.clear()
 
     def _build_index(self, table: Table, column: str) -> Index:
         kind = table.schema.kind_of(column)

@@ -9,6 +9,7 @@ import numpy as np
 
 from ...errors import QueryError
 from ..predicates import Predicate
+from ..table import Table
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,19 @@ class Index(ABC):
     def __init__(self, table_name: str, column: str) -> None:
         self.table_name = table_name
         self.column = column
+
+    @abstractmethod
+    def extend(self, table: Table, first_new: int) -> bool:
+        """Absorb rows ``first_new..`` of ``table``, appended since the last build.
+
+        Costs work proportional to the appended rows and leaves the index
+        indistinguishable from one built on the grown table: same
+        ``row_ids`` (values, dtype, order) and ``entries_scanned`` for every
+        predicate.  Arrays already handed out by :meth:`lookup` are
+        replaced, never mutated.  Returns ``False`` — with the index
+        untouched — when that cannot be guaranteed and the caller must
+        rebuild.  Constructors build through the same code, from row 0.
+        """
 
     @abstractmethod
     def supports(self, predicate: Predicate) -> bool:

@@ -22,11 +22,26 @@ class SortedIndex(Index):
 
     def __init__(self, table: Table, column: str) -> None:
         super().__init__(table.name, column)
-        values = table.numeric(column)
-        order = np.argsort(values, kind="stable")
-        self._sorted_values = values[order]
-        self._row_ids = order.astype(np.int64)
-        self.n_entries = len(values)
+        self._sorted_values = table.numeric(column)[:0]
+        self._row_ids = np.empty(0, dtype=np.int64)
+        self.n_entries = 0
+        self.extend(table, 0)
+
+    def extend(self, table: Table, first_new: int) -> bool:
+        """Merge the stably sorted new keys in.  A stable sort of the grown
+        column puts a new key after every old key it ties with (its row id
+        is larger), which is the slot ``side="right"`` finds; ``np.insert``
+        keeps new keys that share a slot in their given, stable order."""
+        fresh = table.numeric(self.column)[first_new:]
+        order = np.argsort(fresh, kind="stable")
+        keys = fresh[order]
+        slots = np.searchsorted(self._sorted_values, keys, side="right")
+        self._sorted_values = np.insert(self._sorted_values, slots, keys)
+        self._row_ids = np.insert(
+            self._row_ids, slots, order.astype(np.int64) + first_new
+        )
+        self.n_entries = table.n_rows
+        return True
 
     def supports(self, predicate: Predicate) -> bool:
         return (

@@ -18,14 +18,25 @@ class InvertedIndex(Index):
 
     def __init__(self, table: Table, column: str) -> None:
         super().__init__(table.name, column)
-        postings: dict[str, list[int]] = {}
-        for row_id, tokens in enumerate(table.token_sets(column)):
-            for token in tokens:
-                postings.setdefault(token, []).append(row_id)
-        self._postings: dict[str, np.ndarray] = {
-            token: np.asarray(ids, dtype=np.int64) for token, ids in postings.items()
-        }
+        self._postings: dict[str, np.ndarray] = {}
+        self.n_rows = 0
+        self.extend(table, 0)
+
+    def extend(self, table: Table, first_new: int) -> bool:
+        """New row ids are larger than every posted id, so concatenating
+        them onto the touched tokens' postings keeps each one ascending."""
+        token_sets = table.token_sets(self.column)
+        fresh: dict[str, list[int]] = {}
+        for row_id in range(first_new, len(token_sets)):
+            for token in token_sets[row_id]:
+                fresh.setdefault(token, []).append(row_id)
+        postings = self._postings
+        for token, ids in fresh.items():
+            new = np.asarray(ids, dtype=np.int64)
+            old = postings.get(token)
+            postings[token] = new if old is None else np.concatenate((old, new))
         self.n_rows = table.n_rows
+        return True
 
     @property
     def vocabulary_size(self) -> int:

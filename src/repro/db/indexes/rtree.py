@@ -30,33 +30,63 @@ class GridIndex(Index):
             raise ValueError("grid_size must be >= 1")
         self.grid_size = grid_size
         pts = table.points(column)
+        if len(pts) == 0:
+            # The empty extent holds no point: the first append rebuilds.
+            self._min = np.full(2, np.inf)
+            self._max = np.full(2, -np.inf)
+            self._span = np.ones(2)
+        else:
+            self._min = pts.min(axis=0)
+            self._max = pts.max(axis=0)
+            span = self._max - self._min
+            # Guard against degenerate (single-point) extents.
+            self._span = np.where(span > 0, span, 1.0)
+        self._cells: dict[tuple[int, int], np.ndarray] = {}
+        self._absorb(pts, 0)
+
+    def extend(self, table: Table, first_new: int) -> bool:
+        """Bucket the new points into the existing grid geometry.
+
+        The geometry (``_min``/``_span``) is a function of the data extent,
+        so a point outside the current extent (any point, on an empty
+        index) would move every cell boundary and with it
+        ``entries_scanned``: those cases return ``False`` and the caller
+        rebuilds.  Inside the extent the cells of old points do not move,
+        and new ids are larger than every bucketed id, so concatenating
+        them per touched cell keeps each cell ascending.
+        """
+        pts = table.points(self.column)
+        fresh = pts[first_new:]
+        if not (np.all(fresh >= self._min) and np.all(fresh <= self._max)):
+            return False
+        self._absorb(pts, first_new)
+        return True
+
+    def _absorb(self, pts: np.ndarray, first_new: int) -> None:
+        """Index rows ``first_new..`` of ``pts`` under the current geometry."""
         self._points = pts
         self.n_entries = len(pts)
-        if self.n_entries == 0:
-            self._min = np.zeros(2)
-            self._span = np.ones(2)
-            self._cells: dict[tuple[int, int], np.ndarray] = {}
+        # Batch-sweep accelerators (prefix sums + contiguous axis copies)
+        # are built lazily on the first lookup_batch: per-request-only
+        # deployments never pay their memory or construction cost.
+        self._sweep_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        fresh = pts[first_new:]
+        if len(fresh) == 0:
             return
-        self._min = pts.min(axis=0)
-        span = pts.max(axis=0) - self._min
-        # Guard against degenerate (single-point) extents.
-        self._span = np.where(span > 0, span, 1.0)
-        cell_xy = self._cell_of(pts)
+        cell_xy = self._cell_of(fresh)
         order = np.lexsort((cell_xy[:, 1], cell_xy[:, 0]))
         sorted_cells = cell_xy[order]
         boundaries = np.flatnonzero(
             np.any(np.diff(sorted_cells, axis=0) != 0, axis=1)
         )
         starts = np.concatenate(([0], boundaries + 1))
-        ends = np.concatenate((boundaries + 1, [self.n_entries]))
-        self._cells = {}
+        ends = np.concatenate((boundaries + 1, [len(fresh)]))
         for start, end in zip(starts, ends):
             cx, cy = sorted_cells[start]
-            self._cells[(int(cx), int(cy))] = np.sort(order[start:end]).astype(np.int64)
-        # Batch-sweep accelerators (prefix sums + contiguous axis copies)
-        # are built lazily on the first lookup_batch: per-request-only
-        # deployments never pay their memory or construction cost.
-        self._sweep_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+            key = (int(cx), int(cy))
+            ids = np.sort(order[start:end]).astype(np.int64) + first_new
+            old = self._cells.get(key)
+            self._cells[key] = ids if old is None else np.concatenate((old, ids))
 
     def _sweep_accelerators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(prefix, x, y) for the batched sweep, built on first use.

@@ -110,10 +110,15 @@ class TextColumnStats:
         default_selectivity: float,
         seed: int,
     ) -> None:
-        rng = np.random.default_rng(seed)
         n = len(token_sets)
         if n == 0:
             raise SchemaError("cannot build statistics for an empty column")
+        self.default_selectivity = default_selectivity
+        self.mcv: dict[str, float] = {}
+        if mcv_size == 0:
+            # No list to fill: skip the sample, the token count and the sort.
+            return
+        rng = np.random.default_rng(seed)
         if n > sample_rows:
             picked = rng.choice(n, size=sample_rows, replace=False)
             sample = [token_sets[i] for i in picked]
@@ -125,10 +130,7 @@ class TextColumnStats:
                 counts[token] = counts.get(token, 0) + 1
         ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
         sample_n = len(sample)
-        self.mcv: dict[str, float] = {
-            token: count / sample_n for token, count in ranked[:mcv_size]
-        }
-        self.default_selectivity = default_selectivity
+        self.mcv = {token: count / sample_n for token, count in ranked[:mcv_size]}
 
     def selectivity_keyword(self, token: str) -> float:
         return self.mcv.get(token, self.default_selectivity)

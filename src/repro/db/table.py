@@ -47,7 +47,9 @@ class Table:
     ) -> None:
         self.schema = schema
         self._columns: dict[str, object] = {}
-        self._token_sets: list[frozenset[str]] | None = None
+        self._token_sets: dict[str, list[frozenset[str]]] = {}
+        #: Texts run through the tokenizer so far (maintenance accounting).
+        self.texts_tokenized = 0
         self.base_table = base_table
         self.sample_fraction = sample_fraction
         self.base_row_ids = base_row_ids
@@ -107,11 +109,15 @@ class Table:
         return self._columns[name]  # type: ignore[return-value]
 
     def token_sets(self, name: str) -> list[frozenset[str]]:
-        """Tokenized view of a TEXT column, cached after first use."""
-        texts = self.texts(name)
-        if self._token_sets is None:
-            self._token_sets = [frozenset(tokenize(t)) for t in texts]
-        return self._token_sets
+        """Tokenized view of a TEXT column, cached per column after first use."""
+        cached = self._token_sets.get(name)
+        if cached is None:
+            cached = self._token_sets[name] = self._tokenized(self.texts(name))
+        return cached
+
+    def _tokenized(self, texts: list[str]) -> list[frozenset[str]]:
+        self.texts_tokenized += len(texts)
+        return [frozenset(tokenize(t)) for t in texts]
 
     def to_base_ids(self, row_ids: np.ndarray) -> np.ndarray:
         """Map local row ids to base-table row ids (identity for base tables)."""
@@ -142,9 +148,12 @@ class Table:
     def append_rows(self, columns: Mapping[str, object]) -> int:
         """Append rows (one entry per schema column); returns new row count.
 
-        Mutating a table invalidates anything derived from it — callers
+        Token sets already cached for a TEXT column are extended with the
+        new rows' tokens (the old rows are not re-tokenized).  Mutating a
+        table still invalidates everything else derived from it — callers
         should go through :meth:`repro.db.database.Database.append_rows`,
-        which rebuilds indexes/statistics and evicts poisoned cache entries.
+        which extends the indexes, re-analyzes statistics and evicts
+        poisoned cache entries.
         """
         if self.is_sample:
             raise SchemaError(f"cannot append to sample table {self.name!r}")
@@ -168,7 +177,9 @@ class Table:
             else:
                 assert isinstance(current, list) and isinstance(data, list)
                 current.extend(data)
-        self._token_sets = None
+                cached = self._token_sets.get(name)
+                if cached is not None:
+                    cached.extend(self._tokenized(data))
         self.n_rows += int(n_new or 0)
         return self.n_rows
 

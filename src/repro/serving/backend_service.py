@@ -103,6 +103,14 @@ class BackendMalivaService(MalivaService):
         self.stats.record_stage("execute", time.perf_counter() - execute_started)
         return outcomes
 
+    def append_rows(self, table_name: str, columns) -> None:
+        """Mutate the in-memory table *and* the engine's copy of it, so the
+        plan and the execution both see the appended rows."""
+        table = self.maliva.database.table(table_name)
+        first_new = table.n_rows
+        super().append_rows(table_name, columns)
+        self.backend.append_rows(table_name, table, first_new)
+
     def report(self) -> dict:
         report = super().report()
         report["backend"] = {

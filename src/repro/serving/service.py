@@ -661,7 +661,10 @@ class MalivaService:
 
         Engine-cache numbers cover the current measurement window (since
         construction or :meth:`reset_stats`), so offline traffic such as
-        training does not pollute serving hit rates.
+        training does not pollute serving hit rates.  ``engine_maintenance``
+        counts the engine's mutation upkeep (rows appended, texts
+        tokenized, indexes extended / rebuilt) since the database was
+        created.
         """
         engine = self.engine_cache_window()
         return {
@@ -669,6 +672,7 @@ class MalivaService:
             "decision_cache": self._decision_cache.stats.to_dict(),
             "engine_caches": engine.to_dict(),
             "engine_hit_rate": engine.hit_rate,
+            "engine_maintenance": self.maliva.database.maintenance.to_dict(),
             "qte_caches": {s.name: s.to_dict() for s in self.maliva.qte.cache_stats()},
             **(
                 {"admission": self.admission.snapshot()}

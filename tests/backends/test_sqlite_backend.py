@@ -6,6 +6,7 @@ sample-table rewrites — returns rows/bins *identical* to the in-memory
 engine, while SQLite's EXPLAIN shows the compiled hints actually honored.
 """
 
+import numpy as np
 import pytest
 
 from repro.backends import (
@@ -93,6 +94,43 @@ class TestEquivalence:
                 ),
             ]
             assert_matches_memory(small_db, backend, queries)
+
+    def test_appended_rows_match_memory(self, small_db):
+        """Two appends (every column kind): only the new rows are inserted
+        and the engine answers like the in-memory table that grew."""
+        queries = [
+            SelectQuery("rows", (RangePredicate("value", 20.0, None),), output=("id",)),
+            SelectQuery("rows", (KeywordPredicate("note", "omega"),), output=("id",)),
+            SelectQuery(
+                "rows",
+                (SpatialPredicate("spot", BoundingBox(-5.0, -5.0, 5.0, 5.0)),),
+                group_by=BinGroupBy("spot", 2.0, 1.25),
+            ),
+            SelectQuery("rows", (EqualsPredicate("id", 203.0),), output=("id",)),
+        ]
+        with SqliteBackend() as backend:
+            backend.ingest(small_db)
+            table = small_db.table("rows")
+            for first in (200, 203):
+                small_db.append_rows(
+                    "rows",
+                    {
+                        "id": np.arange(first, first + 3),
+                        "value": np.array([10.0, 55.5, 99.0]),
+                        "stamp": np.array([1.0, 2.0, 3.0]),
+                        "note": ["omega alpha", "beta", "Omega!"],
+                        "spot": np.array([[0.0, 0.0], [4.9, -4.9], [9.0, 9.0]]),
+                    },
+                )
+                backend.append_rows("rows", table, first)
+            assert backend._run("SELECT COUNT(*) FROM rows", ()) == [(206,)]
+            assert len(small_db.execute(queries[1]).row_ids) == 4
+            assert_matches_memory(small_db, backend, queries)
+
+    def test_append_to_unknown_table_raises(self, small_db):
+        with SqliteBackend() as backend:
+            with pytest.raises(BackendError, match="never ingested"):
+                backend.append_rows("rows", small_db.table("rows"), 0)
 
     def test_sample_table_bins_are_weighted(self, twitter_db, sqlite_backend):
         assert sqlite_backend.catalog.weights[QTE_SAMPLE] == pytest.approx(50.0)

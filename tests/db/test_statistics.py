@@ -16,7 +16,7 @@ from repro.db import (
     TableSchema,
     TableStatistics,
 )
-from repro.db.statistics import NumericColumnStats
+from repro.db.statistics import NumericColumnStats, TextColumnStats
 from repro.errors import SchemaError
 
 
@@ -84,6 +84,20 @@ class TestTextStats:
         assert est_common == est_rare == StatisticsConfig().default_token_selectivity
         true_common = KeywordPredicate("txt", "common").mask(skewed_table).mean()
         assert true_common > 50 * est_common  # badly underestimated
+
+    def test_empty_mcv_never_reads_the_tokens(self):
+        """``mcv_size == 0`` keeps no list, so it must not sample, count
+        and sort the tokens only to drop them (paid on every append)."""
+
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("token sets were read")
+
+            __getitem__ = __iter__
+
+        stats = TextColumnStats(Unread([frozenset()] * 9_000), 0, 5_000, 0.005, seed=1)
+        assert stats.mcv == {}
+        assert stats.selectivity_keyword("anything") == 0.005
 
     def test_mcv_mode_estimates_frequent_tokens(self, skewed_table):
         stats = stats_for(skewed_table, mcv_size=10)

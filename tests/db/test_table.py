@@ -78,6 +78,33 @@ class TestAccessors:
         assert first is table.token_sets("txt")
         assert "word1" in first[1]
 
+    def test_token_sets_cached_per_column(self):
+        """Regression: the cache was one slot, so the second TEXT column
+        asked for came back with the first one's tokens."""
+        schema = TableSchema(
+            name="two",
+            columns=(Column("a", ColumnKind.TEXT), Column("b", ColumnKind.TEXT)),
+        )
+        table = Table(schema, {"a": ["red fox", "red hen"], "b": ["blue", "green sky"]})
+        assert table.token_sets("a") == [{"red", "fox"}, {"red", "hen"}]
+        assert table.token_sets("b") == [{"blue"}, {"green", "sky"}]
+        assert table.token_sets("a") is not table.token_sets("b")
+
+    def test_append_extends_every_cached_token_column(self):
+        schema = TableSchema(
+            name="two",
+            columns=(Column("a", ColumnKind.TEXT), Column("b", ColumnKind.TEXT)),
+        )
+        table = Table(schema, {"a": ["red fox"], "b": ["blue"]})
+        cached_a, cached_b = table.token_sets("a"), table.token_sets("b")
+        assert table.texts_tokenized == 2
+        table.append_rows({"a": ["red hen", "owl"], "b": ["green sky", "sea"]})
+        # Old rows are not tokenized again; both caches grew by the delta.
+        assert table.texts_tokenized == 6
+        assert table.token_sets("a") is cached_a and table.token_sets("b") is cached_b
+        assert cached_a == [{"red", "fox"}, {"red", "hen"}, {"owl"}]
+        assert cached_b == [{"blue"}, {"green", "sky"}, {"sea"}]
+
 
 class TestSampling:
     def test_sample_size_and_mapping(self):

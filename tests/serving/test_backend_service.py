@@ -17,9 +17,14 @@ from repro.datasets import TRIP_FILTER_ATTRIBUTES, TaxiConfig, build_taxi_databa
 from repro.errors import QueryError
 from repro.serving import BackendMalivaService, MalivaService
 from repro.viz import TAXI_TRANSLATOR, TWITTER_TRANSLATOR
-from repro.workloads import TaxiWorkloadGenerator
+from repro.workloads import TaxiWorkloadGenerator, TwitterWorkloadGenerator
 
-from ..conftest import build_trained_maliva
+from ..conftest import (
+    TWITTER_ATTRS,
+    build_session_stream,
+    build_trained_maliva,
+    build_twitter_db,
+)
 
 
 def assert_same_answers(memory_outcomes, backend_outcomes):
@@ -78,6 +83,39 @@ class TestStreamEquivalence:
                 serving_maliva, backend, quality_fn=lambda *a: 1.0
             )
         backend.close()
+
+
+def test_append_rows_reaches_the_engine():
+    """Regression: the service appended to the in-memory table only, so the
+    plan saw the grown table and SQLite answered from the old rows."""
+    database = build_twitter_db(n_tweets=2_500, n_users=125, sample_fraction=0.05)
+    space = RewriteOptionSpace.hint_subsets(TWITTER_ATTRS)
+    train = TwitterWorkloadGenerator(database, seed=21).generate(12)
+    maliva = build_trained_maliva(database, space, train, max_epochs=3, n_train=10)
+    stream = build_session_stream(database, n_sessions=3, n_steps=5)
+    backend = SqliteBackend()
+    backend.ingest(database)
+    tweets = database.table("tweets")
+    with (
+        MalivaService(maliva, translator=TWITTER_TRANSLATOR) as memory,
+        BackendMalivaService(maliva, backend, translator=TWITTER_TRANSLATOR) as real,
+    ):
+        before = memory.answer_many(stream)
+        for offset in (0, 8):
+            # Re-post every 16th tweet under a new id: whatever matched the
+            # originals matches the copies, so the answers must move.
+            copies = tweets.select_rows(range(offset, 2_400, 16), "copies")
+            rows = {c.name: copies.column(c.name) for c in tweets.schema.columns}
+            rows["id"] = np.arange(tweets.n_rows, tweets.n_rows + 150)
+            real.append_rows("tweets", rows)
+        assert backend._run("SELECT COUNT(*) FROM tweets", ()) == [(2_800,)]
+        after = memory.answer_many(stream)
+        assert any(
+            a.result.bins != b.result.bins
+            for a, b in zip(before, after)
+            if a.result.bins is not None and b.result.bins is not None
+        )
+        assert_same_answers(after, real.answer_many(stream))
 
 
 class TestTaxiDashboardAcceptance:

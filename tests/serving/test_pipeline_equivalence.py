@@ -260,3 +260,11 @@ def test_mutations_mid_stream_do_not_leak_stale_shared_state():
     # The mutation really invalidated shared state mid-stream: the batched
     # service's decision cache took tag invalidations.
     assert batched.decision_cache_stats.invalidations > 0
+    # ...at a cost counted in appended rows, not table rows: the 40 new
+    # tweets sit inside the extent, so all three indexes were extended.
+    assert batched.report()["engine_maintenance"] == {
+        "rows_appended": 40,
+        "texts_tokenized": 40,
+        "indexes_extended": 3,
+        "indexes_rebuilt": 0,
+    }
