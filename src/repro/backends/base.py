@@ -58,7 +58,9 @@ class BackendResult:
     bins: dict[int, float] | None
     #: The dialect SQL that ran.
     sql: str
-    #: Measured wall-clock execution time (not virtual milliseconds).
+    #: Measured wall clock (not virtual milliseconds) from handing the SQL
+    #: to the engine until the answer exists as ``row_ids`` / ``bins``:
+    #: engine time, fetch and decode.
     wall_ms: float
 
     @property
@@ -76,7 +78,10 @@ class BackendStats:
     n_queries: int = 0
     n_row_queries: int = 0
     n_bin_queries: int = 0
+    #: Row ids answered (row queries only).
     rows_returned: int = 0
+    #: DB-API rows that crossed the engine boundary, bins included.
+    rows_fetched: int = 0
     wall_ms_total: float = 0.0
 
     def snapshot(self) -> dict:
@@ -85,6 +90,7 @@ class BackendStats:
             "n_row_queries": self.n_row_queries,
             "n_bin_queries": self.n_bin_queries,
             "rows_returned": self.rows_returned,
+            "rows_fetched": self.rows_fetched,
             "wall_ms_total": self.wall_ms_total,
         }
 
@@ -166,6 +172,12 @@ class SqlBackend(ExecutionBackend):
     def _run(self, sql: str, params: tuple) -> list[tuple]:
         return self._conn.execute(sql, params).fetchall()
 
+    @abc.abstractmethod
+    def _fetch_ids(self, compiled: CompiledQuery) -> tuple[np.ndarray, int]:
+        """Run a row query; returns its ids as one flat ``int64`` array
+        (couples flattened when ``compiled.paired``) and how many DB-API
+        rows were fetched.  Decodes what the compiler's ``pack_ids`` emits."""
+
     # -- ExecutionBackend -----------------------------------------------
 
     def ingest(self, database: "Database") -> None:
@@ -226,11 +238,19 @@ class SqlBackend(ExecutionBackend):
     def _insert_rows(self, name: str, table: "Table", first: int) -> None:
         """``INSERT`` rows ``first..`` of ``table`` in their mangled form."""
         local_ids = np.arange(first, table.n_rows, dtype=np.int64)
+        # Start one row early so the seam with the rows already loaded is
+        # checked too: once an append breaks the rise, it stays broken.
+        base_ids = table.to_base_ids(
+            np.arange(max(first - 1, 0), table.n_rows, dtype=np.int64)
+        )
+        rising = bool(np.all(base_ids[1:] > base_ids[:-1]))
+        monotone_ids = self.catalog.monotone_ids
+        monotone_ids[name] = monotone_ids.get(name, True) and rising
         if len(local_ids) == 0:
             return
         columns: list[list] = [
             local_ids.tolist(),
-            table.to_base_ids(local_ids).tolist(),
+            base_ids[-len(local_ids) :].tolist(),
         ]
         for column in table.schema.columns:
             if column.kind.is_numeric:
@@ -257,25 +277,35 @@ class SqlBackend(ExecutionBackend):
 
     def execute(self, query: SelectQuery) -> BackendResult:
         compiled = self.compile(query)
+        stats = self.stats
+        row_ids = bins = None
         started = time.perf_counter()
-        rows = self._run(compiled.sql, compiled.params)
-        wall_ms = (time.perf_counter() - started) * 1000.0
-
-        self.stats.n_queries += 1
-        self.stats.wall_ms_total += wall_ms
         if compiled.kind == "bins":
-            self.stats.n_bin_queries += 1
+            rows = self._run(compiled.sql, compiled.params)
             bins = {int(b): float(c) * compiled.weight for b, c in rows}
-            return BackendResult(
-                kind="bins", row_ids=None, bins=bins, sql=compiled.sql, wall_ms=wall_ms
-            )
-        self.stats.n_row_queries += 1
-        self.stats.rows_returned += len(rows)
-        row_ids = np.fromiter(
-            (int(r[0]) for r in rows), dtype=np.int64, count=len(rows)
-        )
+            stats.n_bin_queries += 1
+            stats.rows_fetched += len(rows)
+        else:
+            row_ids, n_fetched = self._fetch_ids(compiled)
+            # The engine only selected the rows; ascending-local order is
+            # established here (see ``BackendCatalog.monotone_ids``).
+            if compiled.paired:
+                couples = row_ids.reshape(-1, 2)
+                row_ids = couples[np.argsort(couples[:, 0]), 1]
+            else:
+                row_ids.sort()
+            stats.n_row_queries += 1
+            stats.rows_fetched += n_fetched
+            stats.rows_returned += len(row_ids)
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        stats.n_queries += 1
+        stats.wall_ms_total += wall_ms
         return BackendResult(
-            kind="rows", row_ids=row_ids, bins=None, sql=compiled.sql, wall_ms=wall_ms
+            kind=compiled.kind,
+            row_ids=row_ids,
+            bins=bins,
+            sql=compiled.sql,
+            wall_ms=wall_ms,
         )
 
     def explain(self, query: SelectQuery) -> tuple[str, ...]:

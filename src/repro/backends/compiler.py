@@ -9,9 +9,16 @@ holding the space-joined token stream; POINT columns are split into
 
 Equivalence contract with the in-memory executor (pinned by tests):
 
-* row queries return ``mw_base_rowid`` ordered by ``mw_rowid`` — the
+* row queries answer ``mw_base_rowid`` in ``mw_rowid`` order — the
   executor's ascending-local-id order — with ``LIMIT`` applied after the
-  join, exactly where :meth:`Executor.scan_rows` truncates;
+  join, exactly where :meth:`Executor.scan_rows` truncates.  The engine
+  only *selects* the rows (``ORDER BY mw_rowid`` is emitted just to make
+  ``LIMIT`` pick the right ones); the backend establishes the output order
+  client-side — by sorting the ids when the catalog knows
+  ``mw_base_rowid`` rises with ``mw_rowid``, else from
+  ``(mw_rowid, mw_base_rowid)`` pairs — so a dialect may pack the ids
+  into one value (:meth:`SqlCompiler.pack_ids`) whose element order is
+  unspecified;
 * joins compile to ``EXISTS`` semi-joins (the executor only ever emits
   outer rows), so no uniqueness assumption on the inner key is needed;
 * heatmap queries group by the same ``BIN_ID`` arithmetic as
@@ -72,6 +79,9 @@ class CompiledQuery:
     kind: str
     #: Sample-table scale factor to apply to bin counts (1.0 for base tables).
     weight: float
+    #: Row queries only: the ids come back as ``mw_rowid, mw_base_rowid``
+    #: pairs (the table's base ids do not rise with its local ids).
+    paired: bool = False
 
 
 @dataclass
@@ -83,6 +93,10 @@ class BackendCatalog:
     weights: dict[str, float] = field(default_factory=dict)
     #: (table, column) pairs that received a backend index at ingest.
     indexes: set[tuple[str, str]] = field(default_factory=set)
+    #: Per table: is ``mw_base_rowid`` strictly increasing in ``mw_rowid``
+    #: (always for base tables)?  Then sorting a result's base ids *is*
+    #: ascending-local order.  Kept current by ingest and every append.
+    monotone_ids: dict[str, bool] = field(default_factory=dict)
 
 
 class SqlCompiler:
@@ -97,15 +111,26 @@ class SqlCompiler:
         """Table-scan hint syntax (empty when the dialect has none)."""
         return ""
 
-    def bin_expression(self, point_column: str, cell_x: float, cell_y: float) -> str:
-        """SQL computing the BIN_ID of the mangled x/y of ``point_column``."""
+    def bin_expression(
+        self, point_column: str, cell_x: float, cell_y: float
+    ) -> tuple[str, list]:
+        """SQL computing the BIN_ID of the mangled x/y of ``point_column``,
+        plus its bind parameters.  Origins and cell sizes are bound, not
+        written as literals, so the engine divides by the very doubles
+        ``compute_bin_ids`` uses (no text -> double conversion)."""
         x = f'"m".{quote_ident(point_column + POINT_X_SUFFIX)}'
         y = f'"m".{quote_ident(point_column + POINT_Y_SUFFIX)}'
         return (
-            f"CAST(floor(({x} - ({BIN_ORIGIN_X!r})) / {float(cell_x)!r}) AS BIGINT)"
-            f" * {_BIN_STRIDE}"
-            f" + CAST(floor(({y} - ({BIN_ORIGIN_Y!r})) / {float(cell_y)!r}) AS BIGINT)"
+            f"CAST(floor(({x} - ?) / ?) AS BIGINT) * {_BIN_STRIDE}"
+            f" + CAST(floor(({y} - ?) / ?) AS BIGINT)",
+            [BIN_ORIGIN_X, float(cell_x), BIN_ORIGIN_Y, float(cell_y)],
         )
+
+    def pack_ids(self, select_sql: str, columns: tuple[str, ...]) -> str:
+        """Wrap the id projection ``select_sql`` (which yields ``columns``)
+        so its ids cross the DB-API boundary in as few fetches as the
+        dialect allows; the backend's ``_fetch_ids`` is its decoder."""
+        return select_sql
 
     def contains_fragment(self, alias: str, column: str) -> str:
         """``column CONTAINS ?`` over the token-stream companion column."""
@@ -154,14 +179,18 @@ class SqlCompiler:
             from_sql += f" {hint}"
         weight = self.catalog.weights.get(query.table, 1.0)
 
+        # ORDER BY exists only so LIMIT truncates in ascending-local order.
+        tail = ""
+        if query.limit is not None:
+            tail = f'\nORDER BY "m".{quote_ident(ROWID_COLUMN)} LIMIT ?'
+            params.append(int(query.limit))
+
         if query.group_by is not None:
-            bin_expr = self.bin_expression(
+            bin_expr, bin_params = self.bin_expression(
                 query.group_by.column, query.group_by.cell_x, query.group_by.cell_y
             )
-            tail = ""
-            if query.limit is not None:
-                tail = f'\nORDER BY "m".{quote_ident(ROWID_COLUMN)} LIMIT ?'
-                params.append(int(query.limit))
+            # The bin expression sits in the select list, ahead of WHERE.
+            params[:0] = bin_params
             sql = (
                 f'SELECT "b"."bin_id", COUNT(*)\n'
                 f'FROM (SELECT {bin_expr} AS "bin_id"\n'
@@ -172,15 +201,15 @@ class SqlCompiler:
                 sql=sql, params=tuple(params), kind="bins", weight=weight
             )
 
-        sql = (
-            f'SELECT "m".{quote_ident(BASE_ROWID_COLUMN)}\n'
-            f"{from_sql}{where_sql}\n"
-            f'ORDER BY "m".{quote_ident(ROWID_COLUMN)}'
+        paired = not self.catalog.monotone_ids.get(query.table, False)
+        columns = (ROWID_COLUMN, BASE_ROWID_COLUMN) if paired else (BASE_ROWID_COLUMN,)
+        projection = ", ".join(f'"m".{quote_ident(c)}' for c in columns)
+        sql = self.pack_ids(
+            f"SELECT {projection}\n{from_sql}{where_sql}{tail}", columns
         )
-        if query.limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(query.limit))
-        return CompiledQuery(sql=sql, params=tuple(params), kind="rows", weight=weight)
+        return CompiledQuery(
+            sql=sql, params=tuple(params), kind="rows", weight=weight, paired=paired
+        )
 
     def predicate_fragment(
         self, alias: str, schema: TableSchema, predicate: Predicate
@@ -222,7 +251,12 @@ class SqlCompiler:
 
 
 class SqliteCompiler(SqlCompiler):
-    """SQLite dialect: ``INDEXED BY`` hints and the ``MW_BIN_ID`` UDF."""
+    """SQLite dialect: ``INDEXED BY`` hints, ``group_concat``-packed ids,
+    and the ``MW_BIN_ID`` UDF on builds without SQL math functions."""
+
+    def __init__(self, catalog: BackendCatalog, *, native_floor: bool = True) -> None:
+        super().__init__(catalog)
+        self.native_floor = native_floor
 
     def hint_clause(self, query: SelectQuery) -> str:
         hints = query.hints
@@ -242,10 +276,21 @@ class SqliteCompiler(SqlCompiler):
         # multi-attribute hints degrade deterministically to the first.
         return f"INDEXED BY {quote_ident(index_name(query.table, candidates[0]))}"
 
-    def bin_expression(self, point_column: str, cell_x: float, cell_y: float) -> str:
+    def bin_expression(
+        self, point_column: str, cell_x: float, cell_y: float
+    ) -> tuple[str, list]:
+        if self.native_floor:
+            return super().bin_expression(point_column, cell_x, cell_y)
         x = f'"m".{quote_ident(point_column + POINT_X_SUFFIX)}'
         y = f'"m".{quote_ident(point_column + POINT_Y_SUFFIX)}'
-        return f"MW_BIN_ID({x}, {y}, {float(cell_x)!r}, {float(cell_y)!r})"
+        return f"MW_BIN_ID({x}, {y}, ?, ?)", [float(cell_x), float(cell_y)]
+
+    def pack_ids(self, select_sql: str, columns: tuple[str, ...]) -> str:
+        """One row, one text value: ``id,id,…`` (``mw_rowid,mw_base_rowid``
+        couples when paired — each couple is one ``group_concat`` element,
+        so no order among elements is relied on).  NULL when empty."""
+        element = " || ',' || ".join(f'"s".{quote_ident(c)}' for c in columns)
+        return f'SELECT group_concat({element})\nFROM ({select_sql}) AS "s"'
 
 
 class DuckDbCompiler(SqlCompiler):

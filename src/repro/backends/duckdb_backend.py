@@ -9,10 +9,12 @@ derived simulation profile sets ``hint_ignore_prob`` to 1.0.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..db.types import ColumnKind
 from ..errors import BackendError
 from .base import SqlBackend
-from .compiler import DuckDbCompiler, SqlCompiler
+from .compiler import CompiledQuery, DuckDbCompiler, SqlCompiler
 from .profile import BackendProfile, duckdb_profile
 
 try:  # pragma: no cover - exercised only where duckdb is installed
@@ -53,6 +55,12 @@ class DuckDbBackend(SqlBackend):
 
     def _run(self, sql: str, params: tuple) -> list[tuple]:
         return self._conn.execute(sql, list(params)).fetchall()
+
+    def _fetch_ids(self, compiled: CompiledQuery) -> tuple[np.ndarray, int]:
+        # Columnar fetch: one int64 array per projected column, no tuples.
+        columns = self._conn.execute(compiled.sql, list(compiled.params)).fetchnumpy()
+        ids = np.column_stack(list(columns.values())).astype(np.int64, copy=False)
+        return ids.reshape(-1), len(ids)
 
     def _explain_sql(self, sql: str) -> str:
         return "EXPLAIN " + sql

@@ -284,7 +284,8 @@ mandatory rather than advisory, and every join is a nested loop.
 | ID | Summary | Note |
 |----|---------|------|
 | MANDATORY_HINTS | INDEXED BY is enforced, not advisory | the engine errors instead of silently ignoring a hint, so the sim hint-ignore probability is 0 |
-| ROWID_ORDER | rowid scans stream in insertion order | ORDER BY mw_rowid adds no sort when the scan is already rowid-ordered |
+| ROWID_ORDER | rowid scans stream in insertion order | ORDER BY mw_rowid costs a sorter only on an INDEXED BY scan, so it is compiled only where LIMIT needs it; otherwise the middleware sorts the fetched ids |
+| NATIVE_BINNING | builds with the SQL math functions bin with floor() | probed at connect; heatmaps then need no Python UDF call per row (MW_BIN_ID is the fallback for builds without them) |
 | CHEAP_WARM_STARTS | page cache makes repeated probes cheap | warm dashboard refreshes approach in-memory speed |
 
 ### Gaps — Hunt for these

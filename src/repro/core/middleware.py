@@ -115,13 +115,17 @@ class Maliva:
         self._rewriter = MDPQueryRewriter(agent, self.database, self.qte)
 
     # ------------------------------------------------------------------
+    @property
+    def rewriter(self) -> MDPQueryRewriter:
+        if self._rewriter is None:
+            raise TrainingError("Maliva.train() must be called before use")
+        return self._rewriter
+
     def rewrite(
         self, query: SelectQuery, tau_ms: float | None = None
     ) -> RewriteDecision:
         """Plan only (Algorithm 2), without executing the final query."""
-        if self._rewriter is None:
-            raise TrainingError("Maliva.train() must be called before use")
-        return self._rewriter.rewrite(query, tau_ms=tau_ms)
+        return self.rewriter.rewrite(query, tau_ms=tau_ms)
 
     def rewrite_batch(
         self,
@@ -134,9 +138,7 @@ class Maliva:
         pass per depth serve the whole batch; see
         :meth:`MDPQueryRewriter.plan_batch`.
         """
-        if self._rewriter is None:
-            raise TrainingError("Maliva.train() must be called before use")
-        return self._rewriter.rewrite_batch(queries, tau_ms)
+        return self.rewriter.rewrite_batch(queries, tau_ms)
 
     def answer(
         self,

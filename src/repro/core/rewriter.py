@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..db import Database, SelectQuery
-from ..db.caches import InstrumentedCache
+from ..db.caches import CacheStats, InstrumentedCache
 from ..errors import QueryError
 from ..qte import QueryTimeEstimator, SelectivityCache
 from .agent import MalivaAgent
@@ -64,12 +64,21 @@ class MDPQueryRewriter:
         # dominates episode construction for repeated queries.  Approximation
         # rules read table statistics and sample cardinalities, so ANY
         # catalog change conservatively drops the whole memo (rebuilds are
-        # cheap; staleness is not).
-        self._build_cache = InstrumentedCache("rq_build", capacity=4096)
+        # cheap; staleness is not).  Sized to what re-plans the same query:
+        # a training set or a dashboard's views.  On serving traffic the
+        # decision cache answers repeats first, so this memo is reached only
+        # by queries it has not seen, and each entry holds |Ω| SelectQuery
+        # objects — a larger memo only fills up with never-repeated ones.
+        self._build_cache = InstrumentedCache("rq_build", capacity=256)
         database.add_invalidation_hook(self._on_table_invalidated)
 
     def _on_table_invalidated(self, table_name: str) -> None:
         self._build_cache.clear()
+
+    @property
+    def build_cache_stats(self) -> CacheStats:
+        """Hit/miss counters of the candidate-query memo."""
+        return self._build_cache.stats.snapshot()
 
     def candidate_queries(self, query: SelectQuery) -> list[SelectQuery]:
         """The option space applied to ``query``, memoized across requests."""

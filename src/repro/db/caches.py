@@ -59,7 +59,7 @@ class CacheStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     value: object
     tags: tuple[str, ...] = ()

@@ -670,6 +670,7 @@ class MalivaService:
         return {
             "service": self.stats.to_dict(),
             "decision_cache": self._decision_cache.stats.to_dict(),
+            "rq_build_cache": self.maliva.rewriter.build_cache_stats.to_dict(),
             "engine_caches": engine.to_dict(),
             "engine_hit_rate": engine.hit_rate,
             "engine_maintenance": self.maliva.database.maintenance.to_dict(),

@@ -22,4 +22,5 @@ def assert_matches_memory(database, backend, queries) -> None:
         else:
             assert actual.kind == "rows", label
             assert actual.row_ids is not None, label
+            assert actual.row_ids.dtype == np.int64, label
             assert np.array_equal(actual.row_ids, expected.row_ids), label

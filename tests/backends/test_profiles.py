@@ -68,6 +68,7 @@ class TestMarkdownParsing:
         assert [s.id for s in profile.strengths] == [
             "MANDATORY_HINTS",
             "ROWID_ORDER",
+            "NATIVE_BINNING",
             "CHEAP_WARM_STARTS",
         ]
         assert all(s.summary and s.note for s in profile.strengths)

@@ -42,6 +42,12 @@ class TestRewrite:
                 chosen = episode.state.estimated_times_ms[decision.option_index]
                 assert chosen == pytest.approx(float(explored_times.min()))
 
+    def test_candidate_memo_counts_replans(self, rewriter, twitter_queries):
+        first = rewriter.candidate_queries(twitter_queries[20])
+        assert rewriter.candidate_queries(twitter_queries[20]) is first
+        stats = rewriter.build_cache_stats
+        assert (stats.name, stats.hits, stats.misses) == ("rq_build", 1, 1)
+
     def test_plan_chaining_preserves_elapsed(self, rewriter, twitter_queries):
         decision, episode = rewriter.plan(
             twitter_queries[20], start_elapsed_ms=10.0

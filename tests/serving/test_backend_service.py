@@ -76,6 +76,30 @@ class TestStreamEquivalence:
         assert section["n_queries"] >= 4
         assert section["wall_ms_total"] > 0.0
 
+    def test_report_deltas_equal_outcome_sums(self, backend_pair, make_workload):
+        """What the backend counted over a slice is what the slice's
+        outcomes carry: every request executes exactly once, its
+        ``execution_ms`` is the backend's ``wall_ms`` and its ``row_ids``
+        the backend's int64 array, untouched."""
+        _, real = backend_pair
+        before = real.report()["backend"]
+        outcomes = real.answer_many(make_workload(13, 24))
+        after = real.report()["backend"]
+        rows = [o.result for o in outcomes if o.result.bins is None]
+        bins = [o.result for o in outcomes if o.result.bins is not None]
+        assert rows and bins
+        assert all(r.row_ids.dtype == np.int64 for r in rows)
+        assert after["n_queries"] - before["n_queries"] == len(outcomes)
+        assert after["rows_returned"] - before["rows_returned"] == sum(
+            len(r.row_ids) for r in rows
+        )
+        assert after["rows_fetched"] - before["rows_fetched"] == len(rows) + sum(
+            len(r.bins) for r in bins
+        )
+        assert after["wall_ms_total"] - before["wall_ms_total"] == pytest.approx(
+            sum(o.execution_ms for o in outcomes)
+        )
+
     def test_quality_fn_rejected(self, serving_maliva):
         backend = SqliteBackend()
         with pytest.raises(QueryError, match="quality"):

@@ -150,8 +150,13 @@ def test_answer_stream_is_lazy_and_ordered(service, interleaved_stream):
 # ----------------------------------------------------------------------
 def test_report_surfaces_cache_hit_rates(service, interleaved_stream):
     service.answer_many(interleaved_stream)
+    cold_builds = service.report()["rq_build_cache"]
     service.answer_many(interleaved_stream)
     report = service.report()
+    # Repeats are answered by the decision cache: the candidate-query memo
+    # behind it is not even consulted on the warm pass.
+    assert cold_builds["misses"] > 0
+    assert report["rq_build_cache"] == cold_builds
     assert report["service"]["n_requests"] == 200
     assert 0.0 < report["engine_hit_rate"] <= 1.0
     assert report["decision_cache"]["hits"] >= 100
