@@ -218,8 +218,6 @@ def test_pipelined_stream_async_vs_sync(benchmark):
     ]
     overlap = async_backend.stats
     assert overlap.n_overlapped_batches > 0
-    shard_stats = overlap.shards
-    assert shard_stats is not None and shard_stats.n_plan_overlapped > 0
 
     sync_qps = len(stream) / sync_s if sync_s else 0.0
     async_qps = len(stream) / async_s if async_s else 0.0
@@ -241,8 +239,6 @@ def test_pipelined_stream_async_vs_sync(benchmark):
         "async_over_sync": ratio,
         "n_overlapped_batches": overlap.n_overlapped_batches,
         "overlap_plan_s": overlap.overlap_plan_s,
-        "n_plan_overlapped": shard_stats.n_plan_overlapped,
-        "n_deferred_mirrors": shard_stats.n_deferred_mirrors,
         "identical_outcomes_vs_sync": True,
     }
     bench_path.write_text(json.dumps(payload, indent=2, sort_keys=True))

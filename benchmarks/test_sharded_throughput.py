@@ -164,8 +164,6 @@ def test_sharded_throughput_vs_single_engine(benchmark):
         "single_warm_qps": single_warm,
         "cold_speedup_vs_single": cold_speedup,
         "warm_speedup_vs_single": warm_speedup,
-        "n_plan_scattered": shard_report["n_plan_scattered"],
-        "n_plan_fallback": shard_report["n_plan_fallback"],
         "identical_outcomes_vs_single_engine": True,
     }
     bench_path.write_text(json.dumps(payload, indent=2, sort_keys=True))

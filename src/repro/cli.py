@@ -621,7 +621,6 @@ def _run_serve(args) -> int:
         print(
             f"shard router:          {shards['n_shards']} shards ({shards['shard_by']}), "
             f"{shards['n_scattered']} scattered / {shards['n_fallback']} fallback, "
-            f"{shards['n_plan_scattered']} planned on workers, "
             f"{shards['n_syncs']} syncs"
         )
         if shards["n_worker_deaths"] or shards["n_retired"]:
@@ -630,8 +629,7 @@ def _run_serve(args) -> int:
                 f"{shards['n_respawns']} respawns, "
                 f"{shards['n_retired']} retired (breaker), "
                 f"{shards['n_rebalances']} rebalances, "
-                f"{shards['n_recovered_entries']} entries + "
-                f"{shards['n_plan_recovered']} plans recovered on router"
+                f"{shards['n_recovered_entries']} entries recovered on router"
             )
         for shard_id, window in shards["per_shard"].items():
             breaker = " [breaker open]" if window["breaker_open"] else ""

@@ -42,8 +42,6 @@ KEY_METRICS: dict[str, tuple[str, ...]] = {
         "cold_batched_qps",
         "cold_sequential_qps",
         "pipeline.cold_pipeline_qps",
-        "sharded_planning.cold_router_plans_per_s",
-        "sharded_planning.cold_scattered_plans_per_s",
     ),
     "BENCH_execution.json": ("cold_batched_qps", "cold_sequential_qps"),
     "BENCH_training.json": (

@@ -11,10 +11,7 @@ collected values (true selectivities and true execution times) and answers
 a lockstep wave's cold probes in fused per-attribute sweeps
 (:meth:`AccurateQTE.collect_wave`).  Virtual estimation costs are *not*
 affected — the paper's C_i accounting charges per request regardless of how
-fast the middleware's hardware produces the number.  The memo boundary is
-also the sharded-planning seam: a worker-side subclass resolves the same
-wave through one batched router RPC instead of a local engine
-(``repro.serving.planner_replica.ProxiedAccurateQTE``).
+fast the middleware's hardware produces the number.
 """
 
 from __future__ import annotations
@@ -79,8 +76,7 @@ class AccurateQTE(QueryTimeEstimator):
         return EstimationOutcome(estimated_ms=estimated_ms, cost_ms=cost_ms)
 
     # ------------------------------------------------------------------
-    # Value resolution (memo-first; the proxy subclass overrides the cold
-    # paths with router RPCs)
+    # Value resolution (memo-first)
     # ------------------------------------------------------------------
     def _true_selectivity(self, table_name: str, predicate: Predicate) -> float:
         key = (table_name, predicate.key())

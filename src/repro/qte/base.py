@@ -152,9 +152,7 @@ class QueryTimeEstimator(ABC):
         resolve a true execution time per estimate regardless of probes.
         Same transparency contract as :meth:`collect_batch`: bit-identical
         values, no per-request cache or cost accounting.  The default
-        flattens the probes into one :meth:`collect_batch` call; estimators
-        that resolve whole waves remotely (the sharded planner's proxy QTE)
-        override this to make it one round trip.
+        flattens the probes into one :meth:`collect_batch` call.
         """
         probes = [probe for _rewritten, items in wave for probe in items]
         if probes:

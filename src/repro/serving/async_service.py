@@ -9,7 +9,7 @@ the synchronous tier cannot express, without changing a single outcome:
   (``_plan_batch`` / ``_execute_begin`` / ``_execute_wait`` /
   ``_execute_finish``) let the resolve/schedule/plan stages of micro-batch
   N+1 run while batch N's execute stage is in flight.  On the sharded
-  service, ``begin`` scatter-submits the first worker round, so shard
+  service, ``begin`` scatter-submits the batch, so shard
   *processes* crunch while the router plans; on the single-engine service
   the execute stage runs inside ``finish`` — after the next batch's plan —
   which is a pure deterministic reorder.  Either way the reorder is
@@ -18,11 +18,7 @@ the synchronous tier cannot express, without changing a single outcome:
   virtual times, rows/bins, and work counters are **bit-identical** to
   the synchronous path.  Only observability can shift: ``plan_cached``
   flags and per-request engine-cache deltas depend on cache warmth order,
-  exactly as documented for the sharded service.  While a sharded batch
-  is in flight the worker pipes are reserved for its replies, so
-  overlapped planning runs on the router (bit-identical by the
-  twin-planning property) and decision mirrors are deferred until the
-  batch lands.
+  exactly as documented for the sharded service.
 
 * **bounded session queues with backpressure.**  :meth:`submit` enqueues
   one request on its session's queue and returns an awaitable outcome; a

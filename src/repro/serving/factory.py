@@ -10,7 +10,7 @@ working; this is sugar, not a new layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from ..backends import ExecutionBackend, create_backend
@@ -71,8 +71,6 @@ class ServiceConfig:
     # -- async front end ------------------------------------------------
     use_async: bool = False
     session_queue_limit: int = 32
-
-    extra: dict = field(default_factory=dict)
 
 
 def _resolve_scheduler(config: ServiceConfig) -> object:
@@ -139,7 +137,6 @@ def build_service(maliva: "Maliva", config: ServiceConfig | None = None, **overr
         stream_batch_size=config.stream_batch_size,
         batch_execute=config.batch_execute,
         admission=_resolve_admission(config),
-        **config.extra,
     )
 
     if config.n_routers > 1:

@@ -42,7 +42,7 @@ KINDS = (CRASH, HANG, GARBLE)
 #: (:mod:`repro.serving.replicated`); both tiers consult the same plan, so
 #: a spec can target either kind of process by op name (``shard_id`` then
 #: counts the router id for router ops).
-SHARD_OPS = ("execute", "plan", "sync", "sync_planner", "mirror", "cache_stats")
+SHARD_OPS = ("execute", "sync", "cache_stats")
 ROUTER_OPS = ("serve", "gossip", "router_sync", "router_stats")
 OPS = SHARD_OPS + ROUTER_OPS
 
@@ -92,8 +92,8 @@ class FaultPlan:
     def action_for(self, shard_id: int, op: str) -> str | None:
         """Count this (shard, op) call and return the fault kind, if any."""
         if op not in OPS:
-            # Lifecycle ops (init, init_planner, stop) are never faulted —
-            # an "any" spec that crashed init would make respawn impossible.
+            # Lifecycle ops (init, stop) are never faulted — an "any" spec
+            # that crashed init would make respawn impossible.
             return None
         key = (shard_id, op)
         count = self._counts.get(key, 0) + 1
@@ -113,7 +113,7 @@ class FaultPlan:
         seed: int,
         rate: float = 0.05,
         kinds: Sequence[str] = (CRASH, GARBLE),
-        ops: Sequence[str] = ("execute", "plan"),
+        ops: Sequence[str] = ("execute",),
     ) -> "RandomFaultPlan":
         """A chaos plan: each matching op faults with probability ``rate``.
 
@@ -132,7 +132,7 @@ class RandomFaultPlan(FaultPlan):
         *,
         rate: float = 0.05,
         kinds: Sequence[str] = (CRASH, GARBLE),
-        ops: Sequence[str] = ("execute", "plan"),
+        ops: Sequence[str] = ("execute",),
     ) -> None:
         super().__init__([])
         if not 0.0 <= rate <= 1.0:

@@ -3,16 +3,14 @@
 The shard fleet (:mod:`repro.serving.sharded`) and the replicated router
 tier (:mod:`repro.serving.replicated`) run the same machinery below their
 scatter/dispatch logic; this module is the only place that knows it
-(DESIGN.md §4.5).  A tier contributes an *op table* (``make_ops(upcall)
--> {op name: callable(payload)}``, built worker-side so its state lives in
+(DESIGN.md §4.5).  A tier contributes an *op table* (``make_ops() ->
+{op name: callable(payload)}``, built worker-side so its state lives in
 the worker), a thin :class:`WorkerHandle` subclass holding the payload
 shape checks of its replies, and its *reactions* to the fleet's events.
 
 Protocol: the router sends ``(op, payload, fault)`` down a duplex pipe per
 worker and the worker answers ``("ok", result)`` or ``("error",
-traceback)``.  Mid-op, a worker may send ``("rpc", payload)`` up the same
-pipe and block on the raw answer; the router services it inline while it
-waits for the op's closing reply, so the pipe stays in lockstep.
+traceback)`` — one reply per op, so the pipe stays in lockstep.
 Everything crossing the pipe is plain pickled data, which keeps the
 design start-method agnostic.  ``processes=False`` swaps the pipe for an
 :class:`InlineChannel` that runs the *same* op table in-process —
@@ -30,10 +28,9 @@ retry).  The supervisor then:
   order, inside the same assembly loop* — the engine consumed its hint
   draws and plan-cache sequence during classification, so the recovered
   outcome is bit-identical to both the healthy scatter outcome and the
-  single-engine service — and replans chunks lost to a dead planner
-  replica (the twin-planning property makes those decisions bit-identical
-  too).  The dispatcher replays a dead router's unacknowledged journal
-  entries on a survivor.  A batch never fails because a worker died.
+  single-engine service.  The dispatcher replays a dead router's
+  unacknowledged journal entries on a survivor.  A batch never fails
+  because a worker died.
 * **respawns the worker warm.**  The tier's ``build_handle`` callback
   rebuilds the worker from the *live* catalog, collapsing every sync the
   dead worker missed into the spec itself, after a capped exponential
@@ -46,10 +43,9 @@ retry).  The supervisor then:
 
 Deadline classes: request-path ops get ``rpc_deadline_ms`` plus a share of
 the batch's largest tau (:meth:`SupervisedFleet.call_deadline_s`);
-lifecycle and coherence ops — ``init``, planner init, syncs, mirrors,
-gossip, stats probes — get the wide fixed
-:meth:`SupervisedFleet.setup_deadline_s`.  No receive is unbounded unless
-``rpc_deadline_ms=None`` disables deadlines altogether.
+lifecycle and coherence ops — ``init``, syncs, gossip, stats probes — get
+the wide fixed :meth:`SupervisedFleet.setup_deadline_s`.  No receive is
+unbounded unless ``rpc_deadline_ms=None`` disables deadlines altogether.
 
 Fault injection threads through the same transport: the *router-side*
 channel consults an optional :class:`~repro.serving.faults.FaultPlan`
@@ -110,12 +106,7 @@ def serve_worker(conn, make_ops) -> None:
     sees EOF, exactly like a segfault), ``hang`` sleeps far past any
     deadline, ``garble`` ships junk in place of the real reply.
     """
-
-    def upcall(payload):
-        conn.send(("rpc", payload))
-        return conn.recv()
-
-    ops = make_ops(upcall)
+    ops = make_ops()
     while True:
         try:
             op, payload, fault = conn.recv()
@@ -151,8 +142,6 @@ class WorkerChannel:
         self.label = label
         self._worker_id = worker_id
         self._fault_plan = fault_plan
-        #: Services a worker's mid-op ``("rpc", payload)``; set by the handle.
-        self.on_upcall = None
 
     def send(self, op: str, payload) -> None:
         fault = None
@@ -161,27 +150,14 @@ class WorkerChannel:
         self._put((op, payload, fault))
 
     def recv(self, deadline_s: float | None):
-        """Wait for the op's closing reply, servicing upcalls meanwhile.
-
-        The deadline applies to each wait independently — a worker making
-        upcall progress is alive, not hung.
-        """
-        while True:
-            message = self._get(deadline_s)
-            if not isinstance(message, tuple) or len(message) != 2:
-                raise WorkerFault(f"{self.label}: malformed reply {message!r}")
-            status, payload = message
-            if status == "ok":
-                return payload
-            if status != "rpc":
-                raise WorkerFault(f"{self.label} failed:\n{payload}")
-            try:
-                answer = self.on_upcall(payload)
-            except (TypeError, ValueError) as error:
-                raise WorkerFault(
-                    f"{self.label}: upcall failed: {error}"
-                ) from error
-            self._put(answer)
+        """Wait up to ``deadline_s`` for the op's reply and validate it."""
+        message = self._get(deadline_s)
+        if not isinstance(message, tuple) or len(message) != 2:
+            raise WorkerFault(f"{self.label}: malformed reply {message!r}")
+        status, payload = message
+        if status != "ok":
+            raise WorkerFault(f"{self.label} failed:\n{payload}")
+        return payload
 
 
 class ProcessChannel(WorkerChannel):
@@ -263,12 +239,12 @@ class InlineChannel(WorkerChannel):
     Work happens at receive time.  Injected faults surface where the
     process transport would surface them: a crash reads as the EOF it
     causes, a hang as the deadline miss, and a garbled reply travels
-    through the same validation as a real one.  Upcalls are direct calls.
+    through the same validation as a real one.
     """
 
     def __init__(self, label, worker_id, fault_plan, make_ops):
         super().__init__(label, worker_id, fault_plan)
-        self._ops = make_ops(lambda payload: self.on_upcall(payload))
+        self._ops = make_ops()
         self._pending: list[tuple] = []
 
     def _put(self, message) -> None:
@@ -302,11 +278,10 @@ class WorkerHandle:
         self._channel = fleet.open_channel(worker_id, make_ops)
         self._process = self._channel.process
         self._conn = self._channel.conn
-        self._setup_deadline_s = fleet.setup_deadline_s()
         try:
             # Warm start: the spec travels pickled; the worker builds its
             # engine state before the service answers its first request.
-            self._request("init", spec, self._setup_deadline_s)
+            self._request("init", spec, fleet.setup_deadline_s())
         except Exception:
             self.close(graceful=False)
             raise
@@ -463,9 +438,9 @@ class SupervisedFleet:
 
     def setup_deadline_s(self) -> float | None:
         """Generous deadline for lifecycle and coherence ops (spawns,
-        syncs, mirrors, gossip, rebalances): these rebuild indexes and
-        ship whole tables, so they get a wide fixed multiple of the RPC
-        deadline rather than a tau-scaled one."""
+        syncs, gossip, rebalances): these rebuild indexes and ship whole
+        tables, so they get a wide fixed multiple of the RPC deadline
+        rather than a tau-scaled one."""
         if self.rpc_deadline_ms is None:
             return None
         return max(SETUP_DEADLINE_FLOOR_S, 4.0 * self.rpc_deadline_ms / 1000.0)

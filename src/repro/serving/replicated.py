@@ -46,11 +46,10 @@ set_capacity_fraction` so shed/degrade verdicts track the smaller fleet.
 
 **Gossip.**  Each serve reply carries the ``(query key, tau) → decision``
 pairs the replica freshly planned; the dispatcher broadcasts them to the
-other live routers (built on the same mirror-broadcast idiom as the
-planner-replica decision mirror), which hold them in a FIFO-capped
-mirror consulted on decision-cache misses — a repeat hitting *any*
-router is a cache hit.  Mirrors are cleared wholesale on catalog
-invalidation, so gossip staleness is bounded by the sync broadcast.
+other live routers, which hold them in a FIFO-capped mirror consulted on
+decision-cache misses — a repeat hitting *any* router is a cache hit.
+Mirrors are cleared wholesale on catalog invalidation, so gossip staleness
+is bounded by the sync broadcast.
 
 **Admission.**  The dispatcher owns the (optional) controller, so queued
 virtual cost aggregates across every router and verdicts stay global —
@@ -74,6 +73,8 @@ import dataclasses
 import time
 from typing import Sequence
 
+import numpy as np
+
 from ..core.middleware import Maliva, RequestOutcome
 from ..db import Database, SelectQuery
 from ..db.cost_model import CostModel
@@ -84,7 +85,6 @@ from ..errors import QueryError
 from ..qte import AccurateQTE, SamplingQTE
 from .faults import FaultPlan, WorkerFault
 from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle, wait_replies
-from .planner_replica import QteSpec
 from .requests import VizRequest
 from .service import MalivaService, _InflightExecution, _PlannedBatch
 from .stats import RequestRecord, RouterStats
@@ -94,13 +94,27 @@ from .stats import RequestRecord, RouterStats
 # Replica spec: everything a worker needs to rebuild a full router
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
+class QteSpec:
+    """Pickle-safe reconstruction state for a replica-side QTE."""
+
+    kind: str  # "accurate" | "sampling"
+    unit_cost_ms: float
+    overhead_ms: float
+    # Sampling-QTE only:
+    attributes: tuple[str, ...] = ()
+    sample_table: str | None = None
+    ridge: float = 1e-2
+    weights: np.ndarray | None = None
+    training_rmse_log: float | None = None
+
+
+@dataclasses.dataclass
 class RouterSpec:
     """Pickle-safe reconstruction state for one router replica.
 
-    Unlike a :class:`~repro.db.sharding.ShardSpec` (a slice) or a
-    :class:`~repro.serving.planner_replica.PlannerSpec` (headers + samples),
-    a router replica is the *whole* router: full tables, indexes, the
-    dispatcher's own statistics objects (so estimates are bit-identical by
+    Unlike a :class:`~repro.db.sharding.ShardSpec` (a slice), a router
+    replica is the *whole* router: full tables, indexes, the dispatcher's
+    own statistics objects (so estimates are bit-identical by
     construction), the trained agent, and the QTE reconstruction state.
     Plain data throughout, so it pickles regardless of start method.
     """
@@ -148,8 +162,7 @@ def router_spec_for(
             training_rmse_log=qte.training_rmse_log,
         )
     elif isinstance(qte, AccurateQTE):
-        # Replicas hold the full tables, so the accurate QTE rebuilds
-        # locally — no oracle proxy RPC like the planner replicas need.
+        # Replicas hold the full tables, so the accurate QTE rebuilds locally.
         qte_spec = QteSpec(
             kind="accurate",
             unit_cost_ms=qte.unit_cost_ms,
@@ -297,7 +310,7 @@ def _apply_router_sync(
 # ----------------------------------------------------------------------
 # The router worker: op table and router-side handle
 # ----------------------------------------------------------------------
-def router_ops(_upcall) -> dict:
+def router_ops() -> dict:
     """The router worker's op table: one full replica service."""
     service: MalivaService | None = None
 

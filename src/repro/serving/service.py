@@ -323,8 +323,8 @@ class MalivaService:
         inside :meth:`_execute_finish`.  Overlap still pays off: the async
         tier plans the *next* batch between begin and finish, and plan
         order is commutative with execution.  The sharded service
-        overrides this pair to scatter the first worker round before
-        returning, so shard processes crunch while the router plans.
+        overrides this pair to scatter the batch before returning, so
+        shard processes crunch while the router plans.
         """
         return _InflightExecution(planned=planned)
 
@@ -360,10 +360,8 @@ class MalivaService:
 
         Decision-cache hits skip planning; misses are deduplicated on
         ``(query key, tau)`` and their group leaders planned together via
-        :meth:`_rewrite_misses`.  Cache bookkeeping stays here so planning
-        backends only ever see the deduplicated miss leaders — the sharded
-        service (``repro.serving.sharded``) overrides
-        :meth:`_rewrite_misses` to scatter those across worker replicas.
+        :meth:`_rewrite_misses`.  Cache bookkeeping stays here so the
+        planner only ever sees the deduplicated miss leaders.
         """
         decisions: list[object | None] = [None] * len(resolved)
         cached_flags = [False] * len(resolved)
@@ -413,7 +411,7 @@ class MalivaService:
     def _rewrite_misses(
         self, queries: list[SelectQuery], taus: list[float]
     ) -> list[object]:
-        """Plan the deduplicated decision-cache misses (override seam)."""
+        """Plan the deduplicated decision-cache misses."""
         return self.maliva.rewrite_batch(queries, taus)
 
     def _execute_stage(
@@ -428,9 +426,9 @@ class MalivaService:
         """Execute the scheduled, planned batch and record per-request stats.
 
         Split out of :meth:`answer_many` so execution backends can be
-        swapped below the shared resolve/schedule/plan stages — the sharded
-        service (``repro.serving.sharded``) overrides exactly this hook to
-        scatter the stage across worker processes.
+        swapped below the shared resolve/schedule/plan stages — the backend
+        service (``repro.serving.backend_service``) overrides exactly this
+        hook to run the stage on a real engine.
         """
         outcomes: list[RequestOutcome | None] = [None] * len(requests)
         execute_started = time.perf_counter()

@@ -1,20 +1,13 @@
 """Multi-process sharded serving behind a fault-tolerant shard router.
 
 :class:`ShardedMalivaService` is the production-scaling layer DESIGN.md
-§4.3–§4.4 reserve below :class:`~repro.serving.service.MalivaService`:
-the staged resolve → schedule pipeline is inherited unchanged, and both
-heavy stages are swapped for scatter/gather across N workers, each running
+§4.3.1 reserves below :class:`~repro.serving.service.MalivaService`: the
+staged resolve → schedule → plan pipeline is inherited unchanged —
+planning stays on the router (DESIGN.md §4.4 records why) — and the
+execute stage is swapped for scatter/gather across N workers, each running
 in its own process over a row slice (contiguous ``rows``, round-robin
 ``rows-strided``) or an owned set of whole tables:
 
-* **planning** — decision-cache miss groups are chunked round-robin across
-  the workers' :class:`~repro.serving.planner_replica.PlannerReplica`
-  stacks (replicated sample tables, statistics, and catalog headers);
-  accurate-QTE oracle values resolve through one batched router RPC per
-  lockstep wave, serviced inline while the router gathers.  Decisions are
-  bit-identical to router planning, so the decision cache and virtual
-  planning times are unchanged.  Unsupported QTEs fall back to the
-  router's own ``rewrite_batch``.
 * **rows execution** — every scatter-eligible plan (no join) is sent to
   *all* shards; each worker scans its slice with fused index probes and
   fused BIN_ID sweeps and reports stage cardinalities
@@ -55,10 +48,6 @@ single-engine service; any catalog change on the router database —
 `append_rows`, `create_index`, direct `Database` calls included — re-slices
 the affected table and broadcasts a ``sync_table`` to every worker, which
 replaces its copy, rebuilds its indexes, and evicts derived cache state.
-Router planning decisions are additionally mirrored to worker replicas
-(``mirror`` op) so repeated miss leaders plan from cache shard-side; the
-mirror is evicted wholesale on every planner sync, which keeps it exactly
-as coherent as the replica state it fronts.
 """
 
 from __future__ import annotations
@@ -67,7 +56,6 @@ import time
 from typing import Sequence
 
 from ..core.middleware import Maliva, RequestOutcome
-from ..db import SelectQuery
 from ..db.caches import CacheStatsReport
 from ..db.sharding import (
     FULL,
@@ -83,32 +71,15 @@ from ..db.sharding import (
     scatter_eligible,
 )
 from ..errors import QueryError
-from .faults import FaultPlan, WorkerFault
+from .faults import FaultPlan
 from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle, wait_replies
-from .planner_replica import (
-    PlannerReplica,
-    PlannerSpec,
-    PlannerSync,
-    planner_spec_for,
-    planner_sync_for,
-    resolve_probe_rpc,
-)
-from .requests import VizRequest
 from .service import MalivaService, _InflightExecution, _PlannedBatch
 from .stats import RequestRecord, ShardStats
 
 
-def shard_ops(upcall) -> dict:
-    """The shard worker's op table: a shard engine plus a planner replica.
-
-    While a ``plan`` op runs, the replica's accurate-QTE proxy may need
-    oracle values only the router's full engine holds; it ``upcall``s a
-    ``(pairs, queries)`` payload and blocks on the answer, which the
-    router services inline during its gather
-    (:meth:`ShardHandle.init_planner` installs the resolver).
-    """
+def shard_ops() -> dict:
+    """The shard worker's op table: one shard engine."""
     engine: ShardEngine | None = None
-    replica: PlannerReplica | None = None
 
     def init(spec) -> None:
         nonlocal engine
@@ -118,28 +89,10 @@ def shard_ops(upcall) -> dict:
         table, indexed_columns = payload
         engine.sync_table(table, indexed_columns)
 
-    def init_planner(spec) -> None:
-        nonlocal replica
-        replica = PlannerReplica(
-            spec, lambda pairs, queries: upcall((list(pairs), list(queries)))
-        )
-
-    def plan(payload):
-        queries, taus = payload
-        before = replica.mirror_hits
-        started = time.perf_counter()
-        decisions = replica.rewrite_batch(queries, taus)
-        wall_s = time.perf_counter() - started
-        return decisions, wall_s, replica.mirror_hits - before
-
     return {
         "init": init,
         "execute": lambda entries: engine.execute(entries),
         "sync": sync,
-        "init_planner": init_planner,
-        "plan": plan,
-        "sync_planner": lambda planner_sync: replica.apply_sync(planner_sync),
-        "mirror": lambda items: replica.absorb_mirror(items),
         "cache_stats": lambda _: engine.cache_stats(),
     }
 
@@ -161,84 +114,21 @@ class ShardHandle(WorkerHandle):
         self._check_count("execute", len(reply.reports), expected)
         return reply
 
-    def init_planner(self, spec: PlannerSpec, rpc) -> None:
-        """Ship the planner replica spec; keep the router-side RPC resolver
-        for the worker's mid-plan probe upcalls (which also warm the
-        router's own QTE memos, exactly as local planning would)."""
-        self._channel.on_upcall = lambda payload: rpc(*payload)
-        try:
-            self._request("init_planner", spec, self._setup_deadline_s)
-        except Exception:
-            self.close(graceful=False)
-            raise
-
-    def submit_plan(self, queries, taus) -> None:
-        self._channel.send("plan", (list(queries), list(taus)))
-
-    def collect_plan(
-        self, deadline_s: float | None = None, expected: int | None = None
-    ):
-        """Gather a plan reply: ``(decisions, wall_s, mirror_hits)``."""
-        reply = self._reply("plan", deadline_s, tuple)
-        if len(reply) != 3 or not isinstance(reply[0], list):
-            raise WorkerFault(f"{self._channel.label}: garbled plan reply {reply!r}")
-        decisions, wall_s, mirror_hits = reply
-        self._check_count("plan", len(decisions), expected)
-        return decisions, float(wall_s), int(mirror_hits)
-
-    def mirror_decisions(self, items, deadline_s: float | None = None) -> None:
-        self._request("mirror", list(items), deadline_s)
-
     def sync_table(
         self, table, indexed_columns, deadline_s: float | None = None
     ) -> None:
         self._request("sync", (table, tuple(indexed_columns)), deadline_s)
 
-    def sync_planner(
-        self, sync: PlannerSync, deadline_s: float | None = None
-    ) -> None:
-        self._request("sync_planner", sync, deadline_s)
-
     def cache_stats(self, deadline_s: float | None = None):
         return self._request("cache_stats", None, deadline_s, CacheStatsReport)
 
 
-class _ScatterState:
-    """One scatter/gather in progress: targets, cursors, gathered reports.
-
-    Produced by :meth:`ShardedMalivaService._scatter_begin` after the first
-    submit round; :meth:`ShardedMalivaService._scatter_finish` drains the
-    remaining collect/submit rounds.  Splitting the loop at that seam lets
-    the async tier plan the next batch while workers crunch round one.
-    """
-
-    __slots__ = (
-        "targets",
-        "offsets",
-        "rows_mode",
-        "deadline_s",
-        "aborted",
-        "reports",
-        "round_ids",
-    )
-
-    def __init__(
-        self,
-        targets: dict[int, tuple[SupervisedSlot, list[ShardEntry]]],
-        rows_mode: bool,
-        deadline_s: float | None,
-    ) -> None:
-        self.targets = targets
-        self.offsets = {shard_id: 0 for shard_id in targets}
-        self.rows_mode = rows_mode
-        self.deadline_s = deadline_s
-        self.aborted = False
-        self.reports: dict[int, list] = {}
-        self.round_ids: list[tuple[int, int]] = []
-
-
 class _ShardedInflight:
-    """Classification + scatter bookkeeping between execute begin/finish."""
+    """Classification + scatter bookkeeping between execute begin/finish.
+
+    Splitting the stage at the scatter submit lets the async tier plan the
+    next batch while the workers crunch this one.
+    """
 
     __slots__ = (
         "execute_started",
@@ -248,9 +138,10 @@ class _ShardedInflight:
         "fallback_indexes",
         "recovered",
         "scatter_ids",
-        "scatter_state",
+        "targets",
+        "submitted",
+        "deadline_s",
     )
-
 
 
 class ShardedMalivaService(MalivaService):
@@ -264,20 +155,15 @@ class ShardedMalivaService(MalivaService):
         shard_by: str = "rows",
         processes: bool = True,
         start_method: str | None = None,
-        worker_batch_size: int | None = None,
-        plan_on_shards: bool = True,
         rpc_deadline_ms: float | None = 10_000.0,
         deadline_tau_factor: float = 1.0,
         max_respawns: int = 3,
         respawn_backoff_s: float = 0.05,
-        mirror_decisions: bool = True,
         fault_plan: FaultPlan | None = None,
         **kwargs,
     ) -> None:
         if n_shards < 1:
             raise QueryError(f"n_shards must be at least 1, got {n_shards}")
-        if worker_batch_size is not None and worker_batch_size < 1:
-            raise QueryError("worker_batch_size must be at least 1")
         # The invalidation hook the base constructor registers dispatches to
         # our override, which broadcasts; an unspawned fleet (no live
         # handles) makes that a no-op until the workers exist.
@@ -300,18 +186,10 @@ class ShardedMalivaService(MalivaService):
         #: pipes carry in-flight execute replies, so no other op may use
         #: them until the batch is collected.
         self._execute_inflight = False
-        #: Decisions planned on the router during an overlapped batch,
-        #: mirrored to worker replicas once the pipes are free again.
-        self._pending_mirror: list[tuple[list, list, list]] = []
         super().__init__(maliva, **kwargs)
         self.n_shards = n_shards
         self.shard_by = shard_by
         self.processes = processes
-        #: Cap on entries per worker round-trip; a saturated worker serves
-        #: an oversized batch in successive chunks (outcome-invariant).
-        self.worker_batch_size = worker_batch_size
-        self.plan_on_shards = plan_on_shards
-        self.mirror_decisions = mirror_decisions
         # Table mode: whole base tables (plus their samples) are owned
         # round-robin.  Rows modes own nothing — every shard holds a slice
         # of every table.
@@ -323,13 +201,6 @@ class ShardedMalivaService(MalivaService):
                 for spec in build_shard_specs(maliva.database, n_shards, shard_by)
                 for name in spec.owned_tables
             }
-        )
-        # Replicate the planning state so decision-cache misses scatter
-        # too.  An unsupported QTE leaves planning on the router
-        # (_rewrite_misses falls through to the base class), counted as
-        # plan fallbacks.
-        self._plan_scattered = (
-            plan_on_shards and planner_spec_for(maliva) is not None
         )
         self._fleet.spawn()
         self.stats.shards = self._new_shard_stats()
@@ -350,10 +221,7 @@ class ShardedMalivaService(MalivaService):
             self.shard_by,
             owned,
         )
-        handle = ShardHandle(self._fleet, spec)
-        if self._plan_scattered:
-            handle.init_planner(planner_spec_for(self.maliva), self._probe_rpc)
-        return handle
+        return ShardHandle(self._fleet, spec)
 
     # ------------------------------------------------------------------
     # Lifecycle and observability
@@ -407,7 +275,7 @@ class ShardedMalivaService(MalivaService):
             self.stats.shards.record_death(slot.shard_id, slot.last_fault)
 
     def _ensure_workers(self) -> None:
-        """Respawn/retire at the top of every plan/execute stage — never
+        """Respawn/retire at the top of every execute stage — never
         mid-batch — then re-partition around any retirement."""
         respawned, retired = self._fleet.ensure()
         if self.stats.shards is not None:
@@ -513,155 +381,26 @@ class ShardedMalivaService(MalivaService):
             self._sync_owner(table_name, deadline_s)
         elif self._active_slots():
             self._sync_slices(table_name, deadline_s)
-        if self._plan_scattered:
-            # Planner replicas carry their own copy of the mutated table's
-            # header/sample/statistics state; every live worker refreshes
-            # it (and evicts its decision mirror with it).
-            sync = planner_sync_for(database, table_name)
-            self._fleet.call_live(
-                lambda slot: slot.handle.sync_planner(sync, deadline_s)
-            )
         if self.stats.shards is not None:
             self.stats.shards.n_syncs += 1
-
-    # ------------------------------------------------------------------
-    # The scattered plan stage
-    # ------------------------------------------------------------------
-    def _probe_rpc(self, pairs, queries):
-        """Router half of the worker planners' oracle-value channel."""
-        return resolve_probe_rpc(self.maliva.qte, pairs, queries)
-
-    def _rewrite_misses(self, queries, taus):
-        """Scatter the deduplicated miss leaders across worker planners.
-
-        Leaders are chunked round-robin over the *live* fleet —
-        deterministic given fleet health, and bit-identical to router
-        planning regardless of which worker plans what (the twin-planning
-        property), so fleet churn never changes a decision.  Chunks lost
-        to a dead worker replan on the router; planned decisions are then
-        mirrored back to the live replicas so repeat leaders hit their
-        shard-side cache.
-        """
-        shard_stats = self.stats.shards
-        if self._closed:
-            raise QueryError("sharded service is closed")
-        if self._execute_inflight:
-            # Overlapped planning: the duplex pipes are mid-execute-batch,
-            # so worker plan RPCs (and supervision's sync traffic) would
-            # desync them.  Plan on the router — bit-identical by the
-            # twin-planning property — and mirror once the batch lands.
-            decisions = MalivaService._rewrite_misses(self, queries, taus)
-            if shard_stats is not None:
-                shard_stats.n_plan_overlapped += len(queries)
-            if self.mirror_decisions and self._plan_scattered:
-                self._pending_mirror.append(
-                    (list(queries), list(taus), list(decisions))
-                )
-            return decisions
-        if self._plan_scattered:
-            self._ensure_workers()
-        live = self._fleet.live_slots()
-        if not self._plan_scattered or not live:
-            if shard_stats is not None:
-                shard_stats.n_plan_fallback += len(queries)
-            return super()._rewrite_misses(queries, taus)
-        per_slot: dict[int, list[int]] = {}
-        for position in range(len(queries)):
-            slot = live[position % len(live)]
-            per_slot.setdefault(slot.shard_id, []).append(position)
-        deadline_s = self._fleet.call_deadline_s(max(taus) if taus else None)
-        # Every chunk is submitted before any reply is gathered, so the
-        # workers plan concurrently; call_live drops the slots that died.
-        submitted = self._fleet.call_live(
-            lambda slot: slot.handle.submit_plan(
-                [queries[p] for p in per_slot[slot.shard_id]],
-                [taus[p] for p in per_slot[slot.shard_id]],
-            ),
-            [self._slots[shard_id] for shard_id in sorted(per_slot)],
-        )
-        gathered = self._fleet.call_live(
-            lambda slot: slot.handle.collect_plan(
-                deadline_s, len(per_slot[slot.shard_id])
-            ),
-            [slot for slot, _ in submitted],
-        )
-        decisions: list = [None] * len(queries)
-        for slot, (planned, wall_s, mirror_hits) in gathered:
-            shard_id = slot.shard_id
-            for position, decision in zip(per_slot[shard_id], planned):
-                decisions[position] = decision
-            if shard_stats is not None:
-                shard_stats.record_plan(
-                    shard_id, len(planned), wall_s, mirror_hits
-                )
-        planned_ids = {slot.shard_id for slot, _ in gathered}
-        router_positions: list[int] = []
-        for shard_id in sorted(per_slot.keys() - planned_ids):
-            router_positions.extend(per_slot[shard_id])
-            if shard_stats is not None:
-                shard_stats.record_plan_recovered(
-                    shard_id, len(per_slot[shard_id])
-                )
-        if router_positions:
-            # Replan the lost chunks locally — bit-identical decisions, so
-            # the decision cache and virtual planning times are unchanged.
-            router_positions.sort()
-            replanned = super()._rewrite_misses(
-                [queries[p] for p in router_positions],
-                [taus[p] for p in router_positions],
-            )
-            for position, decision in zip(router_positions, replanned):
-                decisions[position] = decision
-        if shard_stats is not None:
-            shard_stats.n_plan_scattered += len(queries) - len(router_positions)
-        self._broadcast_mirror(queries, taus, decisions)
-        return decisions
-
-    def _broadcast_mirror(self, queries, taus, decisions) -> None:
-        """Mirror freshly planned decisions to the live worker replicas."""
-        if not self.mirror_decisions or not self._plan_scattered:
-            return
-        items = [
-            ((query.key(), tau), decision)
-            for query, tau, decision in zip(queries, taus, decisions)
-            if decision is not None
-        ]
-        if not items:
-            return
-        deadline_s = self._fleet.setup_deadline_s()
-        delivered = self._fleet.call_live(
-            lambda slot: slot.handle.mirror_decisions(items, deadline_s)
-        )
-        if delivered and self.stats.shards is not None:
-            self.stats.shards.n_mirrored_decisions += len(items)
-
-    def _flush_pending_mirror(self) -> None:
-        """Deliver mirrors deferred by overlapped (router-side) planning."""
-        if not self._pending_mirror:
-            return
-        pending, self._pending_mirror = self._pending_mirror, []
-        for queries, taus, decisions in pending:
-            self._broadcast_mirror(queries, taus, decisions)
-            if self.stats.shards is not None:
-                self.stats.shards.n_deferred_mirrors += len(queries)
 
     # ------------------------------------------------------------------
     # The scattered execute stage
     # ------------------------------------------------------------------
     def _execute_begin(self, planned: _PlannedBatch) -> _InflightExecution:
-        """Classify and scatter-submit the first worker round, then return.
+        """Classify and scatter-submit the batch, then return.
 
-        Shard processes crunch the submitted round while the caller (the
-        async tier) plans the next micro-batch; :meth:`_execute_finish`
-        collects, runs any remaining rounds, and assembles.  Between the
-        two calls the worker pipes are reserved for execute replies —
-        ``_execute_inflight`` reroutes planning to the router and defers
-        mirror/sync traffic.  Quality-scored batches keep the base token:
-        they execute sequentially inside finish.
+        Shard processes crunch the submitted entries while the caller (the
+        async tier) plans the next micro-batch on the router;
+        :meth:`_execute_finish` collects and assembles.  Between the two
+        calls the worker pipes are reserved for execute replies
+        (``_execute_inflight``).  Quality-scored batches keep the base
+        token: scoring interleaves extra engine work per request, so they
+        execute sequentially on the router engine inside finish.
         """
-        if self.quality_fn is not None or self._closed:
-            # Base token; finish routes through self._execute_stage, which
-            # runs the sequential quality path (and raises when closed).
+        if self._closed:
+            raise QueryError("sharded service is closed")
+        if self.quality_fn is not None:
             return super()._execute_begin(planned)
         if self._execute_inflight:
             raise QueryError(
@@ -672,18 +411,13 @@ class ShardedMalivaService(MalivaService):
         return _InflightExecution(planned=planned, state=state)
 
     async def _execute_wait(self, token: _InflightExecution) -> None:
-        """Poll the submitted round's worker pipes without blocking the
-        loop (:func:`~repro.serving.fleet.wait_replies`).  Later rounds of
-        a chunked batch block inside finish as usual."""
+        """Poll the submitted workers' pipes without blocking the loop
+        (:func:`~repro.serving.fleet.wait_replies`)."""
         state = token.state
         if not isinstance(state, _ShardedInflight):
             await super()._execute_wait(token)
             return
-        scatter = state.scatter_state
-        await wait_replies(
-            [scatter.targets[shard_id][0] for shard_id, _ in scatter.round_ids],
-            scatter.deadline_s,
-        )
+        await wait_replies(state.submitted, state.deadline_s)
 
     def _execute_finish(self, token: _InflightExecution) -> list[RequestOutcome]:
         state = token.state
@@ -694,39 +428,9 @@ class ShardedMalivaService(MalivaService):
             return [outcome for outcome in outcomes if outcome is not None]
         finally:
             self._execute_inflight = False
-            self._flush_pending_mirror()
-
-    def _execute_stage(
-        self,
-        requests: Sequence[VizRequest],
-        resolved: list[tuple[SelectQuery, float]],
-        order: list[int],
-        decisions: list[object | None],
-        cached_flags: list[bool],
-        shared_s: float,
-    ) -> list[RequestOutcome | None]:
-        if self.quality_fn is not None:
-            # Quality scoring interleaves extra engine work per request;
-            # the sequential single-engine path preserves its semantics.
-            return super()._execute_stage(
-                requests, resolved, order, decisions, cached_flags, shared_s
-            )
-        if self._closed:
-            raise QueryError("sharded service is closed")
-        planned = _PlannedBatch(
-            requests=list(requests),
-            resolved=resolved,
-            order=order,
-            decisions=decisions,
-            cached_flags=cached_flags,
-            shared_s=shared_s,
-        )
-        return self._sharded_execute_finish(
-            planned, self._sharded_execute_begin(planned)
-        )
 
     def _sharded_execute_begin(self, planned: _PlannedBatch) -> _ShardedInflight:
-        """Classification plus the first scatter round (the overlap point)."""
+        """Classification plus the scatter submit (the overlap point)."""
         resolved = planned.resolved
         order = planned.order
         decisions = planned.decisions
@@ -799,25 +503,36 @@ class ShardedMalivaService(MalivaService):
                     owner_positions[index] = (owner, len(shard_entries))
                     shard_entries.append(ShardEntry(rewritten, plan, FULL))
 
-        # Scatter (workers run while the router plans the next batch or
-        # handles fallbacks), in rounds of at most worker_batch_size
-        # entries per shard.  Reports may come back incomplete if workers
-        # die mid-stream.
         state.jobs = jobs
         state.scatter_positions = scatter_positions
         state.owner_positions = owner_positions
         state.fallback_indexes = fallback_indexes
         state.recovered = recovered
         state.scatter_ids = sorted(slot.shard_id for slot in scatter_slots)
-        deadline_s = self._fleet.call_deadline_s(
+        state.deadline_s = self._fleet.call_deadline_s(
             max((resolved[i][1] for i in order), default=None)
         )
-        state.scatter_state = self._scatter_begin(
-            entries,
-            per_owner_entries,
-            scatter_slots if rows_mode else None,
-            deadline_s,
-        )
+        # Scatter: rows mode sends the same entry list to every scatter
+        # slot, table mode sends each owner its own list.  Every shard's
+        # batch is submitted before any reply is collected, so the workers
+        # run concurrently while the router plans the next batch or
+        # handles fallbacks.  A failed submit marks its slot dead and the
+        # sweep continues; finish recovers what goes unreported.
+        if not rows_mode:
+            state.targets = per_owner_entries
+        elif entries:
+            state.targets = {slot.shard_id: entries for slot in scatter_slots}
+        else:
+            state.targets = {}
+        state.submitted = [
+            slot
+            for slot, _ in self._fleet.call_live(
+                lambda slot: slot.handle.submit_execute(
+                    state.targets[slot.shard_id]
+                ),
+                [self._slots[shard_id] for shard_id in sorted(state.targets)],
+            )
+        ]
         return state
 
     def _sharded_execute_finish(
@@ -838,7 +553,20 @@ class ShardedMalivaService(MalivaService):
         fallback_indexes = state.fallback_indexes
         recovered = state.recovered
         scatter_ids = state.scatter_ids
-        reports = self._scatter_finish(state.scatter_state)
+        # Gather.  call_live drains every submitted shard even after one
+        # failed — an uncollected reply would desync the pipe protocol for
+        # whatever batch comes next — so the reports map may come back
+        # incomplete.
+        reports: dict[int, list] = {}
+        for slot, reply in self._fleet.call_live(
+            lambda slot: slot.handle.collect(
+                state.deadline_s, len(state.targets[slot.shard_id])
+            ),
+            state.submitted,
+        ):
+            reports[slot.shard_id] = reply.reports
+            if shard_stats is not None:
+                shard_stats.record_shard(slot.shard_id, reply)
 
         # Assemble outcomes in scheduled order.  A scatter entry is
         # shard-served only if *every* required shard reported it; anything
@@ -942,114 +670,3 @@ class ShardedMalivaService(MalivaService):
             )
         self.stats.record_stage("execute", time.perf_counter() - execute_started)
         return outcomes
-
-    def _scatter(
-        self,
-        entries: list[ShardEntry],
-        per_owner_entries: dict[int, list[ShardEntry]],
-        scatter_slots: list[SupervisedSlot] | None,
-        deadline_s: float | None,
-    ) -> dict[int, list]:
-        """Ship entry batches to the shards and gather their reports.
-
-        Rows mode sends the same entry list to every scatter slot; table
-        mode sends each owner its own list.  Batches are chunked to
-        ``worker_batch_size`` per round-trip; every shard's chunk is
-        submitted before any reply is collected, so worker processes run
-        the round concurrently.  A worker failure marks its slot dead and
-        — in rows mode, where later rounds could not be merged anyway —
-        aborts further rounds after draining the current one; the reports
-        map simply comes back incomplete and the caller recovers the
-        unreported entries on the router.
-
-        Split into :meth:`_scatter_begin` (build targets, submit round
-        one) and :meth:`_scatter_finish` (collect/submit the remaining
-        rounds) so the async tier can plan between the two.
-        """
-        return self._scatter_finish(
-            self._scatter_begin(entries, per_owner_entries, scatter_slots, deadline_s)
-        )
-
-    def _scatter_begin(
-        self,
-        entries: list[ShardEntry],
-        per_owner_entries: dict[int, list[ShardEntry]],
-        scatter_slots: list[SupervisedSlot] | None,
-        deadline_s: float | None,
-    ) -> _ScatterState:
-        """Build the scatter targets and submit the first round."""
-        targets: dict[int, tuple[SupervisedSlot, list[ShardEntry]]] = {}
-        if scatter_slots is not None:
-            if entries:
-                for slot in scatter_slots:
-                    targets[slot.shard_id] = (slot, entries)
-        else:
-            for shard_id, shard_entries in per_owner_entries.items():
-                slot = self._slots[shard_id]
-                if slot.handle is None:  # pragma: no cover - died post-classify
-                    continue
-                targets[shard_id] = (slot, shard_entries)
-        state = _ScatterState(targets, scatter_slots is not None, deadline_s)
-        if targets:
-            state.round_ids = self._submit_round(state)
-        return state
-
-    def _submit_round(self, state: _ScatterState) -> list[tuple[int, int]]:
-        """Submit one chunked round to every live target; workers overlap."""
-        chunk = self.worker_batch_size
-        round_ids: list[tuple[int, int]] = []
-        for shard_id in sorted(state.targets):
-            slot, shard_entries = state.targets[shard_id]
-            if slot.handle is None:
-                continue
-            offset = state.offsets[shard_id]
-            if offset >= len(shard_entries):
-                continue
-            stop = (
-                len(shard_entries)
-                if chunk is None
-                else min(offset + chunk, len(shard_entries))
-            )
-            try:
-                slot.handle.submit_execute(shard_entries[offset:stop])
-            except WorkerFault as error:
-                self._fleet.record_death(slot, error)
-                if state.rows_mode:
-                    state.aborted = True
-                continue
-            state.offsets[shard_id] = stop
-            round_ids.append((shard_id, stop - offset))
-        return round_ids
-
-    def _collect_round(
-        self, state: _ScatterState, round_ids: list[tuple[int, int]]
-    ) -> None:
-        """Gather one submitted round into the state's reports map."""
-        shard_stats = self.stats.shards
-        for shard_id, expected in round_ids:
-            slot, _ = state.targets[shard_id]
-            if slot.handle is None:
-                continue
-            # Drain every submitted shard even after a failure — an
-            # uncollected reply would desync the pipe protocol for
-            # whatever batch comes next.
-            try:
-                reply = slot.handle.collect(state.deadline_s, expected)
-            except WorkerFault as error:
-                self._fleet.record_death(slot, error)
-                if state.rows_mode:
-                    state.aborted = True
-                continue
-            state.reports.setdefault(shard_id, []).extend(reply.reports)
-            if shard_stats is not None:
-                shard_stats.record_shard(shard_id, reply)
-
-    def _scatter_finish(self, state: _ScatterState) -> dict[int, list]:
-        """Collect the in-flight round, then run any remaining rounds."""
-        round_ids = state.round_ids
-        while round_ids:
-            self._collect_round(state, round_ids)
-            if state.aborted:
-                break
-            round_ids = self._submit_round(state)
-        return state.reports

@@ -31,10 +31,6 @@ class ShardWindow:
     counters: WorkCounters = field(default_factory=WorkCounters)
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Decision-cache miss leaders this shard's planner replica planned.
-    n_planned: int = 0
-    #: Worker-side wall seconds spent planning (includes RPC waits).
-    plan_wall_s: float = 0.0
     #: Times this shard's worker died (timeout/EOF/garbled/error reply).
     n_deaths: int = 0
     #: Successful warm respawns of this shard's worker.
@@ -44,10 +40,6 @@ class ShardWindow:
     #: Scattered entries re-executed on the router after this shard failed
     #: mid-batch (its partial reports for those entries are discarded).
     n_recovered: int = 0
-    #: Miss leaders replanned on the router after this shard's planner died.
-    n_plan_recovered: int = 0
-    #: Mirrored router decisions this shard's replica served from cache.
-    n_mirror_hits: int = 0
     #: Why this shard's worker last died (the ``WorkerFault`` message).
     last_fault: str | None = None
 
@@ -59,14 +51,10 @@ class ShardWindow:
             "total_ops": self.counters.total_ops(),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "n_planned": self.n_planned,
-            "plan_wall_s": self.plan_wall_s,
             "n_deaths": self.n_deaths,
             "n_respawns": self.n_respawns,
             "breaker_open": self.breaker_open,
             "n_recovered": self.n_recovered,
-            "n_plan_recovered": self.n_plan_recovered,
-            "n_mirror_hits": self.n_mirror_hits,
             "last_fault": self.last_fault,
         }
 
@@ -83,11 +71,6 @@ class ShardStats:
     #: Queries the router executed on the full engine (joins, ignored
     #: hints, unowned tables).
     n_fallback: int = 0
-    #: Decision-cache miss leaders planned on worker planner replicas.
-    n_plan_scattered: int = 0
-    #: Miss leaders the router planned itself (unsupported QTE or
-    #: ``plan_on_shards=False``).
-    n_plan_fallback: int = 0
     #: Table re-slices broadcast to keep shard data/caches coherent.
     n_syncs: int = 0
     #: Worker deaths across the fleet (each triggers recovery, not failure).
@@ -98,18 +81,8 @@ class ShardStats:
     n_retired: int = 0
     #: Scattered entries recovered on the router after a mid-batch death.
     n_recovered_entries: int = 0
-    #: Miss leaders replanned on the router after a planner-worker death.
-    n_plan_recovered: int = 0
     #: Fleet re-partitions after a breaker retirement.
     n_rebalances: int = 0
-    #: Router decisions broadcast to worker planner mirrors.
-    n_mirrored_decisions: int = 0
-    #: Miss leaders planned on the router because the fleet was busy with
-    #: an overlapped execute batch (async pipelined serving: the pipes
-    #: carry in-flight execute replies, so plan ops cannot interleave).
-    n_plan_overlapped: int = 0
-    #: Decision mirrors deferred past an in-flight scatter, flushed later.
-    n_deferred_mirrors: int = 0
 
     def record_shard(self, shard_id: int, reply) -> None:
         """Fold one :class:`~repro.db.sharding.ShardBatchReply` in."""
@@ -120,15 +93,6 @@ class ShardStats:
         window.counters = window.counters + reply.physical_counters
         window.cache_hits += reply.cache_hits
         window.cache_misses += reply.cache_misses
-
-    def record_plan(
-        self, shard_id: int, n_queries: int, wall_s: float, mirror_hits: int = 0
-    ) -> None:
-        """Fold one shard's plan-chunk reply in."""
-        window = self.per_shard.setdefault(shard_id, ShardWindow())
-        window.n_planned += n_queries
-        window.plan_wall_s += wall_s
-        window.n_mirror_hits += mirror_hits
 
     def record_death(self, shard_id: int, reason: str | None) -> None:
         self.n_worker_deaths += 1
@@ -148,31 +112,27 @@ class ShardStats:
         self.n_recovered_entries += n_entries
         self.per_shard.setdefault(shard_id, ShardWindow()).n_recovered += n_entries
 
-    def record_plan_recovered(self, shard_id: int, n_queries: int) -> None:
-        self.n_plan_recovered += n_queries
-        window = self.per_shard.setdefault(shard_id, ShardWindow())
-        window.n_plan_recovered += n_queries
-
     def to_dict(self) -> dict:
         return {
             "shard_by": self.shard_by,
             "n_shards": self.n_shards,
             "n_scattered": self.n_scattered,
             "n_fallback": self.n_fallback,
-            "n_plan_scattered": self.n_plan_scattered,
-            "n_plan_fallback": self.n_plan_fallback,
             "n_syncs": self.n_syncs,
             "n_worker_deaths": self.n_worker_deaths,
             "n_respawns": self.n_respawns,
             "n_retired": self.n_retired,
             "n_recovered_entries": self.n_recovered_entries,
-            "n_plan_recovered": self.n_plan_recovered,
             "n_rebalances": self.n_rebalances,
-            "n_mirrored_decisions": self.n_mirrored_decisions,
-            "n_plan_overlapped": self.n_plan_overlapped,
-            "n_deferred_mirrors": self.n_deferred_mirrors,
+            # perfbench/driver.py still reads these three keys and the
+            # per-shard ``plan_wall_s`` by name.  Shard workers no longer
+            # plan or mirror, so they are constants; they leave with the
+            # next benchmark PR.
+            "n_plan_scattered": 0,
+            "n_plan_fallback": 0,
+            "n_mirrored_decisions": 0,
             "per_shard": {
-                str(shard_id): window.to_dict()
+                str(shard_id): {**window.to_dict(), "plan_wall_s": 0.0}
                 for shard_id, window in sorted(self.per_shard.items())
             },
         }

@@ -20,7 +20,7 @@ from ..conftest import build_trained_maliva
 def _chaos_faults(monkeypatch):
     """Chaos pass: with ``REPRO_CHAOS_SEED`` set, every sharded service
     built by these suites gets a seeded random fault plan (crashes and
-    garbled replies on execute/plan ops) unless the test supplied its own.
+    garbled replies on execute ops) unless the test supplied its own.
 
     The equivalence assertions must keep passing — recovery is supposed to
     be invisible in outcomes — while strict routing-counter assertions are

@@ -35,7 +35,6 @@ from repro.viz import TWITTER_TRANSLATOR
 
 from tests.conftest import build_session_stream
 from tests.serving.test_sharded_service import (
-    CHAOS,
     _assert_outcomes_match,
     _build_maliva,
 )
@@ -63,25 +62,24 @@ def test_fault_plan_counts_router_side():
     plan = FaultPlan(
         [
             FaultSpec(op="execute", kind="crash", shard_id=1, nth=2),
-            FaultSpec(op="plan", kind="garble", repeat=True, nth=3),
+            FaultSpec(op="sync", kind="garble", repeat=True, nth=3),
         ]
     )
     assert plan.action_for(1, "execute") is None
     assert plan.action_for(0, "execute") is None  # other shard untouched
     assert plan.action_for(1, "execute") == "crash"  # the 2nd call, exactly
     assert plan.action_for(1, "execute") is None  # one-shot
-    assert plan.action_for(0, "plan") is None
-    assert plan.action_for(0, "plan") is None
-    assert plan.action_for(0, "plan") == "garble"  # from the 3rd on...
-    assert plan.action_for(0, "plan") == "garble"  # ...repeatedly
+    assert plan.action_for(0, "sync") is None
+    assert plan.action_for(0, "sync") is None
+    assert plan.action_for(0, "sync") == "garble"  # from the 3rd on...
+    assert plan.action_for(0, "sync") == "garble"  # ...repeatedly
 
 
 def test_lifecycle_ops_are_never_faulted():
-    """An "any" spec must not crash init/init_planner/stop — a respawned
-    worker could otherwise never come back up."""
+    """An "any" spec must not crash init/stop — a respawned worker could
+    otherwise never come back up."""
     plan = FaultPlan([FaultSpec(op="any", kind="crash", nth=1, repeat=True)])
     assert plan.action_for(0, "init") is None
-    assert plan.action_for(0, "init_planner") is None
     assert plan.action_for(0, "stop") is None
     assert plan.action_for(0, "execute") == "crash"
 
@@ -180,31 +178,7 @@ def test_hang_past_rpc_deadline_recovers(ft_twins):
         assert shards.n_respawns >= 1
 
 
-def test_plan_worker_crash_replans_on_router(ft_twins):
-    single_maliva, sharded_maliva, stream = ft_twins
-    single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    plan = FaultPlan([FaultSpec(op="plan", kind="crash", shard_id=0, nth=1)])
-    sharded = ShardedMalivaService(
-        sharded_maliva,
-        translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
-        respawn_backoff_s=0.0,
-        fault_plan=plan,
-    )
-    with sharded:
-        for chunk in _chunks(stream, 5):
-            _assert_outcomes_match(
-                single.answer_many(chunk), sharded.answer_many(chunk)
-            )
-        shards = sharded.stats.shards
-        assert shards is not None
-        if not CHAOS:
-            assert shards.n_plan_recovered >= 1
-            assert shards.n_worker_deaths >= 1
-
-
-@pytest.mark.parametrize("op", ["sync", "sync_planner"])
+@pytest.mark.parametrize("op", ["sync"])
 def test_crash_during_coherence_sync_recovers(op):
     """A worker dying while absorbing a catalog sync is replaced by a warm
     respawn built from the live catalog — the mutation is never lost."""
@@ -348,61 +322,6 @@ def test_killed_worker_process_loses_zero_requests(ft_twins):
         )
         assert shards.per_shard[0].n_respawns >= 1
         assert shards.per_shard[0].n_batches > batches_before
-
-
-# ----------------------------------------------------------------------
-# Decision mirroring
-# ----------------------------------------------------------------------
-def test_mirrored_decisions_hit_worker_caches(ft_twins):
-    """Router decisions broadcast to replicas serve repeat miss leaders
-    from the worker-side mirror after the router's own cache evicts."""
-    single_maliva, sharded_maliva, stream = ft_twins
-    single = single_maliva.service(
-        translator=TWITTER_TRANSLATOR, decision_cache_size=1
-    )
-    sharded = ShardedMalivaService(
-        sharded_maliva,
-        translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
-        decision_cache_size=1,
-    )
-    with sharded:
-        for chunk in _chunks(stream, 5):
-            _assert_outcomes_match(
-                single.answer_many(chunk), sharded.answer_many(chunk)
-            )
-        # Second pass: the router's 1-entry cache misses almost everything,
-        # but the workers' mirrors remember the broadcast decisions.
-        for chunk in _chunks(stream, 5):
-            _assert_outcomes_match(
-                single.answer_many(chunk), sharded.answer_many(chunk)
-            )
-        shards = sharded.stats.shards
-        assert shards is not None
-        if not CHAOS:
-            assert shards.n_mirrored_decisions > 0
-            assert sum(w.n_mirror_hits for w in shards.per_shard.values()) > 0
-
-
-def test_mirroring_disabled_is_still_bit_identical(ft_twins):
-    single_maliva, sharded_maliva, stream = ft_twins
-    single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
-        sharded_maliva,
-        translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
-        mirror_decisions=False,
-    )
-    with sharded:
-        chunk = stream[:8]
-        _assert_outcomes_match(
-            single.answer_many(chunk), sharded.answer_many(chunk)
-        )
-        shards = sharded.stats.shards
-        assert shards is not None
-        assert shards.n_mirrored_decisions == 0
 
 
 # ----------------------------------------------------------------------

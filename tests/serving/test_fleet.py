@@ -20,7 +20,7 @@ from repro.serving.faults import FaultPlan, FaultSpec, WorkerFault, WorkerTimeou
 from repro.serving.fleet import SupervisedFleet, WorkerHandle, wait_replies
 
 
-def toy_ops(upcall) -> dict:
+def toy_ops() -> dict:
     """Ops named after real ones so a ``FaultSpec`` can target them."""
     state: dict = {}
 
@@ -35,24 +35,19 @@ def toy_ops(upcall) -> dict:
     return {
         "init": init,
         "execute": lambda payload: {"echo": payload, "spec": state["spec"]},
-        "plan": boom,
-        "sync": lambda payload: upcall(payload),
+        "sync": boom,
     }
 
 
 class ToyHandle(WorkerHandle):
     def __init__(self, fleet, worker_id, spec="ready"):
         super().__init__(fleet, worker_id, toy_ops, spec)
-        self._channel.on_upcall = lambda payload: payload * 2
 
     def execute(self, payload, deadline_s=5.0) -> dict:
         return self._request("execute", payload, deadline_s, dict)
 
-    def plan(self, deadline_s=5.0) -> None:
-        self._request("plan", None, deadline_s)
-
-    def sync(self, payload, deadline_s=5.0) -> int:
-        return self._request("sync", payload, deadline_s, int)
+    def sync(self, deadline_s=5.0) -> None:
+        self._request("sync", None, deadline_s)
 
 
 def _fleet(processes, *, n=1, build=None, faults=(), deaths=None, **knobs):
@@ -82,8 +77,6 @@ def test_round_trip_and_upcall(processes):
     handle = fleet.slots[0].handle
     try:
         assert handle.execute([1, 2]) == {"echo": [1, 2], "spec": "ready"}
-        # The worker's mid-op upcall is answered by the router-side hook.
-        assert handle.sync(21) == 42
     finally:
         fleet.close()
     assert fleet.live_slots() == []
@@ -121,7 +114,7 @@ def test_crash_error_and_garble_are_faults(processes):
         assert not isinstance(crashed.value, WorkerTimeout)
         # An op that raises ships its traceback in an "error" reply.
         with pytest.raises(WorkerFault, match="ValueError: toy op failed"):
-            thrower.plan()
+            thrower.sync()
         with pytest.raises(WorkerFault, match="unknown op"):
             thrower._request("reboot", None, 5.0)
     finally:

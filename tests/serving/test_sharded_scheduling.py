@@ -3,12 +3,10 @@
 Two invariants the shard router must preserve:
 
 * **outcome invariance** — scheduling policy (session affinity vs FIFO)
-  and worker saturation (chunked round-trips when a shard cannot take the
-  whole batch at once) change only host-side wall behaviour; every
-  user-visible outcome stays bit-identical;
-* **affinity survives saturation** — the scheduled order the router
-  records (and ships) keeps each session's requests back-to-back even when
-  a saturated worker serves the batch one chunk at a time.
+  changes only host-side wall behaviour; every user-visible outcome stays
+  bit-identical;
+* **affinity survives the scatter** — the scheduled order the router
+  records (and ships) keeps each session's requests back-to-back.
 """
 
 from __future__ import annotations
@@ -92,39 +90,6 @@ def test_fifo_and_affinity_outcomes_identical_under_sharding(stream_for):
         )
 
 
-@pytest.mark.parametrize("worker_batch_size", [1, 2, None])
-def test_saturated_worker_chunking_is_outcome_invariant(
-    stream_for, worker_batch_size
-):
-    reference_maliva = _build_maliva(dataset_seed=13)
-    chunked_maliva = _build_maliva(dataset_seed=13)
-    stream = stream_for(reference_maliva)
-    reference = ShardedMalivaService(
-        reference_maliva, translator=TWITTER_TRANSLATOR, n_shards=2, processes=False
-    )
-    chunked = ShardedMalivaService(
-        chunked_maliva,
-        translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
-        worker_batch_size=worker_batch_size,
-    )
-    with reference, chunked:
-        lhs = reference.answer_many(stream)
-        rhs = chunked.answer_many(stream)
-        assert [_outcome_signature(o) for o in lhs] == [
-            _outcome_signature(o) for o in rhs
-        ]
-        from tests.serving.test_sharded_service import CHAOS
-
-        shards = chunked.stats.shards
-        assert shards is not None
-        if worker_batch_size == 1 and not CHAOS:
-            # A saturated worker served the batch one entry at a time.
-            for window in shards.per_shard.values():
-                assert window.n_batches == len(stream)
-
-
 def test_affinity_grouping_survives_saturation(stream_for):
     maliva = _build_maliva(dataset_seed=17)
     stream = stream_for(maliva)
@@ -133,7 +98,6 @@ def test_affinity_grouping_survives_saturation(stream_for):
         translator=TWITTER_TRANSLATOR,
         n_shards=2,
         processes=False,
-        worker_batch_size=1,
     )
     with service:
         service.answer_many(stream)
@@ -146,12 +110,6 @@ def test_affinity_grouping_survives_saturation(stream_for):
             assert session not in seen
             seen.append(session)
     assert len(seen) == len(set(executed_sessions))
-
-
-def test_oversized_worker_batch_rejected():
-    maliva = _build_maliva(dataset_seed=19)
-    with pytest.raises(Exception):
-        ShardedMalivaService(maliva, worker_batch_size=0, processes=False)
 
 
 def test_single_shard_degenerates_to_full_slice(stream_for):

@@ -34,7 +34,11 @@ CHAOS = "REPRO_CHAOS_SEED" in os.environ
 
 
 def _build_maliva(
-    *, n_tweets: int = 1_200, dataset_seed: int = 11, max_epochs: int = 4
+    *,
+    n_tweets: int = 1_200,
+    dataset_seed: int = 11,
+    max_epochs: int = 4,
+    qte: str = "accurate",
 ) -> Maliva:
     database = build_twitter_db(
         n_tweets=n_tweets, n_users=60, dataset_seed=dataset_seed, engine_seed=2
@@ -42,7 +46,7 @@ def _build_maliva(
     space = RewriteOptionSpace.hint_subsets(TWITTER_ATTRS)
     queries = TwitterWorkloadGenerator(database, seed=21).generate(20)
     return build_trained_maliva(
-        database, space, queries, qte="accurate", max_epochs=max_epochs, n_train=16
+        database, space, queries, qte=qte, max_epochs=max_epochs, n_train=16
     )
 
 
@@ -204,7 +208,7 @@ def _mutation_columns(database, n: int):
     }
 
 
-@pytest.mark.parametrize("shard_by", ["rows", "table"])
+@pytest.mark.parametrize("shard_by", ["rows", "rows-strided", "table"])
 def test_append_rows_stays_coherent(shard_by):
     single_maliva = _build_maliva(n_tweets=600, dataset_seed=3, max_epochs=2)
     sharded_maliva = _build_maliva(n_tweets=600, dataset_seed=3, max_epochs=2)
@@ -337,6 +341,42 @@ def test_submit_failure_also_recovers(twins):
             shards = sharded.stats.shards
             assert shards is not None
             assert shards.n_worker_deaths == 1
+
+
+def test_planning_stays_on_the_router():
+    """Shard workers only execute: their op table has no planning op, no
+    fault can target one, and a cold stream moves the *router's* QTE memos
+    and rewrite build cache."""
+    from repro.serving.faults import FaultSpec
+    from repro.serving.sharded import shard_ops
+
+    assert set(shard_ops()) == {"init", "execute", "sync", "cache_stats"}
+    with pytest.raises(ValueError):
+        FaultSpec(op="plan", kind="crash")
+
+    build = dict(n_tweets=600, dataset_seed=7, max_epochs=2, qte="sampling")
+    single_maliva = _build_maliva(**build)
+    sharded_maliva = _build_maliva(**build)
+    stream = build_session_stream(
+        single_maliva.database, n_sessions=3, n_steps=4, seed=53
+    )
+    single = single_maliva.service(translator=TWITTER_TRANSLATOR)
+    sharded = ShardedMalivaService(
+        sharded_maliva, translator=TWITTER_TRANSLATOR, n_shards=2, processes=False
+    )
+
+    def lookups(report):
+        caches = [report["rq_build_cache"], *report["qte_caches"].values()]
+        return [cache["hits"] + cache["misses"] for cache in caches]
+
+    with sharded:
+        before = lookups(sharded.report())
+        _assert_outcomes_match(
+            single.answer_many(stream), sharded.answer_many(stream)
+        )
+        after = lookups(sharded.report())
+    assert len(before) > 1  # the build cache and at least one QTE memo
+    assert all(now > then for then, now in zip(before, after))
 
 
 def test_closed_service_refuses_work(twins):
