@@ -11,8 +11,9 @@ fused ``bin_counts_many`` sweep per (table, bin grid).  Results, work
 counters, virtual times, and per-request cache hit/miss deltas must be
 bit-identical; only the middleware host gets faster.
 
-Also drives the serving pipeline's execute stage both ways (``MalivaService
-(batch_execute=...)``) for the stage-level view and the sharing report.
+Also drives the serving pipeline's execute stage both ways (the batched
+local stage vs the test tree's ``SequentialExecute`` reference stage) for
+the stage-level view and the sharing report.
 
 Writes ``BENCH_execution.json`` (repo root).  At non-tiny scales the batch
 executor must clear a 2x cold-throughput gain; at tiny scale (the CI
@@ -27,6 +28,8 @@ import numpy as np
 from _bench_utils import SCALE, bench_file, build_twitter_serving_setup, emit
 
 from repro.viz import TWITTER_TRANSLATOR
+
+from tests.serving.conftest import SequentialExecute
 
 TINY = SCALE.name == "tiny"
 N_TWEETS = 8_000 if TINY else 60_000
@@ -114,7 +117,7 @@ def test_execution_throughput_batched_vs_sequential(benchmark):
     batched_stage = dict(batched_service.stats.stage_seconds)
 
     sequential_service = maliva.service(
-        translator=TWITTER_TRANSLATOR, batch_execute=False
+        translator=TWITTER_TRANSLATOR, execute=SequentialExecute()
     )
     _cold(maliva)
     sequential_service.invalidate()

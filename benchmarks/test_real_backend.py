@@ -1,7 +1,7 @@
 """Real-backend serving: the taxi dashboard on SQLite (DESIGN.md §5.4).
 
 Serves the ops-dashboard widget stream of ``examples/taxi_dashboard.py``
-through :class:`BackendMalivaService` on the stdlib SQLite backend and
+through a :class:`BackendExecute` stage on the stdlib SQLite backend and
 pins the equivalence contract at every scale: rows/bins identical to the
 in-memory engine on the deterministic sqlite simulation profile, with the
 MDP action space pruned to the hints SQLite can honor.
@@ -24,7 +24,7 @@ from repro.backends import SqliteBackend, backend_profile
 from repro.cli import _taxi_dashboard_stream
 from repro.core import RewriteOptionSpace
 from repro.datasets import TRIP_FILTER_ATTRIBUTES, TaxiConfig, build_taxi_database
-from repro.serving import BackendMalivaService, MalivaService
+from repro.serving import BackendExecute, MalivaService
 from repro.viz import TAXI_TRANSLATOR
 from repro.workloads import TaxiWorkloadGenerator
 
@@ -77,8 +77,8 @@ def test_taxi_dashboard_on_sqlite():
 
     with (
         MalivaService(maliva, translator=TAXI_TRANSLATOR) as memory,
-        BackendMalivaService(
-            maliva, backend, translator=TAXI_TRANSLATOR
+        MalivaService(
+            maliva, execute=BackendExecute(backend), translator=TAXI_TRANSLATOR
         ) as real,
     ):
         memory_outcomes = memory.answer_many(stream)

@@ -29,7 +29,12 @@ import time
 
 from _bench_utils import SCALE, SEED, bench_file, build_twitter_serving_setup, emit
 
-from repro.serving import AsyncMalivaService, ShardedMalivaService, VizRequest
+from repro.serving import (
+    AsyncMalivaService,
+    MalivaService,
+    ScatterExecute,
+    VizRequest,
+)
 from repro.viz import TWITTER_TRANSLATOR
 
 N_SESSIONS = 10
@@ -172,19 +177,23 @@ def test_pipelined_stream_async_vs_sync(benchmark):
     sync_maliva = _build_pipeline_twin()
     async_maliva = _build_pipeline_twin()
     stream = _pipeline_stream(sync_maliva)
-    sync_service = ShardedMalivaService(
+    sync_service = MalivaService(
         sync_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=PIPELINE_SHARDS,
-        shard_by="rows",
-        processes=True,
+        execute=ScatterExecute(
+            n_shards=PIPELINE_SHARDS,
+            shard_by="rows",
+            processes=True,
+        ),
     )
-    async_backend = ShardedMalivaService(
+    async_backend = MalivaService(
         async_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=PIPELINE_SHARDS,
-        shard_by="rows",
-        processes=True,
+        execute=ScatterExecute(
+            n_shards=PIPELINE_SHARDS,
+            shard_by="rows",
+            processes=True,
+        ),
     )
 
     async def _drive_async():
@@ -271,7 +280,7 @@ def test_replicated_failover(benchmark):
     survivor bit-identically, and the surviving throughput — measured
     across the death, the replay, and the breaker retirement — must hold
     the ``replicated_failover`` floor of the healthy fleet's rate."""
-    from repro.serving import ReplicatedMalivaService
+    from repro.serving import DispatchExecute
 
     healthy_maliva, stream, _queries, _train = build_twitter_serving_setup(
         n_tweets=6_000,
@@ -299,23 +308,23 @@ def test_replicated_failover(benchmark):
         stream[i : i + REPLICATED_CHUNK]
         for i in range(0, len(stream), REPLICATED_CHUNK)
     ]
-    healthy = ReplicatedMalivaService(
+    healthy = MalivaService(
         healthy_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_routers=2,
-        processes=True,
-        respawn_backoff_s=0.0,
+        execute=DispatchExecute(n_routers=2, processes=True, respawn_backoff_s=0.0),
     )
     # The faulted twin retires its killed router outright (no respawn
     # budget): the measurement is *surviving* throughput, one router
     # carrying the whole stream after the mid-stream kill.
-    faulted = ReplicatedMalivaService(
+    faulted = MalivaService(
         faulted_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_routers=2,
-        processes=True,
-        max_respawns=0,
-        respawn_backoff_s=0.0,
+        execute=DispatchExecute(
+            n_routers=2,
+            processes=True,
+            max_respawns=0,
+            respawn_backoff_s=0.0,
+        ),
     )
 
     def _drive_faulted():
@@ -323,7 +332,7 @@ def test_replicated_failover(benchmark):
         for index, chunk in enumerate(chunks):
             outcomes.extend(faulted.answer_many(chunk))
             if index == 0:
-                victim = faulted._group.live_slots()[0]
+                victim = faulted.execute._group.live_slots()[0]
                 victim.handle._process.kill()
                 victim.handle._process.join(timeout=5.0)
         return outcomes
@@ -341,7 +350,7 @@ def test_replicated_failover(benchmark):
         )
         faulted_s = time.perf_counter() - start
         routers = faulted.stats.to_dict()["routers"]
-        journal_depth = faulted._journal.depth
+        journal_depth = faulted.execute._journal.depth
     finally:
         healthy.close()
         faulted.close()

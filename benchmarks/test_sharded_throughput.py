@@ -2,7 +2,7 @@
 
 Builds twin trained middlewares from identical seeds and serves the same
 request stream through the single-engine service and through a
-:class:`~repro.serving.ShardedMalivaService` (row-range shards, real
+:class:`~repro.serving.ScatterExecute` stage (row-range shards, real
 worker processes).  Outcomes must match the single engine bit for bit —
 viability, virtual times, rows/bins, canonical work counters — which is
 the merged-outcomes-equal-single-engine contract of DESIGN.md §4.3.1.
@@ -39,7 +39,7 @@ from repro.db.sharding import (
     build_shard_specs,
     merge_scatter,
 )
-from repro.serving import ShardedMalivaService, VizRequest
+from repro.serving import MalivaService, ScatterExecute, VizRequest
 from repro.viz import TWITTER_TRANSLATOR
 
 TINY = SCALE.name == "tiny"
@@ -106,12 +106,10 @@ def test_sharded_throughput_vs_single_engine(benchmark):
     sharded_maliva = _build()
     stream = _request_stream(single_maliva)
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=N_SHARDS,
-        shard_by="rows",
-        processes=True,
+        execute=ScatterExecute(n_shards=N_SHARDS, shard_by="rows", processes=True),
     )
     try:
         single_cold_outcomes = single.answer_many(stream)
@@ -202,25 +200,25 @@ def test_degraded_fleet_throughput(benchmark):
     healthy_maliva = _build()
     degraded_maliva = _build()
     stream = _request_stream(healthy_maliva)
-    healthy = ShardedMalivaService(
+    healthy = MalivaService(
         healthy_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=N_SHARDS,
-        shard_by="rows",
-        processes=True,
+        execute=ScatterExecute(n_shards=N_SHARDS, shard_by="rows", processes=True),
     )
     plan = FaultPlan(
         [FaultSpec(op="execute", kind="crash", shard_id=0, nth=1, repeat=True)]
     )
-    degraded = ShardedMalivaService(
+    degraded = MalivaService(
         degraded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=N_SHARDS,
-        shard_by="rows",
-        processes=True,
-        fault_plan=plan,
-        max_respawns=0,
-        respawn_backoff_s=0.0,
+        execute=ScatterExecute(
+            n_shards=N_SHARDS,
+            shard_by="rows",
+            processes=True,
+            fault_plan=plan,
+            max_respawns=0,
+            respawn_backoff_s=0.0,
+        ),
     )
     try:
         healthy_outcomes = healthy.answer_many(stream)

@@ -114,6 +114,12 @@ class ExecutionBackend(abc.ABC):
         in-memory table after ``Database.append_rows`` grew it."""
 
     @abc.abstractmethod
+    def rows_loaded(self, table_name: str) -> int | None:
+        """How many rows of ``table_name`` the engine holds (``None``: the
+        table was never ingested) — what a caller passes as ``first_new``
+        to load each row exactly once."""
+
+    @abc.abstractmethod
     def execute(self, query: SelectQuery) -> BackendResult:
         """Run one query and time it with a wall clock."""
 
@@ -235,6 +241,9 @@ class SqlBackend(ExecutionBackend):
         self._insert_rows(table_name, table, first_new)
         self._post_ingest()
 
+    def rows_loaded(self, table_name: str) -> int | None:
+        return self.catalog.n_rows.get(table_name)
+
     def _insert_rows(self, name: str, table: "Table", first: int) -> None:
         """``INSERT`` rows ``first..`` of ``table`` in their mangled form."""
         local_ids = np.arange(first, table.n_rows, dtype=np.int64)
@@ -246,6 +255,7 @@ class SqlBackend(ExecutionBackend):
         rising = bool(np.all(base_ids[1:] > base_ids[:-1]))
         monotone_ids = self.catalog.monotone_ids
         monotone_ids[name] = monotone_ids.get(name, True) and rising
+        self.catalog.n_rows[name] = table.n_rows
         if len(local_ids) == 0:
             return
         columns: list[list] = [

@@ -97,6 +97,8 @@ class BackendCatalog:
     #: (always for base tables)?  Then sorting a result's base ids *is*
     #: ascending-local order.  Kept current by ingest and every append.
     monotone_ids: dict[str, bool] = field(default_factory=dict)
+    #: Per table: rows loaded so far.  Kept current by ingest and every append.
+    n_rows: dict[str, int] = field(default_factory=dict)
 
 
 class SqlCompiler:

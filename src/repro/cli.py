@@ -164,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch scheduling policy (session affinity vs arrival order)",
     )
     serve.add_argument(
-        "--execute",
-        default="batched",
-        choices=["batched", "sequential"],
-        help="execute stage: batched shared-work executor vs per-request",
-    )
-    serve.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -508,7 +502,6 @@ def _run_serve(args) -> int:
     service_config = ServiceConfig(
         translator=translator,
         scheduler=args.scheduler,
-        batch_execute=args.execute == "batched",
         admission=args.admission,
         load_watermark_ms=args.load_watermark,
         n_shards=args.shards,
@@ -570,7 +563,7 @@ def _run_serve(args) -> int:
         sharding += f", {args.backend} backend"
     print(
         f"serving {len(stream)} requests from {args.sessions} sessions "
-        f"({args.scheduler} scheduler, {batching}, {args.execute} execute{sharding}) ..."
+        f"({args.scheduler} scheduler, {batching}{sharding}) ..."
     )
     try:
         cold = drive(reset_after=True)

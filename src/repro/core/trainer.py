@@ -743,6 +743,6 @@ def _validation_vqp_batched(
 
     maliva = Maliva(trainer.database, trainer.space, trainer.qte, trainer.tau_ms)
     maliva.adopt_agent(trainer.agent)
-    service = MalivaService(maliva, scheduler=FifoScheduler(), batch_execute=True)
+    service = MalivaService(maliva, scheduler=FifoScheduler())
     outcomes = service.answer_many([VizRequest(payload=query) for query in queries])
     return sum(outcome.viable for outcome in outcomes) / max(1, len(queries))

@@ -94,9 +94,7 @@ class MalivaApproach:
         if self.quality_fn is not None:
             return None
         if self._service is None:
-            self._service = MalivaService(
-                self.maliva, scheduler=FifoScheduler(), batch_execute=True
-            )
+            self._service = MalivaService(self.maliva, scheduler=FifoScheduler())
         before = dict(self._service.stats.stage_seconds)
         outcomes = self._service.answer_many(
             [VizRequest(payload=query) for query in queries]

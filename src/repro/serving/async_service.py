@@ -1,24 +1,25 @@
 """The async pipelined serving tier: plan chunk N+1 while chunk N executes.
 
 :class:`AsyncMalivaService` is a cooperative (single-threaded asyncio)
-facade over a :class:`~repro.serving.service.MalivaService` or
-:class:`~repro.serving.sharded.ShardedMalivaService`.  It adds two things
-the synchronous tier cannot express, without changing a single outcome:
+facade over a :class:`~repro.serving.service.MalivaService`, whatever
+execute stage it runs.  It adds two things the synchronous tier cannot
+express, without changing a single outcome:
 
 * **plan/execute overlap.**  The staged pipeline's seams
   (``_plan_batch`` / ``_execute_begin`` / ``_execute_wait`` /
-  ``_execute_finish``) let the resolve/schedule/plan stages of micro-batch
-  N+1 run while batch N's execute stage is in flight.  On the sharded
-  service, ``begin`` scatter-submits the batch, so shard
-  *processes* crunch while the router plans; on the single-engine service
-  the execute stage runs inside ``finish`` — after the next batch's plan —
-  which is a pure deterministic reorder.  Either way the reorder is
+  ``_execute_finish``, the last three forwarding to the stage's
+  ``begin`` / ``wait`` / ``finish``) let the resolve/schedule/plan stages
+  of micro-batch N+1 run while batch N's execute stage is in flight.  A
+  fleet stage's ``begin`` submits the batch, so worker *processes* crunch
+  while the router plans; the local and backend stages do their work
+  inside ``finish`` — after the next batch's plan — which is a pure
+  deterministic reorder.  Either way the reorder is
   outcome-commutative: planning consumes no engine randomness (the hint
   draw and profile effects happen in the execute stage), so decisions,
   virtual times, rows/bins, and work counters are **bit-identical** to
   the synchronous path.  Only observability can shift: ``plan_cached``
   flags and per-request engine-cache deltas depend on cache warmth order,
-  exactly as documented for the sharded service.
+  exactly as documented for the scatter stage.
 
 * **bounded session queues with backpressure.**  :meth:`submit` enqueues
   one request on its session's queue and returns an awaitable outcome; a
@@ -44,8 +45,8 @@ and with ``shed_markers=True`` shed requests surface in arrival order as
 synchronous ``MalivaService.answer_stream``).
 
 The facade does not own the wrapped service: :meth:`close` quiesces the
-batcher task but leaves the service (and its shard fleet) running for the
-owner to close.
+batcher task but leaves the service (and its stage's fleet) running for
+the owner to close.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ async def _chunked(
 
 
 class AsyncMalivaService:
-    """Pipelined async facade over a (possibly sharded) MalivaService."""
+    """Pipelined async facade over a MalivaService (any execute stage)."""
 
     def __init__(
         self,
@@ -175,12 +176,12 @@ class AsyncMalivaService:
         }
         return admitted, charges, degraded, shed_at
 
-    async def _finish(self, chunk, shed_at, token, charges, degraded):
+    async def _finish(self, chunk, shed_at, planned, charges, degraded):
         """Await and collect one in-flight batch; settle its admission."""
         service = self._service
-        await service._execute_wait(token)
+        await service._execute_wait(planned)
         try:
-            outcomes = service._execute_finish(token)
+            outcomes = service._execute_finish(planned)
         finally:
             if service.admission is not None:
                 for cost in charges:
@@ -214,8 +215,8 @@ class AsyncMalivaService:
                     # Every request in the chunk was shed (or it was empty).
                     yield chunk, [], shed_at
                     continue
-                token = service._execute_begin(planned)
-                inflight = (chunk, shed_at, token, charges, degraded)
+                service._execute_begin(planned)
+                inflight = (chunk, shed_at, planned, charges, degraded)
             if inflight is not None:
                 finished, inflight = inflight, None
                 yield await self._finish(*finished)
@@ -224,9 +225,9 @@ class AsyncMalivaService:
                 # Consumer abandoned the stream mid-overlap: collect the
                 # in-flight batch synchronously so the wrapped service's
                 # pipes and admission ledger stay consistent.
-                _chunk, _shed, token, charges, _degraded = inflight
+                _chunk, _shed, planned, charges, _degraded = inflight
                 try:
-                    service._execute_finish(token)
+                    service._execute_finish(planned)
                 finally:
                     if service.admission is not None:
                         for cost in charges:

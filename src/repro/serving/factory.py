@@ -1,11 +1,12 @@
 """One place that composes a serving stack: :func:`build_service`.
 
-The serve CLI used to hand-assemble ~40 kwargs across four service
-classes; tests did the same dance.  :class:`ServiceConfig` is the single
-declarative description — scheduler/admission policies by name, the
-single/sharded/replicated/backend composition choice, the async wrapper —
-and :func:`build_service` resolves it.  The old constructors all keep
-working; this is sugar, not a new layer.
+:class:`ServiceConfig` is the single declarative description —
+scheduler/admission policies by name, which execute stage sits behind the
+pipeline (local engine, real backend, shard fleet, router fleet), the
+async wrapper — and :func:`build_service` resolves it to one execute
+stage and one :class:`MalivaService`.  This is sugar, not a layer:
+``MalivaService(maliva, execute=<stage>)`` is the same thing by hand, and
+reaches the fleet knobs the config does not carry.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import TYPE_CHECKING
 from ..backends import ExecutionBackend, create_backend
 from ..errors import QueryError
 from .admission import AdmissionController
-from .backend_service import BackendMalivaService
+from .backend_service import BackendExecute
 from .scheduler import FifoScheduler, SessionAffinityScheduler
-from .service import MalivaService
+from .service import ExecuteStage, MalivaService
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.middleware import Maliva
@@ -48,12 +49,11 @@ class ServiceConfig:
     decision_cache_size: int = 4096
     quality_fn: object | None = None
     stream_batch_size: int = 8
-    batch_execute: bool = True
     #: "off", "degrade", "shed", None, or an AdmissionController.
     admission: object | None = "off"
     load_watermark_ms: float = 5_000.0
 
-    # -- execute-stage composition (mutually exclusive scale-outs) ------
+    # -- execute stage (the three non-local stages are exclusive) -------
     n_shards: int = 1
     shard_by: str = "rows"
     n_routers: int = 1
@@ -101,86 +101,69 @@ def _resolve_admission(config: ServiceConfig) -> AdmissionController | None:
     return admission
 
 
-def build_service(maliva: "Maliva", config: ServiceConfig | None = None, **overrides):
-    """Compose the serving stack ``config`` describes.
-
-    Returns a :class:`MalivaService` (or its sharded/replicated/backend
-    subclass); with ``use_async`` set, the service comes wrapped in a
-    single-use :class:`AsyncMalivaService` (drive it inside one
-    ``async with`` block — its ``service`` property reaches the inner
-    stack for reports).
-    """
-    config = replace(config or ServiceConfig(), **overrides)
-
+def _resolve_execute(maliva: "Maliva", config: ServiceConfig) -> ExecuteStage | None:
+    """The one execute stage ``config`` asks for (``None``: the local engine)."""
     if config.n_shards < 1 or config.n_routers < 1:
         raise QueryError("n_shards and n_routers must be at least 1")
     if config.n_shards > 1 and config.n_routers > 1:
         raise QueryError(
             "replicate the router tier or shard the execute stage, not both"
         )
-
-    backend = config.backend
-    if backend in (None, "memory"):
-        backend = None
+    backend = None if config.backend == "memory" else config.backend
     if backend is not None and (config.n_shards > 1 or config.n_routers > 1):
         raise QueryError(
             "a real execution backend composes with the single-router, "
             "single-shard service (the scatter tiers execute virtually)"
         )
+    fleet_kwargs = dict(
+        processes=config.processes,
+        rpc_deadline_ms=config.rpc_deadline_ms,
+        max_respawns=config.max_respawns,
+        fault_plan=config.fault_plan,
+    )
+    if config.n_routers > 1:
+        from .replicated import DispatchExecute
 
-    base_kwargs = dict(
+        return DispatchExecute(n_routers=config.n_routers, **fleet_kwargs)
+    if config.n_shards > 1:
+        from .sharded import ScatterExecute
+
+        return ScatterExecute(
+            n_shards=config.n_shards, shard_by=config.shard_by, **fleet_kwargs
+        )
+    if isinstance(backend, str):
+        owned: ExecutionBackend = create_backend(backend)
+        owned.ingest(maliva.database)
+        return BackendExecute(owned)
+    if isinstance(backend, ExecutionBackend):
+        return BackendExecute(backend, own_backend=False)
+    if backend is not None:
+        raise QueryError(
+            f"backend must be a name or an ExecutionBackend, got {backend!r}"
+        )
+    return None
+
+
+def build_service(maliva: "Maliva", config: ServiceConfig | None = None, **overrides):
+    """Compose the serving stack ``config`` describes.
+
+    Returns a :class:`MalivaService` over the configured execute stage;
+    with ``use_async`` set, the service comes wrapped in a single-use
+    :class:`AsyncMalivaService` (drive it inside one ``async with`` block —
+    its ``service`` property reaches the inner stack for reports).
+    """
+    config = replace(config or ServiceConfig(), **overrides)
+    service = MalivaService(
+        maliva,
         translator=config.translator,
         default_tau_ms=config.default_tau_ms,
         scheduler=_resolve_scheduler(config),
         decision_cache_size=config.decision_cache_size,
         quality_fn=config.quality_fn,
         stream_batch_size=config.stream_batch_size,
-        batch_execute=config.batch_execute,
         admission=_resolve_admission(config),
+        execute=_resolve_execute(maliva, config),
     )
-
-    if config.n_routers > 1:
-        from .replicated import ReplicatedMalivaService
-
-        service: MalivaService = ReplicatedMalivaService(
-            maliva,
-            n_routers=config.n_routers,
-            processes=config.processes,
-            rpc_deadline_ms=config.rpc_deadline_ms,
-            max_respawns=config.max_respawns,
-            fault_plan=config.fault_plan,
-            **base_kwargs,
-        )
-    elif config.n_shards > 1:
-        from .sharded import ShardedMalivaService
-
-        service = ShardedMalivaService(
-            maliva,
-            n_shards=config.n_shards,
-            shard_by=config.shard_by,
-            processes=config.processes,
-            rpc_deadline_ms=config.rpc_deadline_ms,
-            max_respawns=config.max_respawns,
-            fault_plan=config.fault_plan,
-            **base_kwargs,
-        )
-    elif backend is not None:
-        if isinstance(backend, str):
-            resolved: ExecutionBackend = create_backend(backend)
-            resolved.ingest(maliva.database)
-            own_backend = True
-        elif isinstance(backend, ExecutionBackend):
-            resolved, own_backend = backend, False
-        else:
-            raise QueryError(
-                f"backend must be a name or an ExecutionBackend, got {backend!r}"
-            )
-        service = BackendMalivaService(
-            maliva, resolved, own_backend=own_backend, **base_kwargs
-        )
-    else:
-        service = MalivaService(maliva, **base_kwargs)
-
     if config.use_async:
         from .async_service import AsyncMalivaService
 

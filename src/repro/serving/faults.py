@@ -1,8 +1,8 @@
 """Deterministic fault injection for the worker fleets.
 
 Every recovery path of the two multi-process tiers — shard workers under
-:class:`~repro.serving.sharded.ShardedMalivaService`, router replicas under
-:class:`~repro.serving.replicated.ReplicatedMalivaService` — (worker death,
+:class:`~repro.serving.sharded.ScatterExecute`, router replicas under
+:class:`~repro.serving.replicated.DispatchExecute` — (worker death,
 hung replies, garbled payloads, crashes during coherence syncs) must be
 testable on demand, inline and in real worker processes.  A
 :class:`FaultPlan` is the hook: the *router-side* channel

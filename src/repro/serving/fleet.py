@@ -531,6 +531,12 @@ class SupervisedFleet:
             handle, slot.handle = slot.handle, None
             _close_quietly(handle, graceful=True)
 
+    def __del__(self):  # pragma: no cover - belt and braces
+        try:
+            self.close()
+        except Exception:  # noqa: BLE001
+            pass
+
 
 async def wait_replies(slots, deadline_s: float | None) -> None:
     """Poll the slots' channels without blocking the event loop.

@@ -1,16 +1,17 @@
-"""Replicated router tier: N full router replicas behind a thin dispatcher.
+"""The dispatch execute stage: N full router replicas behind a thin dispatcher.
 
-PR 7 made the shard fleet survive worker deaths and PR 8 made serving
-fully asynchronous, but every request still funnelled through one router
-process — the decision cache, session schedule, admission watermark, and
-gather loop all died with it.  :class:`ReplicatedMalivaService` removes
-that last single-process ceiling (DESIGN.md §4.7): it runs ``n_routers``
+With one router process the decision cache, session schedule, admission
+watermark, and gather loop all die with it.  :class:`DispatchExecute`
+removes that single-process ceiling (DESIGN.md §4.7): it is the
+:class:`~repro.serving.service.ExecuteStage` that runs ``n_routers``
 *complete* router replicas — each a full engine catalog plus a
-:class:`~repro.serving.service.MalivaService` rebuilt from a pickled
-:class:`RouterSpec` — in their own processes over the worker-fleet
-substrate the shard fleet also runs on (:mod:`repro.serving.fleet`:
-transport, fault interpretation, deadlines, supervision), fronted by a
-thin dispatcher that only resolves, schedules, journals, and gathers.
+:class:`~repro.serving.service.MalivaService` over the local stage,
+rebuilt from a pickled :class:`RouterSpec` — in their own processes over
+the worker-fleet substrate the shard fleet also runs on
+(:mod:`repro.serving.fleet`: transport, fault interpretation, deadlines,
+supervision).  The service it is bound to becomes the thin dispatcher: it
+resolves, schedules, admits and records; the stage journals, routes and
+gathers, and tells the service not to plan while a replica is alive.
 
 **Dispatch.**  Sessions stick to routers: the first request of a session
 binds it to the live router with the fewest assigned sessions (ties break
@@ -23,10 +24,11 @@ like the plain service under either scheduler.
 **Journal.**  Every admitted request is journaled — sequence number,
 session, query key, tau — *before* dispatch, and acknowledged only when
 its outcome lands.  The journal is the zero-lost-requests contract: when
-a router dies mid-batch (EOF, deadline miss, garbled reply — the PR 7
+a router dies mid-batch (EOF, deadline miss, garbled reply — the
 ``WorkerFault``/``WorkerTimeout`` normalization), its unacknowledged
 entries replay in sequence order on a survivor, and with zero survivors
-on the dispatcher's own engine.  Replicas are twin engines built from the
+on the dispatcher's own engine — the local stage, which also serves
+whole batches while the fleet is empty.  Replicas are twin engines built from the
 same catalog, statistics, agent, and QTE state, and planning draws no
 engine randomness, so a replayed request's outcome — decision, virtual
 times, counters — is bit-identical to the one the dead router would have
@@ -62,16 +64,15 @@ the live catalog and cannot go stale.
 
 ``processes=False`` drives the same replicas inline — bit-identical,
 for tests and single-core hosts.  The async tier composes for free:
-this class implements the ``_execute_begin``/``_wait``/``_finish``
-seam, so ``AsyncMalivaService(ReplicatedMalivaService(...))`` overlaps
-dispatcher planning with in-flight router serving.
+``begin`` ships the sub-batches and ``finish`` gathers them, so an
+``AsyncMalivaService`` over the dispatcher overlaps its resolve/schedule
+of the next batch with in-flight router serving.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Sequence
 
 import numpy as np
 
@@ -86,8 +87,8 @@ from ..qte import AccurateQTE, SamplingQTE
 from .faults import FaultPlan, WorkerFault
 from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle, wait_replies
 from .requests import VizRequest
-from .service import MalivaService, _InflightExecution, _PlannedBatch
-from .stats import RequestRecord, RouterStats
+from .service import ExecuteStage, LocalExecute, MalivaService, _PlannedBatch
+from .stats import RouterStats
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +132,6 @@ class RouterSpec:
     default_tau_ms: float
     #: The dispatcher's scheduler instance (stateless, pickles by class).
     scheduler: object
-    batch_execute: bool
     decision_cache_size: int
 
 
@@ -140,7 +140,6 @@ def router_spec_for(
     *,
     default_tau_ms: float,
     scheduler,
-    batch_execute: bool,
     decision_cache_size: int,
 ) -> RouterSpec:
     """Capture a :class:`RouterSpec` from the dispatcher's live middleware.
@@ -188,7 +187,6 @@ def router_spec_for(
         tau_ms=maliva.tau_ms,
         default_tau_ms=default_tau_ms,
         scheduler=scheduler,
-        batch_execute=batch_execute,
         decision_cache_size=decision_cache_size,
     )
 
@@ -231,7 +229,6 @@ def build_router_service(spec: RouterSpec) -> MalivaService:
         default_tau_ms=spec.default_tau_ms,
         scheduler=spec.scheduler,
         decision_cache_size=spec.decision_cache_size,
-        batch_execute=spec.batch_execute,
         admission=None,
     )
 
@@ -262,15 +259,14 @@ def _serve_on(service: MalivaService, jobs) -> RouterBatchReply:
     ]
     hits_before = service.gossip_hits
     started = time.perf_counter()
-    outcomes = service.answer_many(requests)
+    # A replica runs no admission, so this is answer_many — keeping hold of
+    # the planned batch, whose flags say which decisions were cache hits.
+    planned = service._plan_batch(requests)
+    outcomes = service._execute(planned)
     wall_s = time.perf_counter() - started
-    # The replica records one RequestRecord per request (scheduled order);
-    # request ids are the dispatcher's unique sequence numbers.
-    tail = service.stats.records[-len(requests):]
-    cached_by_seq = {record.request_id: record.decision_cached for record in tail}
     packed = [
-        (request.request_id, outcome, bool(cached_by_seq.get(request.request_id)))
-        for request, outcome in zip(requests, outcomes)
+        (request.request_id, outcome, cached)
+        for request, outcome, cached in zip(requests, outcomes, planned.cached_flags)
     ]
     return RouterBatchReply(
         outcomes=packed,
@@ -434,33 +430,30 @@ class RequestJournal:
 class _ReplicatedInflight:
     """Dispatch bookkeeping between execute begin and finish."""
 
-    __slots__ = (
-        "execute_started",
-        "jobs",
-        "submitted",
-        "deadline_s",
-        "seq_by_index",
-    )
+    __slots__ = ("jobs", "submitted", "deadline_s", "seqs")
 
     def __init__(self) -> None:
-        self.execute_started = 0.0
         #: router id -> journal entries dispatched there (-1: unrouted).
         self.jobs: dict[int, list[JournalEntry]] = {}
         self.submitted: list[int] = []
         self.deadline_s: float | None = None
-        #: batch position -> journal sequence number.
-        self.seq_by_index: dict[int, int] = {}
+        #: Journal sequence numbers, by batch position.
+        self.seqs: list[int] = []
 
 
 # ----------------------------------------------------------------------
 # The dispatcher
 # ----------------------------------------------------------------------
-class ReplicatedMalivaService(MalivaService):
-    """Session-affine dispatch over N supervised full router replicas."""
+class DispatchExecute(ExecuteStage):
+    """Session-affine dispatch over N supervised full router replicas.
+
+    The service this stage is bound to is the *dispatcher*: it resolves,
+    schedules and records, but leaves planning to the replicas
+    (:meth:`wants_decisions`) unless the fleet is empty.
+    """
 
     def __init__(
         self,
-        maliva: Maliva,
         *,
         n_routers: int = 2,
         processes: bool = True,
@@ -471,19 +464,9 @@ class ReplicatedMalivaService(MalivaService):
         respawn_backoff_s: float = 0.05,
         gossip_decisions: bool = True,
         fault_plan: FaultPlan | None = None,
-        **kwargs,
     ) -> None:
         if n_routers < 1:
             raise QueryError(f"n_routers must be at least 1, got {n_routers}")
-        if kwargs.get("quality_fn") is not None:
-            raise QueryError(
-                "replicated serving does not support quality_fn: quality "
-                "scoring interleaves per-request engine work that cannot "
-                "be replicated across routers"
-            )
-        # The invalidation hook the base constructor registers dispatches
-        # to our override, which broadcasts; an unspawned fleet (no live
-        # handles) makes that a no-op until the replicas exist.
         self._group = SupervisedFleet(
             self._build_handle,
             n_routers,
@@ -503,34 +486,45 @@ class ReplicatedMalivaService(MalivaService):
         self._session_router: dict[str, int] = {}
         self._anon_cursor = -1
         self._journal = RequestJournal()
-        super().__init__(maliva, **kwargs)
         self.n_routers = n_routers
-        self.processes = processes
         self.gossip_decisions = gossip_decisions
+
+    def bind(self, service: MalivaService) -> "DispatchExecute":
+        if service.quality_fn is not None:
+            raise QueryError(
+                "replicated serving does not support quality_fn: quality "
+                "scoring interleaves per-request engine work that cannot "
+                "be replicated across routers"
+            )
+        super().bind(service)
+        #: The dispatcher's own engine: serves when no replica is alive.
+        self._local = LocalExecute().bind(service)
         self._group.spawn()
-        self.stats.routers = self._new_router_stats()
+        service.stats.routers = RouterStats(n_routers=self.n_routers)
+        return self
 
     def _build_handle(self, slot: SupervisedSlot) -> RouterHandle:
         """A replica from a fresh spec off the live catalog (spawn and
         respawn alike, so missed syncs collapse into the spec)."""
+        service = self.service
         spec = router_spec_for(
-            self.maliva,
-            default_tau_ms=self.default_tau_ms,
-            scheduler=self.scheduler,
-            batch_execute=self.batch_execute,
-            decision_cache_size=self._decision_cache._capacity,
+            service.maliva,
+            default_tau_ms=service.default_tau_ms,
+            scheduler=service.scheduler,
+            decision_cache_size=service._decision_cache._capacity,
         )
         return RouterHandle(self._group, slot.shard_id, spec)
 
     # ------------------------------------------------------------------
     # Lifecycle and observability
     # ------------------------------------------------------------------
-    def _new_router_stats(self) -> RouterStats:
-        return RouterStats(n_routers=self.n_routers)
+    @property
+    def _router_stats(self) -> RouterStats | None:
+        """This window's fleet counters (``None`` until the fleet is up)."""
+        return self.service.stats.routers
 
     def reset_stats(self) -> None:
-        super().reset_stats()
-        self.stats.routers = self._new_router_stats()
+        self.service.stats.routers = RouterStats(n_routers=self.n_routers)
         if self._closed or self._dispatch_inflight:
             return
         deadline_s = self._group.setup_deadline_s()
@@ -541,22 +535,16 @@ class ReplicatedMalivaService(MalivaService):
         self._closed = True
         self._group.close()
 
-    def __del__(self):  # pragma: no cover - belt and braces
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001
-            pass
-
     def report(self) -> dict:
-        report = super().report()
-        report["journal"] = {
-            "depth": self._journal.depth,
-            "next_seq": self._journal.next_seq,
-            "high_water": (
-                self.stats.routers.journal_high_water
-                if self.stats.routers is not None
-                else 0
-            ),
+        routers = self._router_stats
+        report = {
+            "journal": {
+                "depth": self._journal.depth,
+                "next_seq": self._journal.next_seq,
+                "high_water": (
+                    routers.journal_high_water if routers is not None else 0
+                ),
+            }
         }
         # Replica report probes share the duplex pipes with in-flight serve
         # replies; skip them mid-batch rather than desync the protocol.
@@ -574,21 +562,22 @@ class ReplicatedMalivaService(MalivaService):
     # Supervision reactions
     # ------------------------------------------------------------------
     def _on_router_death(self, slot: SupervisedSlot) -> None:
-        if self.stats.routers is not None:
-            self.stats.routers.record_death(slot.shard_id, slot.last_fault)
+        if self._router_stats is not None:
+            self._router_stats.record_death(slot.shard_id, slot.last_fault)
 
     def _ensure_routers(self) -> None:
         """Respawn/retire between batches; re-aim sessions and admission."""
         respawned, retired = self._group.ensure()
-        routers = self.stats.routers
+        routers = self._router_stats
         if routers is not None:
             for slot in respawned:
                 routers.record_respawn(slot.shard_id)
-        if respawned and self._gossip_mirror and self.gossip_decisions:
+        mirror = self.service._gossip_mirror
+        if respawned and mirror and self.gossip_decisions:
             # Prime fresh replicas with recently gossiped decisions so they
             # rejoin warm; their catalog is already current (the spec was
             # captured off the live dispatcher engine).
-            items = list(self._gossip_mirror.items())
+            items = list(mirror.items())
             deadline_s = self._group.setup_deadline_s()
             self._group.call_live(
                 lambda slot: slot.handle.gossip(items, deadline_s), respawned
@@ -601,13 +590,14 @@ class ReplicatedMalivaService(MalivaService):
 
     def _update_capacity(self) -> None:
         """Scale the admission watermark to the surviving fleet fraction."""
-        if self.admission is None:
+        admission = self.service.admission
+        if admission is None:
             return
         total = len(self._group.slots)
         active = len(self._group.active_slots())
         # With every router retired the dispatcher itself serves — it is
         # roughly one router's worth of capacity, never zero.
-        self.admission.set_capacity_fraction(max(active, 1) / total)
+        admission.set_capacity_fraction(max(active, 1) / total)
 
     # ------------------------------------------------------------------
     # Session routing
@@ -630,74 +620,35 @@ class ReplicatedMalivaService(MalivaService):
                 counts[router_id] += 1
         best = min(live_ids, key=lambda router_id: (counts[router_id], router_id))
         self._session_router[session_id] = best
-        if assigned is not None and self.stats.routers is not None:
+        if assigned is not None and self._router_stats is not None:
             # The session had a router and lost it (death or retirement).
-            self.stats.routers.n_rebalances += 1
+            self._router_stats.n_rebalances += 1
         return best
 
     # ------------------------------------------------------------------
-    # Pipeline overrides: plan on routers, dispatch at the execute seam
+    # The stage hooks: replicas plan, the dispatcher ships raw requests
     # ------------------------------------------------------------------
-    def _plan_batch(self, requests: Sequence[VizRequest]) -> _PlannedBatch | None:
+    def wants_decisions(self) -> bool:
+        """Local mode (an empty fleet) plans on the dispatcher, with its
+        own decision cache and gossip mirror; otherwise routers plan."""
         if not self._dispatch_inflight:
             self._ensure_routers()
             self._local_mode = not self._group.live_slots()
-        planned = super()._plan_batch(requests)
-        if (
-            planned is not None
-            and self._local_mode
-            and self.stats.routers is not None
-        ):
-            self.stats.routers.n_local += len(planned.requests)
-        return planned
+        return self._local_mode
 
-    def _plan_stage(self, resolved):
+    def begin(self, planned: _PlannedBatch) -> _ReplicatedInflight | None:
+        """Journal the batch, then ship session-affine sub-batches."""
         if self._local_mode:
-            # Local mode (an empty fleet): the dispatcher plans with its
-            # own decision cache and gossip mirror.
-            return super()._plan_stage(resolved)
-        # Dispatch mode: routers plan; the dispatcher ships raw requests.
-        return [None] * len(resolved), [False] * len(resolved)
-
-    def _execute_begin(self, planned: _PlannedBatch) -> _InflightExecution:
-        if self._local_mode:
-            return super()._execute_begin(planned)
+            if self._router_stats is not None:
+                self._router_stats.n_local += len(planned.requests)
+            return None
         if self._dispatch_inflight:
             raise QueryError(
                 "replicated service already has a serve batch in flight"
             )
-        state = self._dispatch_begin(planned)
-        self._dispatch_inflight = True
-        return _InflightExecution(planned=planned, state=state)
-
-    async def _execute_wait(self, token: _InflightExecution) -> None:
-        state = token.state
-        if not isinstance(state, _ReplicatedInflight):
-            await super()._execute_wait(token)
-            return
-        await wait_replies(
-            [self._group.slots[router_id] for router_id in state.submitted],
-            state.deadline_s,
-        )
-
-    def _execute_finish(self, token: _InflightExecution) -> list[RequestOutcome]:
-        state = token.state
-        if not isinstance(state, _ReplicatedInflight):
-            return super()._execute_finish(token)
-        try:
-            return self._dispatch_finish(token.planned, state)
-        finally:
-            self._dispatch_inflight = False
-
-    # ------------------------------------------------------------------
-    # Dispatch, gather, failover
-    # ------------------------------------------------------------------
-    def _dispatch_begin(self, planned: _PlannedBatch) -> _ReplicatedInflight:
-        """Journal the batch, then ship session-affine sub-batches."""
         if self._closed:
             raise QueryError("replicated service is closed")
         state = _ReplicatedInflight()
-        state.execute_started = time.perf_counter()
         max_tau = 0.0
         for index, request in enumerate(planned.requests):
             query, tau_ms = planned.resolved[index]
@@ -708,9 +659,9 @@ class ReplicatedMalivaService(MalivaService):
             # the router dies before acknowledging this request.
             entry = self._journal.record(session_id, query, tau_ms, router_id)
             state.jobs.setdefault(router_id, []).append(entry)
-            state.seq_by_index[index] = entry.seq
+            state.seqs.append(entry.seq)
         state.deadline_s = self._group.call_deadline_s(max_tau)
-        routers = self.stats.routers
+        routers = self._router_stats
         if routers is not None:
             routers.n_dispatched += len(planned.requests)
             routers.record_journal_depth(self._journal.depth)
@@ -721,15 +672,35 @@ class ReplicatedMalivaService(MalivaService):
             [self._group.slots[r] for r in sorted(state.jobs) if r >= 0],
         )
         state.submitted = [slot.shard_id for slot, _ in submitted]
+        self._dispatch_inflight = True
         return state
 
-    def _dispatch_finish(
+    async def wait(self, state: _ReplicatedInflight | None) -> None:
+        if state is None:
+            await self._local.wait(state)
+            return
+        await wait_replies(
+            [self._group.slots[router_id] for router_id in state.submitted],
+            state.deadline_s,
+        )
+
+    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        if planned.state is None:
+            return self._local.finish(planned)
+        try:
+            return self._gather(planned, planned.state)
+        finally:
+            self._dispatch_inflight = False
+
+    # ------------------------------------------------------------------
+    # Gather, failover
+    # ------------------------------------------------------------------
+    def _gather(
         self, planned: _PlannedBatch, state: _ReplicatedInflight
     ) -> list[RequestOutcome]:
         """Gather router replies, replay the unacknowledged, assemble."""
-        routers = self.stats.routers
-        outcomes_by_seq: dict[int, RequestOutcome] = {}
-        cached_by_seq: dict[int, bool] = {}
+        routers = self._router_stats
+        served: dict[int, tuple[RequestOutcome, bool]] = {}
         fresh: dict[tuple, object] = {}
         for slot, reply in self._group.call_live(
             lambda slot: slot.handle.collect_serve(
@@ -738,8 +709,7 @@ class ReplicatedMalivaService(MalivaService):
             [self._group.slots[router_id] for router_id in state.submitted],
         ):
             for seq, outcome, cached in reply.outcomes:
-                outcomes_by_seq[seq] = outcome
-                cached_by_seq[seq] = cached
+                served[seq] = (outcome, cached)
                 self._journal.ack(seq)
             fresh.update(reply.fresh)
             if routers is not None:
@@ -756,45 +726,23 @@ class ReplicatedMalivaService(MalivaService):
             entry
             for entries in state.jobs.values()
             for entry in entries
-            if entry.seq not in outcomes_by_seq
+            if entry.seq not in served
         ]
         if orphans:
             orphans.sort(key=lambda entry: entry.seq)
             replayed, replay_fresh = self._replay(orphans, state.deadline_s)
-            for seq, (outcome, cached) in replayed.items():
-                outcomes_by_seq[seq] = outcome
-                cached_by_seq[seq] = cached
+            served.update(replayed)
+            for seq in replayed:
                 self._journal.ack(seq)
             fresh.update(replay_fresh)
         if fresh and self.gossip_decisions:
             self._broadcast_gossip(list(fresh.items()))
-        # Assemble in submission order and record per-request stats.
-        requests = planned.requests
-        execute_share = (
-            time.perf_counter() - state.execute_started
-        ) / len(requests)
+        # Assemble in submission order; the replicas planned, so the
+        # decision-cache flags are theirs.
         outcomes: list[RequestOutcome] = []
-        for index, request in enumerate(requests):
-            seq = state.seq_by_index[index]
-            outcome = outcomes_by_seq[seq]
+        for index, seq in enumerate(state.seqs):
+            outcome, planned.cached_flags[index] = served[seq]
             outcomes.append(outcome)
-            self.stats.record(
-                RequestRecord(
-                    request_id=request.request_id,
-                    session_id=request.effective_session(),
-                    tau_ms=planned.resolved[index][1],
-                    planning_ms=outcome.planning_ms,
-                    execution_ms=outcome.execution_ms,
-                    viable=outcome.viable,
-                    wall_s=execute_share + planned.shared_s,
-                    cache_hits=outcome.cache_hits,
-                    cache_misses=outcome.cache_misses,
-                    decision_cached=cached_by_seq[seq],
-                )
-            )
-        self.stats.record_stage(
-            "execute", time.perf_counter() - state.execute_started
-        )
         return outcomes
 
     def _replay(
@@ -808,7 +756,10 @@ class ReplicatedMalivaService(MalivaService):
         deterministic, so *which* engine answers cannot change the
         decision, the virtual times, or the counters.
         """
-        routers = self.stats.routers
+        routers = self._router_stats
+        if routers is not None:
+            for entry in entries:
+                routers.record_replayed(entry.router_id, 1)
         while True:
             live = self._group.live_slots()
             if not live:
@@ -823,8 +774,6 @@ class ReplicatedMalivaService(MalivaService):
                 self._group.record_death(slot, error)
                 continue
             if routers is not None:
-                for entry in entries:
-                    routers.record_replayed(entry.router_id, 1)
                 routers.record_serve(
                     slot.shard_id,
                     len(entries),
@@ -840,22 +789,13 @@ class ReplicatedMalivaService(MalivaService):
                 reply.fresh,
             )
         # Zero survivors: the dispatcher is the router of last resort.
+        # Planning goes through its own plan stage (decision cache plus
+        # gossip mirror) and execution through the local stage in the
+        # scheduler's order — the pipeline a replica runs, so outcomes are
+        # bit-identical to a healthy dispatch.
         if routers is not None:
-            for entry in entries:
-                routers.record_replayed(entry.router_id, 1)
             routers.n_local += len(entries)
-        return self._serve_local_entries(entries), []
-
-    def _serve_local_entries(
-        self, entries: list[JournalEntry]
-    ) -> dict[int, tuple[RequestOutcome, bool]]:
-        """Serve journal entries on the dispatcher's own engine.
-
-        Planning goes through the base plan stage (decision cache plus
-        gossip mirror), execution through the engine's batch executor in
-        the scheduler's order — the same pipeline a router replica runs,
-        so outcomes are bit-identical to a healthy dispatch.
-        """
+        service = self.service
         requests = [
             VizRequest(
                 payload=entry.query,
@@ -866,27 +806,24 @@ class ReplicatedMalivaService(MalivaService):
             for entry in entries
         ]
         resolved = [(entry.query, entry.tau_ms) for entry in entries]
-        order = self.scheduler.order(requests)
-        decisions, cached_flags = MalivaService._plan_stage(self, resolved)
-        served: dict[int, tuple[RequestOutcome, bool]] = {}
-        if self.batch_execute:
-            finished, sharing = self.maliva.finish_batch(
-                [resolved[index][0] for index in order],
-                [decisions[index] for index in order],
-                [resolved[index][1] for index in order],
+        decisions, cached_flags = service._plan_stage(resolved)
+        outcomes = self._local.finish(
+            _PlannedBatch(
+                requests,
+                resolved,
+                service.scheduler.order(requests),
+                decisions,
+                cached_flags,
+                shared_s=0.0,
             )
-            self.stats.record_sharing(sharing)
-            for position, index in enumerate(order):
-                served[entries[index].seq] = (
-                    finished[position],
-                    cached_flags[index],
-                )
-        else:
-            for index in order:
-                query, tau_ms = resolved[index]
-                outcome = self.maliva.finish(query, decisions[index], tau_ms)
-                served[entries[index].seq] = (outcome, cached_flags[index])
-        return served
+        )
+        return (
+            {
+                entry.seq: (outcome, cached)
+                for entry, outcome, cached in zip(entries, outcomes, cached_flags)
+            },
+            [],
+        )
 
     def _broadcast_gossip(self, items: list[tuple[tuple, object]]) -> None:
         """Ship freshly planned decisions to every live replica.
@@ -896,24 +833,23 @@ class ReplicatedMalivaService(MalivaService):
         the mirror doubles as the warm-start log a respawned router is
         primed with.
         """
-        self.absorb_gossip(items)
+        self.service.absorb_gossip(items)
         deadline_s = self._group.setup_deadline_s()
         delivered = self._group.call_live(
             lambda slot: slot.handle.gossip(items, deadline_s)
         )
-        if delivered and self.stats.routers is not None:
-            self.stats.routers.n_gossip_broadcast += len(items)
+        if delivered and self._router_stats is not None:
+            self._router_stats.n_gossip_broadcast += len(items)
 
     # ------------------------------------------------------------------
     # Cross-replica coherence
     # ------------------------------------------------------------------
-    def _on_table_invalidated(self, table_name: str) -> None:
-        super()._on_table_invalidated(table_name)
+    def table_invalidated(self, table_name: str) -> None:
         if self._dispatch_inflight:
-            # The dispatcher's own caches are already evicted (above), but
-            # a sync broadcast would interleave with in-flight serve
-            # replies on the router pipes.  The async tier quiesces via
-            # drain() before mutating; anything else is a caller bug.
+            # The dispatcher's own caches are already evicted, but a sync
+            # broadcast would interleave with in-flight serve replies on
+            # the router pipes.  The async tier quiesces via drain() before
+            # mutating; anything else is a caller bug.
             raise QueryError(
                 f"table {table_name!r} mutated while a replicated serve "
                 f"batch is in flight; drain the async service before "
@@ -921,7 +857,7 @@ class ReplicatedMalivaService(MalivaService):
             )
         if self._closed:
             return
-        database = self.maliva.database
+        database = self.service.maliva.database
         if not database.has_table(table_name):  # pragma: no cover - dropped
             return
         table = database.table(table_name)
@@ -933,5 +869,5 @@ class ReplicatedMalivaService(MalivaService):
         self._group.call_live(
             lambda slot: slot.handle.router_sync(table, indexed, stats, deadline_s)
         )
-        if self.stats.routers is not None:
-            self.stats.routers.n_syncs += 1
+        if self._router_stats is not None:
+            self._router_stats.n_syncs += 1

@@ -11,13 +11,18 @@ Maliva` facade and turns it from a one-shot answerer into a serving layer:
   the misses are planned together in one lockstep
   :meth:`~repro.core.middleware.Maliva.rewrite_batch` call (bit-identical
   to per-request planning, one q-network pass per MDP depth for the whole
-  batch).  The execute stage runs the scheduled batch through the engine's
-  :class:`~repro.db.batch_executor.BatchExecutor`, which computes each
-  distinct index probe, predicate row set, scan pipeline, and BIN_ID
-  histogram once per batch while keeping every request's results, work
-  counters, and virtual times bit-identical to sequential execution.
-  Streams drain through the same pipeline in micro-batches of
+  batch).  Streams drain through the same pipeline in micro-batches of
   ``stream_batch_size``;
+* **the execute stage is an object** — :class:`MalivaService` is the only
+  service class.  What turns a planned micro-batch into outcomes is the
+  :class:`ExecuteStage` passed as ``execute=``: :class:`LocalExecute`
+  (the default; the engine's :class:`~repro.db.batch_executor.
+  BatchExecutor`, which computes each distinct index probe, predicate row
+  set, scan pipeline, and BIN_ID histogram once per batch while keeping
+  every request's results, work counters, and virtual times bit-identical
+  to sequential execution), or the backend / scatter / dispatch stages in
+  their own modules.  The service keeps the one loop that records
+  requests and times the stage (DESIGN.md §4.3);
 * **session-affinity scheduling** — batches are reordered so same-session
   requests run back-to-back and hit the engine's cross-request caches;
 * **decision caching** — the MDP planning loop is deterministic given the
@@ -58,8 +63,10 @@ from .stats import RequestRecord, ServiceStats
 class _PlannedBatch:
     """One micro-batch captured at the end of the plan stage.
 
-    Everything :meth:`MalivaService._execute_stage` needs, bundled so the
-    async tier can hold a planned batch while the previous one executes.
+    Everything an :class:`ExecuteStage` needs, bundled so the async tier
+    can hold a planned batch while the previous one executes.  ``state``
+    is whatever the stage's ``begin`` returned (its in-flight bookkeeping)
+    and ``execute_s`` the wall time ``begin`` took.
     """
 
     requests: list[VizRequest]
@@ -68,20 +75,96 @@ class _PlannedBatch:
     decisions: list[object | None]
     cached_flags: list[bool]
     shared_s: float
+    state: object | None = None
+    execute_s: float = 0.0
 
 
-@dataclasses.dataclass
-class _InflightExecution:
-    """Token for an execute stage begun via :meth:`MalivaService._execute_begin`.
+class ExecuteStage:
+    """Turns a planned micro-batch into outcomes: the one thing that
+    differs between serving on the local engine, a real backend, a shard
+    fleet and a router fleet.
 
-    ``state`` is backend-specific: ``None`` for the single-engine service
-    (the whole stage runs inside ``_execute_finish``); the sharded service
-    stores its scatter bookkeeping here so workers crunch between the
-    begin and finish calls.
+    :class:`MalivaService` owns everything around it — resolve, schedule,
+    plan, admission, the per-request records and the stage timer — and
+    calls exactly these hooks.  The defaults are the no-remote-workers
+    behaviour, so a stage overrides only what it has.
     """
 
-    planned: _PlannedBatch
-    state: object | None = None
+    service: "MalivaService"
+
+    def bind(self, service: "MalivaService") -> "ExecuteStage":
+        """Attach to the service being constructed (spawn workers here)."""
+        self.service = service
+        return self
+
+    def wants_decisions(self) -> bool:
+        """Asked once per micro-batch, before planning: should the service
+        plan it?  Only a dispatcher with a live replica (which plans
+        itself) says no."""
+        return True
+
+    def begin(self, planned: _PlannedBatch) -> object | None:
+        """Start executing; the return value is kept as ``planned.state``.
+
+        A stage with remote workers submits here so they crunch while the
+        async tier plans the next batch; one without returns ``None`` and
+        does its work in :meth:`finish` — a pure reorder, since planning
+        is commutative with execution (DESIGN.md §4.6).
+        """
+        return None
+
+    async def wait(self, state: object | None) -> None:
+        """Await until :meth:`finish` would not block meaningfully."""
+        await asyncio.sleep(0)
+
+    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        """Complete the batch; outcomes in *submission* order.  A stage
+        that did not let the service plan also fills
+        ``planned.cached_flags``."""
+        raise NotImplementedError
+
+    def table_invalidated(self, table_name: str) -> None:
+        """The engine's catalog changed under ``table_name``."""
+
+    def report(self) -> dict:
+        """Extra top-level sections of :meth:`MalivaService.report`."""
+        return {}
+
+    def reset_stats(self) -> None:
+        """A fresh measurement window began (``service.stats`` is new)."""
+
+    def close(self) -> None:
+        """Release what :meth:`bind` acquired (idempotent)."""
+
+
+class LocalExecute(ExecuteStage):
+    """The in-process engine: one :class:`~repro.db.batch_executor.
+    BatchExecutor` pass over the scheduled order, sharing scans, probes and
+    bin sweeps while staying bit-identical to sequential execution.
+
+    Quality-scored serving executes sequentially instead: evaluating
+    quality interleaves extra engine work per request, which batching
+    would reorder.
+    """
+
+    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        service = self.service
+        order = planned.order
+        queries = [planned.resolved[index][0] for index in order]
+        decisions = [planned.decisions[index] for index in order]
+        taus = [planned.resolved[index][1] for index in order]
+        if service.quality_fn is not None:
+            finished = [
+                service.maliva.finish(query, decision, tau_ms, service.quality_fn)
+                for query, decision, tau_ms in zip(queries, decisions, taus)
+            ]
+        else:
+            finished, sharing = service.maliva.finish_batch(queries, decisions, taus)
+            service.stats.record_sharing(sharing)
+        outcomes: list = [None] * len(order)
+        for index, outcome in zip(order, finished):
+            outcomes[index] = outcome
+        return outcomes
 
 
 class MalivaService:
@@ -102,8 +185,8 @@ class MalivaService:
         decision_cache_size: int = 4096,
         quality_fn: QualityFunction | None = None,
         stream_batch_size: int = 8,
-        batch_execute: bool = True,
         admission: AdmissionController | None = None,
+        execute: ExecuteStage | None = None,
     ) -> None:
         if stream_batch_size < 1:
             raise QueryError("stream_batch_size must be at least 1")
@@ -121,11 +204,6 @@ class MalivaService:
         self.scheduler = scheduler or SessionAffinityScheduler()
         self.quality_fn = quality_fn
         self.stream_batch_size = stream_batch_size
-        #: Route the execute stage through the batched executor (shared
-        #: scans / index probes / bin sweeps).  Quality-scored serving
-        #: always executes sequentially: evaluating quality interleaves
-        #: extra engine work per request, which batching would reorder.
-        self.batch_execute = batch_execute
         self._decision_cache = InstrumentedCache("decision", capacity=decision_cache_size)
         # Gossip seam (used by the replicated router tier): decisions
         # received from sibling replicas wait here until a matching
@@ -140,6 +218,10 @@ class MalivaService:
         # Engine caches are shared with offline work (training warmed them);
         # reports cover only the window since construction / reset_stats().
         self._engine_baseline = maliva.database.cache_stats()
+        #: Where planned micro-batches become outcomes (default: the local
+        #: engine).  Bound once everything above exists: a fleet stage
+        #: spawns its workers from the constructed service.
+        self.execute = (execute or LocalExecute()).bind(self)
         # Stay coherent under direct Database.append_rows/invalidate_table
         # calls, not just mutations routed through this service.
         maliva.database.add_invalidation_hook(self._on_table_invalidated)
@@ -272,9 +354,7 @@ class MalivaService:
     def _pipeline(self, requests: Sequence[VizRequest]) -> list[RequestOutcome]:
         """The staged resolve → schedule → plan → execute pipeline."""
         planned = self._plan_batch(requests)
-        if planned is None:
-            return []
-        return self._execute_finish(self._execute_begin(planned))
+        return [] if planned is None else self._execute(planned)
 
     def _plan_batch(self, requests: Sequence[VizRequest]) -> _PlannedBatch | None:
         """Run the resolve → schedule → plan stages for one micro-batch.
@@ -286,6 +366,7 @@ class MalivaService:
         """
         if not requests:
             return None
+        plan_here = self.execute.wants_decisions()
         batch_started = time.perf_counter()
         resolved = [self.resolve(request) for request in requests]
         resolved_at = time.perf_counter()
@@ -295,7 +376,10 @@ class MalivaService:
             raise QueryError("scheduler must produce a permutation of the batch")
         scheduled_at = time.perf_counter()
 
-        decisions, cached_flags = self._plan_stage(resolved)
+        if plan_here:
+            decisions, cached_flags = self._plan_stage(resolved)
+        else:
+            decisions, cached_flags = [None] * len(resolved), [False] * len(resolved)
         planned_at = time.perf_counter()
 
         # Shared pipeline time is charged evenly across the batch.
@@ -313,44 +397,53 @@ class MalivaService:
         )
 
     # ------------------------------------------------------------------
-    # Execute-stage seams (the async tier overlaps across these)
+    # The execute stage (the async tier overlaps across begin / finish)
     # ------------------------------------------------------------------
-    def _execute_begin(self, planned: _PlannedBatch) -> _InflightExecution:
-        """Start executing a planned batch (override seam).
+    def _execute(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        self._execute_begin(planned)
+        return self._execute_finish(planned)
 
-        The single-engine service has no remote workers to keep busy, so
-        ``begin`` is a bookkeeping no-op and the whole execute stage runs
-        inside :meth:`_execute_finish`.  Overlap still pays off: the async
-        tier plans the *next* batch between begin and finish, and plan
-        order is commutative with execution.  The sharded service
-        overrides this pair to scatter the batch before returning, so
-        shard processes crunch while the router plans.
+    def _execute_begin(self, planned: _PlannedBatch) -> None:
+        """Hand a planned batch to the stage; its workers (if any) crunch
+        until :meth:`_execute_finish` while the caller plans the next."""
+        started = time.perf_counter()
+        planned.state = self.execute.begin(planned)
+        planned.execute_s = time.perf_counter() - started
+
+    async def _execute_wait(self, planned: _PlannedBatch) -> None:
+        await self.execute.wait(planned.state)
+
+    def _execute_finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        """Collect the stage's outcomes; record every request and the stage.
+
+        The only place requests are recorded and the execute stage is
+        timed, whatever the stage.  The stage's wall time — its ``begin``
+        plus its ``finish``, not the gap the async tier plans in — is
+        charged evenly across the batch: attribution inside a fused,
+        scattered or dispatched batch is meaningless, and ``wall_s`` is
+        only ever summed (``ServiceStats.wall_seconds``).
         """
-        return _InflightExecution(planned=planned)
-
-    async def _execute_wait(self, token: _InflightExecution) -> None:
-        """Await until :meth:`_execute_finish` would not block meaningfully.
-
-        The base implementation yields once to the event loop (execution
-        has not started yet — it all happens in finish); the sharded
-        override polls worker pipes so other coroutines can run while the
-        shard fleet crunches.
-        """
-        del token
-        await asyncio.sleep(0)
-
-    def _execute_finish(self, token: _InflightExecution) -> list[RequestOutcome]:
-        """Complete an in-flight execute stage and collect its outcomes."""
-        planned = token.planned
-        outcomes = self._execute_stage(
-            planned.requests,
-            planned.resolved,
-            planned.order,
-            planned.decisions,
-            planned.cached_flags,
-            planned.shared_s,
-        )
-        return [outcome for outcome in outcomes if outcome is not None]
+        started = time.perf_counter() - planned.execute_s
+        outcomes = self.execute.finish(planned)
+        wall_s = (time.perf_counter() - started) / len(outcomes) + planned.shared_s
+        for index in planned.order:
+            request, outcome = planned.requests[index], outcomes[index]
+            self.stats.record(
+                RequestRecord(
+                    request_id=request.request_id,
+                    session_id=request.effective_session(),
+                    tau_ms=planned.resolved[index][1],
+                    planning_ms=outcome.planning_ms,
+                    execution_ms=outcome.execution_ms,
+                    viable=outcome.viable,
+                    wall_s=wall_s,
+                    cache_hits=outcome.cache_hits,
+                    cache_misses=outcome.cache_misses,
+                    decision_cached=planned.cached_flags[index],
+                )
+            )
+        self.stats.record_stage("execute", time.perf_counter() - started)
+        return outcomes
 
     def _plan_stage(
         self,
@@ -413,79 +506,6 @@ class MalivaService:
     ) -> list[object]:
         """Plan the deduplicated decision-cache misses."""
         return self.maliva.rewrite_batch(queries, taus)
-
-    def _execute_stage(
-        self,
-        requests: Sequence[VizRequest],
-        resolved: list[tuple[SelectQuery, float]],
-        order: list[int],
-        decisions: list[object | None],
-        cached_flags: list[bool],
-        shared_s: float,
-    ) -> list[RequestOutcome | None]:
-        """Execute the scheduled, planned batch and record per-request stats.
-
-        Split out of :meth:`answer_many` so execution backends can be
-        swapped below the shared resolve/schedule/plan stages — the backend
-        service (``repro.serving.backend_service``) overrides exactly this
-        hook to run the stage on a real engine.
-        """
-        outcomes: list[RequestOutcome | None] = [None] * len(requests)
-        execute_started = time.perf_counter()
-        if self.batch_execute and self.quality_fn is None:
-            # Batched execute stage: one BatchExecutor pass over the
-            # scheduled order shares scans/probes/bin sweeps across the
-            # batch while producing outcomes bit-identical to sequential
-            # finish calls in that order.  Wall time is charged evenly —
-            # per-request attribution inside a fused batch is meaningless.
-            finished, sharing = self.maliva.finish_batch(
-                [resolved[index][0] for index in order],
-                [decisions[index] for index in order],  # type: ignore[misc]
-                [resolved[index][1] for index in order],
-            )
-            self.stats.record_sharing(sharing)
-            execute_share = (time.perf_counter() - execute_started) / len(requests)
-            for position, index in enumerate(order):
-                outcome = finished[position]
-                outcomes[index] = outcome
-                request = requests[index]
-                self.stats.record(
-                    RequestRecord(
-                        request_id=request.request_id,
-                        session_id=request.effective_session(),
-                        tau_ms=resolved[index][1],
-                        planning_ms=outcome.planning_ms,
-                        execution_ms=outcome.execution_ms,
-                        viable=outcome.viable,
-                        wall_s=execute_share + shared_s,
-                        cache_hits=outcome.cache_hits,
-                        cache_misses=outcome.cache_misses,
-                        decision_cached=cached_flags[index],
-                    )
-                )
-        else:
-            for index in order:
-                started = time.perf_counter()
-                query, tau_ms = resolved[index]
-                outcome = self.maliva.finish(query, decisions[index], tau_ms, self.quality_fn)
-                outcomes[index] = outcome
-                request = requests[index]
-                self.stats.record(
-                    RequestRecord(
-                        request_id=request.request_id,
-                        session_id=request.effective_session(),
-                        tau_ms=tau_ms,
-                        planning_ms=outcome.planning_ms,
-                        execution_ms=outcome.execution_ms,
-                        viable=outcome.viable,
-                        wall_s=(time.perf_counter() - started) + shared_s,
-                        cache_hits=outcome.cache_hits,
-                        cache_misses=outcome.cache_misses,
-                        decision_cached=cached_flags[index],
-                    )
-                )
-        self.stats.record_stage("execute", time.perf_counter() - execute_started)
-        return outcomes
 
     def answer_stream(
         self,
@@ -597,6 +617,7 @@ class MalivaService:
         self._decision_cache.invalidate_tag(table_name)
         self._gossip_mirror.clear()
         self._fresh_decisions.clear()
+        self.execute.table_invalidated(table_name)
 
     def invalidate(self) -> None:
         """Manually drop the decision cache and the QTE's memos entirely."""
@@ -623,9 +644,11 @@ class MalivaService:
         self._engine_baseline = self.maliva.database.cache_stats()
         self._last_shed = []
         self._shed_indexes = []
+        self.execute.reset_stats()
 
     def close(self) -> None:
-        """Release serving resources (a no-op for the single-engine service)."""
+        """Release the execute stage's resources (workers, an owned backend)."""
+        self.execute.close()
 
     def __enter__(self) -> "MalivaService":
         return self
@@ -678,4 +701,5 @@ class MalivaService:
                 if self.admission is not None
                 else {}
             ),
+            **self.execute.report(),
         }

@@ -1,12 +1,13 @@
-"""Multi-process sharded serving behind a fault-tolerant shard router.
+"""The scatter execute stage: a fault-tolerant shard router.
 
-:class:`ShardedMalivaService` is the production-scaling layer DESIGN.md
-§4.3.1 reserves below :class:`~repro.serving.service.MalivaService`: the
-staged resolve → schedule → plan pipeline is inherited unchanged —
-planning stays on the router (DESIGN.md §4.4 records why) — and the
-execute stage is swapped for scatter/gather across N workers, each running
-in its own process over a row slice (contiguous ``rows``, round-robin
-``rows-strided``) or an owned set of whole tables:
+:class:`ScatterExecute` is the :class:`~repro.serving.service.
+ExecuteStage` that scales execution past one process (DESIGN.md §4.3.1):
+``MalivaService(maliva, execute=ScatterExecute(n_shards=…))`` keeps the
+staged resolve → schedule → plan pipeline as it is — planning stays on the
+router (DESIGN.md §4.4 records why) — and executes by scatter/gather
+across N workers, each running in its own process over a row slice
+(contiguous ``rows``, round-robin ``rows-strided``) or an owned set of
+whole tables:
 
 * **rows execution** — every scatter-eligible plan (no join) is sent to
   *all* shards; each worker scans its slice with fused index probes and
@@ -34,17 +35,17 @@ order follows shard-id order, so merged concatenation stays canonical) and
 orphaned table-mode groups are re-adopted round-robin; subsequent batches
 scatter across the smaller fleet.
 
-A note on per-request engine-cache deltas: outcomes served by this class
+A note on per-request engine-cache deltas: outcomes served by this stage
 attribute cache activity from the *execute phase only*.  Scattered queries
 report 0/0 (their physical cache traffic lands in per-shard
 ``ShardStats`` windows), and fallback queries report the
 ``execute_planned`` window — the classification-stage plan lookup is a
-batch cost, not a per-request one.  The single-engine service folds that
-plan lookup into each request's delta, so the two deployments agree on
+batch cost, not a per-request one.  The local stage folds that plan
+lookup into each request's delta, so the two deployments agree on
 every equivalence-contract field but not on this observability counter.
 
-Coherence: the service registers the same engine invalidation hook as the
-single-engine service; any catalog change on the router database —
+Coherence: the service's engine invalidation hook reaches the stage as
+``table_invalidated``; any catalog change on the router database —
 `append_rows`, `create_index`, direct `Database` calls included — re-slices
 the affected table and broadcasts a ``sync_table`` to every worker, which
 replaces its copy, rebuilds its indexes, and evicts derived cache state.
@@ -52,10 +53,9 @@ replaces its copy, rebuilds its indexes, and evicts derived cache state.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
-from ..core.middleware import Maliva, RequestOutcome
+from ..core.middleware import RequestOutcome
 from ..db.caches import CacheStatsReport
 from ..db.sharding import (
     FULL,
@@ -73,8 +73,8 @@ from ..db.sharding import (
 from ..errors import QueryError
 from .faults import FaultPlan
 from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle, wait_replies
-from .service import MalivaService, _InflightExecution, _PlannedBatch
-from .stats import RequestRecord, ShardStats
+from .service import ExecuteStage, LocalExecute, MalivaService, _PlannedBatch
+from .stats import ShardStats
 
 
 def shard_ops() -> dict:
@@ -131,7 +131,6 @@ class _ShardedInflight:
     """
 
     __slots__ = (
-        "execute_started",
         "jobs",
         "scatter_positions",
         "owner_positions",
@@ -144,12 +143,11 @@ class _ShardedInflight:
     )
 
 
-class ShardedMalivaService(MalivaService):
-    """Scatter/gather serving over N supervised shard engines."""
+class ScatterExecute(ExecuteStage):
+    """Scatter/gather execution over N supervised shard engines."""
 
     def __init__(
         self,
-        maliva: Maliva,
         *,
         n_shards: int = 2,
         shard_by: str = "rows",
@@ -160,13 +158,9 @@ class ShardedMalivaService(MalivaService):
         max_respawns: int = 3,
         respawn_backoff_s: float = 0.05,
         fault_plan: FaultPlan | None = None,
-        **kwargs,
     ) -> None:
         if n_shards < 1:
             raise QueryError(f"n_shards must be at least 1, got {n_shards}")
-        # The invalidation hook the base constructor registers dispatches to
-        # our override, which broadcasts; an unspawned fleet (no live
-        # handles) makes that a no-op until the workers exist.
         self._fleet = SupervisedFleet(
             self._build_handle,
             n_shards,
@@ -182,28 +176,39 @@ class ShardedMalivaService(MalivaService):
         )
         self._slots: list[SupervisedSlot] = self._fleet.slots
         self._closed = False
-        #: True between _execute_begin and _execute_finish: the worker
-        #: pipes carry in-flight execute replies, so no other op may use
-        #: them until the batch is collected.
+        #: True between begin and finish: the worker pipes carry in-flight
+        #: execute replies, so no other op may use them until the batch is
+        #: collected.
         self._execute_inflight = False
-        super().__init__(maliva, **kwargs)
         self.n_shards = n_shards
         self.shard_by = shard_by
-        self.processes = processes
+
+    def bind(self, service: MalivaService) -> "ScatterExecute":
+        super().bind(service)
+        #: Quality-scored batches execute here, sequentially on the router.
+        self._local = LocalExecute().bind(service)
         # Table mode: whole base tables (plus their samples) are owned
         # round-robin.  Rows modes own nothing — every shard holds a slice
         # of every table.
         self._table_owner = (
             {}
-            if rows_partitioned(shard_by)
+            if rows_partitioned(self.shard_by)
             else {
                 name: spec.shard_id
-                for spec in build_shard_specs(maliva.database, n_shards, shard_by)
+                for spec in build_shard_specs(
+                    service.maliva.database, self.n_shards, self.shard_by
+                )
                 for name in spec.owned_tables
             }
         )
         self._fleet.spawn()
-        self.stats.shards = self._new_shard_stats()
+        self.reset_stats()
+        return self
+
+    @property
+    def _shard_stats(self) -> ShardStats | None:
+        """This window's shard counters (``None`` until the fleet is up)."""
+        return self.service.stats.shards
 
     def _build_handle(self, slot: SupervisedSlot) -> ShardHandle:
         """Warm-(re)spawn one slot from the live catalog, bit-coherent."""
@@ -214,7 +219,7 @@ class ShardedMalivaService(MalivaService):
             if owner == slot.shard_id
         )
         spec = rebuild_shard_spec(
-            self.maliva.database,
+            self.service.maliva.database,
             slot.shard_id,
             active.index(slot),
             len(active),
@@ -226,63 +231,51 @@ class ShardedMalivaService(MalivaService):
     # ------------------------------------------------------------------
     # Lifecycle and observability
     # ------------------------------------------------------------------
-    @property
-    def _handles(self) -> list:
-        """Live handles, in shard-id order (dead/retired slots omitted)."""
-        return [slot.handle for slot in self._fleet.live_slots()]
-
     def _active_slots(self) -> list[SupervisedSlot]:
         return self._fleet.active_slots()
 
-    def _new_shard_stats(self) -> ShardStats:
-        return ShardStats(shard_by=self.shard_by, n_shards=self.n_shards)
-
     def reset_stats(self) -> None:
-        super().reset_stats()
-        self.stats.shards = self._new_shard_stats()
+        self.service.stats.shards = ShardStats(
+            shard_by=self.shard_by, n_shards=self.n_shards
+        )
 
     def close(self) -> None:
         """Stop every shard worker (idempotent)."""
         self._closed = True
         self._fleet.close()
 
-    def __del__(self):  # pragma: no cover - belt and braces
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001
-            pass
-
     def report(self) -> dict:
-        report = super().report()
         # Worker cache probes share the duplex pipes with in-flight execute
         # replies; skip them mid-batch (the async tier may report between
         # overlapped chunks) rather than desync the protocol.
-        if not self._closed and not self._execute_inflight:
-            deadline_s = self._fleet.call_deadline_s()
-            report["shard_caches"] = {
+        if self._closed or self._execute_inflight:
+            return {}
+        deadline_s = self._fleet.call_deadline_s()
+        return {
+            "shard_caches": {
                 str(slot.shard_id): stats.to_dict()
                 for slot, stats in self._fleet.call_live(
                     lambda slot: slot.handle.cache_stats(deadline_s)
                 )
             }
-        return report
+        }
 
     # ------------------------------------------------------------------
     # Supervision reactions: stats, rebalance on retirement
     # ------------------------------------------------------------------
     def _on_worker_death(self, slot: SupervisedSlot) -> None:
-        if self.stats.shards is not None:
-            self.stats.shards.record_death(slot.shard_id, slot.last_fault)
+        if self._shard_stats is not None:
+            self._shard_stats.record_death(slot.shard_id, slot.last_fault)
 
     def _ensure_workers(self) -> None:
         """Respawn/retire at the top of every execute stage — never
         mid-batch — then re-partition around any retirement."""
         respawned, retired = self._fleet.ensure()
-        if self.stats.shards is not None:
+        if self._shard_stats is not None:
             for slot in respawned:
-                self.stats.shards.record_respawn(slot.shard_id)
+                self._shard_stats.record_respawn(slot.shard_id)
             for slot in retired:
-                self.stats.shards.record_retired(slot.shard_id)
+                self._shard_stats.record_retired(slot.shard_id)
         if retired:
             self._do_rebalance()
 
@@ -292,7 +285,7 @@ class ShardedMalivaService(MalivaService):
         Dead slots skip the sync: their respawn rebuilds from the live
         catalog at the current arity and cannot go stale.
         """
-        database = self.maliva.database
+        database = self.service.maliva.database
         active = self._active_slots()
         slices = reslice_for_sync(database, table_name, len(active), self.shard_by)
         fresh = {slot.shard_id: part for slot, part in zip(active, slices)}
@@ -308,7 +301,7 @@ class ShardedMalivaService(MalivaService):
         owner = self._table_owner.get(table_name)
         if owner is None:
             return
-        database = self.maliva.database
+        database = self.service.maliva.database
         indexed = tuple(sorted(database.indexes_for(table_name)))
         self._fleet.call_live(
             lambda slot: slot.handle.sync_table(
@@ -328,13 +321,13 @@ class ShardedMalivaService(MalivaService):
         """
         if self._closed:
             return
-        if self.stats.shards is not None:
-            self.stats.shards.n_rebalances += 1
+        if self._shard_stats is not None:
+            self._shard_stats.n_rebalances += 1
         active = self._active_slots()
         if not active:
             # Whole fleet retired: every request recovers on the router.
             return
-        database = self.maliva.database
+        database = self.service.maliva.database
         deadline_s = self._fleet.setup_deadline_s()
         if rows_partitioned(self.shard_by):
             for name in sorted(database.table_names):
@@ -361,19 +354,18 @@ class ShardedMalivaService(MalivaService):
     # ------------------------------------------------------------------
     # Cross-shard coherence
     # ------------------------------------------------------------------
-    def _on_table_invalidated(self, table_name: str) -> None:
-        super()._on_table_invalidated(table_name)
+    def table_invalidated(self, table_name: str) -> None:
         if self._execute_inflight:
-            # The router's decision cache is already evicted (above), but a
-            # sync broadcast would interleave with in-flight execute
-            # replies on the worker pipes.  The async tier quiesces via
-            # drain() before mutating; anything else is a caller bug.
+            # The router's decision cache is already evicted, but a sync
+            # broadcast would interleave with in-flight execute replies on
+            # the worker pipes.  The async tier quiesces via drain() before
+            # mutating; anything else is a caller bug.
             raise QueryError(
                 f"table {table_name!r} mutated while a sharded execute "
                 f"batch is in flight; drain the async service before "
                 f"mutating"
             )
-        database = self.maliva.database
+        database = self.service.maliva.database
         if self._closed or not database.has_table(table_name):
             return
         deadline_s = self._fleet.setup_deadline_s()
@@ -381,62 +373,36 @@ class ShardedMalivaService(MalivaService):
             self._sync_owner(table_name, deadline_s)
         elif self._active_slots():
             self._sync_slices(table_name, deadline_s)
-        if self.stats.shards is not None:
-            self.stats.shards.n_syncs += 1
+        if self._shard_stats is not None:
+            self._shard_stats.n_syncs += 1
 
     # ------------------------------------------------------------------
     # The scattered execute stage
     # ------------------------------------------------------------------
-    def _execute_begin(self, planned: _PlannedBatch) -> _InflightExecution:
+    def begin(self, planned: _PlannedBatch) -> _ShardedInflight | None:
         """Classify and scatter-submit the batch, then return.
 
         Shard processes crunch the submitted entries while the caller (the
         async tier) plans the next micro-batch on the router;
-        :meth:`_execute_finish` collects and assembles.  Between the two
-        calls the worker pipes are reserved for execute replies
-        (``_execute_inflight``).  Quality-scored batches keep the base
-        token: scoring interleaves extra engine work per request, so they
-        execute sequentially on the router engine inside finish.
+        :meth:`finish` collects and assembles.  Between the two calls the
+        worker pipes are reserved for execute replies
+        (``_execute_inflight``).  Quality-scored batches return no state:
+        scoring interleaves extra engine work per request, so they execute
+        on the local stage inside finish.
         """
         if self._closed:
             raise QueryError("sharded service is closed")
-        if self.quality_fn is not None:
-            return super()._execute_begin(planned)
+        if self.service.quality_fn is not None:
+            return None
         if self._execute_inflight:
             raise QueryError(
                 "sharded service already has an execute batch in flight"
             )
-        state = self._sharded_execute_begin(planned)
-        self._execute_inflight = True
-        return _InflightExecution(planned=planned, state=state)
-
-    async def _execute_wait(self, token: _InflightExecution) -> None:
-        """Poll the submitted workers' pipes without blocking the loop
-        (:func:`~repro.serving.fleet.wait_replies`)."""
-        state = token.state
-        if not isinstance(state, _ShardedInflight):
-            await super()._execute_wait(token)
-            return
-        await wait_replies(state.submitted, state.deadline_s)
-
-    def _execute_finish(self, token: _InflightExecution) -> list[RequestOutcome]:
-        state = token.state
-        if not isinstance(state, _ShardedInflight):
-            return super()._execute_finish(token)
-        try:
-            outcomes = self._sharded_execute_finish(token.planned, state)
-            return [outcome for outcome in outcomes if outcome is not None]
-        finally:
-            self._execute_inflight = False
-
-    def _sharded_execute_begin(self, planned: _PlannedBatch) -> _ShardedInflight:
-        """Classification plus the scatter submit (the overlap point)."""
         resolved = planned.resolved
         order = planned.order
         decisions = planned.decisions
-        database = self.maliva.database
+        database = self.service.maliva.database
         state = _ShardedInflight()
-        state.execute_started = time.perf_counter()
         self._ensure_workers()
 
         rows_mode = rows_partitioned(self.shard_by)
@@ -533,20 +499,29 @@ class ShardedMalivaService(MalivaService):
                 [self._slots[shard_id] for shard_id in sorted(state.targets)],
             )
         ]
+        self._execute_inflight = True
         return state
 
-    def _sharded_execute_finish(
-        self, planned: _PlannedBatch, state: _ShardedInflight
-    ) -> list[RequestOutcome | None]:
-        """Drain the scatter, assemble outcomes, and record request stats."""
-        requests = planned.requests
-        resolved = planned.resolved
-        order = planned.order
-        cached_flags = planned.cached_flags
-        shared_s = planned.shared_s
-        database = self.maliva.database
-        shard_stats = self.stats.shards
-        execute_started = state.execute_started
+    async def wait(self, state: _ShardedInflight | None) -> None:
+        """Poll the submitted workers' pipes without blocking the loop
+        (:func:`~repro.serving.fleet.wait_replies`)."""
+        if state is None:
+            await self._local.wait(state)
+        else:
+            await wait_replies(state.submitted, state.deadline_s)
+
+    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        """Drain the scatter and assemble the outcomes."""
+        if planned.state is None:
+            return self._local.finish(planned)
+        try:
+            return self._gather(planned.state)
+        finally:
+            self._execute_inflight = False
+
+    def _gather(self, state: _ShardedInflight) -> list[RequestOutcome]:
+        database = self.service.maliva.database
+        shard_stats = self._shard_stats
         jobs = state.jobs
         scatter_positions = state.scatter_positions
         owner_positions = state.owner_positions
@@ -571,7 +546,7 @@ class ShardedMalivaService(MalivaService):
         # Assemble outcomes in scheduled order.  A scatter entry is
         # shard-served only if *every* required shard reported it; anything
         # less re-executes on the router, bit-identically.
-        outcomes: list[RequestOutcome | None] = [None] * len(requests)
+        outcomes: list = [None] * len(jobs)
         fallback_set = set(fallback_indexes)
         recovered_shard = {
             index: shard_id
@@ -637,7 +612,7 @@ class ShardedMalivaService(MalivaService):
                         plan, rewritten, obeyed=obeyed, was_planned=was_planned
                     )
                     mid_recovered[shard_id] = mid_recovered.get(shard_id, 0) + 1
-            outcomes[index] = self.maliva.assemble_outcome(
+            outcomes[index] = self.service.maliva.assemble_outcome(
                 query, decision, tau, result
             )
 
@@ -649,24 +624,4 @@ class ShardedMalivaService(MalivaService):
             for shard_id, count in mid_recovered.items():
                 shard_stats.record_recovered(shard_id, count)
 
-        execute_share = (time.perf_counter() - execute_started) / len(requests)
-        for index in order:
-            outcome = outcomes[index]
-            assert outcome is not None
-            request = requests[index]
-            self.stats.record(
-                RequestRecord(
-                    request_id=request.request_id,
-                    session_id=request.effective_session(),
-                    tau_ms=resolved[index][1],
-                    planning_ms=outcome.planning_ms,
-                    execution_ms=outcome.execution_ms,
-                    viable=outcome.viable,
-                    wall_s=execute_share + shared_s,
-                    cache_hits=outcome.cache_hits,
-                    cache_misses=outcome.cache_misses,
-                    decision_cached=cached_flags[index],
-                )
-            )
-        self.stats.record_stage("execute", time.perf_counter() - execute_started)
         return outcomes

@@ -12,15 +12,32 @@ import os
 import pytest
 
 from repro.core import Maliva
+from repro.serving import DispatchExecute, ExecuteStage, ScatterExecute
 
 from ..conftest import build_trained_maliva
 
 
+class SequentialExecute(ExecuteStage):
+    """The reference the batched local stage is pinned against: one
+    ``Maliva.finish`` per request, in scheduled order."""
+
+    def finish(self, planned):
+        outcomes = [None] * len(planned.order)
+        for index in planned.order:
+            query, tau_ms = planned.resolved[index]
+            outcomes[index] = self.service.maliva.finish(
+                query, planned.decisions[index], tau_ms, self.service.quality_fn
+            )
+        return outcomes
+
+
 @pytest.fixture(autouse=True)
 def _chaos_faults(monkeypatch):
-    """Chaos pass: with ``REPRO_CHAOS_SEED`` set, every sharded service
-    built by these suites gets a seeded random fault plan (crashes and
-    garbled replies on execute ops) unless the test supplied its own.
+    """Chaos pass: with ``REPRO_CHAOS_SEED`` set, every fleet stage built
+    by these suites — directly or through ``build_service`` — gets a seeded
+    random fault plan unless the test supplied its own: crashes and garbled
+    replies on execute ops for shard workers, on serve/gossip ops for
+    router replicas (exercising journal replay and gossip re-broadcast).
 
     The equivalence assertions must keep passing — recovery is supposed to
     be invisible in outcomes — while strict routing-counter assertions are
@@ -32,35 +49,22 @@ def _chaos_faults(monkeypatch):
         yield
         return
     from repro.serving.faults import FaultPlan
-    from repro.serving.replicated import ReplicatedMalivaService
-    from repro.serving.sharded import ShardedMalivaService
 
-    original = ShardedMalivaService.__init__
+    def patch(stage, **plan_kwargs):
+        original = stage.__init__
 
-    def chaotic_init(self, maliva, **kwargs):
-        if kwargs.get("fault_plan") is None:
-            kwargs["fault_plan"] = FaultPlan.random(int(seed), rate=0.05)
-            kwargs.setdefault("respawn_backoff_s", 0.0)
-        original(self, maliva, **kwargs)
+        def chaotic_init(self, **kwargs):
+            if kwargs.get("fault_plan") is None:
+                kwargs["fault_plan"] = FaultPlan.random(
+                    int(seed), rate=0.05, **plan_kwargs
+                )
+                kwargs.setdefault("respawn_backoff_s", 0.0)
+            original(self, **kwargs)
 
-    monkeypatch.setattr(ShardedMalivaService, "__init__", chaotic_init)
+        monkeypatch.setattr(stage, "__init__", chaotic_init)
 
-    # The replicated router tier gets its own plan, aimed at router ops:
-    # crashes and garbled replies on serve/gossip exercise journal replay
-    # and gossip re-broadcast under every equivalence assertion.
-    replicated_original = ReplicatedMalivaService.__init__
-
-    def chaotic_replicated_init(self, maliva, **kwargs):
-        if kwargs.get("fault_plan") is None:
-            kwargs["fault_plan"] = FaultPlan.random(
-                int(seed), rate=0.05, ops=("serve", "gossip")
-            )
-            kwargs.setdefault("respawn_backoff_s", 0.0)
-        replicated_original(self, maliva, **kwargs)
-
-    monkeypatch.setattr(
-        ReplicatedMalivaService, "__init__", chaotic_replicated_init
-    )
+    patch(ScatterExecute)
+    patch(DispatchExecute, ops=("serve", "gossip"))
     yield
 
 

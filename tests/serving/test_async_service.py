@@ -25,8 +25,8 @@ from repro.serving import (
     AsyncMalivaService,
     FifoScheduler,
     MalivaService,
+    ScatterExecute,
     SessionAffinityScheduler,
-    ShardedMalivaService,
 )
 from repro.viz import TWITTER_TRANSLATOR
 
@@ -115,11 +115,15 @@ def test_async_sharded_matches_sync_sharded(async_twins):
     """The overlap seam on the sharded router (scatter the batch, plan the
     next one while workers crunch) stays bit-identical to sync serving."""
     sync_maliva, async_maliva, stream = async_twins
-    sync_service = ShardedMalivaService(
-        sync_maliva, translator=TWITTER_TRANSLATOR, n_shards=2, processes=False
+    sync_service = MalivaService(
+        sync_maliva,
+        translator=TWITTER_TRANSLATOR,
+        execute=ScatterExecute(n_shards=2, processes=False),
     )
-    async_backend = ShardedMalivaService(
-        async_maliva, translator=TWITTER_TRANSLATOR, n_shards=2, processes=False
+    async_backend = MalivaService(
+        async_maliva,
+        translator=TWITTER_TRANSLATOR,
+        execute=ScatterExecute(n_shards=2, processes=False),
     )
     with sync_service, async_backend:
         sync_pairs = list(
@@ -141,11 +145,15 @@ def test_async_sharded_matches_sync_with_processes(async_twins):
     while workers crunch, and replies are collected bit-identically."""
     sync_maliva, async_maliva, stream = async_twins
     short = stream[:10]
-    sync_service = ShardedMalivaService(
-        sync_maliva, translator=TWITTER_TRANSLATOR, n_shards=2, processes=True
+    sync_service = MalivaService(
+        sync_maliva,
+        translator=TWITTER_TRANSLATOR,
+        execute=ScatterExecute(n_shards=2, processes=True),
     )
-    async_backend = ShardedMalivaService(
-        async_maliva, translator=TWITTER_TRANSLATOR, n_shards=2, processes=True
+    async_backend = MalivaService(
+        async_maliva,
+        translator=TWITTER_TRANSLATOR,
+        execute=ScatterExecute(n_shards=2, processes=True),
     )
     with sync_service, async_backend:
         sync_pairs = list(

@@ -1,4 +1,4 @@
-"""BackendMalivaService: real-engine execute stage behind the service seam.
+"""BackendExecute: the real-engine execute stage behind the service seam.
 
 Acceptance pin (ISSUE): a full taxi dashboard session served through
 ``--backend sqlite`` answers every widget with rows/bins *identical* to
@@ -15,7 +15,7 @@ from repro.cli import _taxi_dashboard_stream
 from repro.core.options import RewriteOptionSpace
 from repro.datasets import TRIP_FILTER_ATTRIBUTES, TaxiConfig, build_taxi_database
 from repro.errors import QueryError
-from repro.serving import BackendMalivaService, MalivaService
+from repro.serving import BackendExecute, MalivaService
 from repro.viz import TAXI_TRANSLATOR, TWITTER_TRANSLATOR
 from repro.workloads import TaxiWorkloadGenerator, TwitterWorkloadGenerator
 
@@ -45,8 +45,8 @@ def backend_pair(request):
     backend = SqliteBackend()
     backend.ingest(serving_maliva.database)
     memory = MalivaService(serving_maliva, translator=TWITTER_TRANSLATOR)
-    real = BackendMalivaService(
-        serving_maliva, backend, translator=TWITTER_TRANSLATOR
+    real = MalivaService(
+        serving_maliva, execute=BackendExecute(backend), translator=TWITTER_TRANSLATOR
     )
     yield memory, real
     memory.close()
@@ -103,8 +103,10 @@ class TestStreamEquivalence:
     def test_quality_fn_rejected(self, serving_maliva):
         backend = SqliteBackend()
         with pytest.raises(QueryError, match="quality"):
-            BackendMalivaService(
-                serving_maliva, backend, quality_fn=lambda *a: 1.0
+            MalivaService(
+                serving_maliva,
+                execute=BackendExecute(backend),
+                quality_fn=lambda *a: 1.0,
             )
         backend.close()
 
@@ -122,16 +124,23 @@ def test_append_rows_reaches_the_engine():
     tweets = database.table("tweets")
     with (
         MalivaService(maliva, translator=TWITTER_TRANSLATOR) as memory,
-        BackendMalivaService(maliva, backend, translator=TWITTER_TRANSLATOR) as real,
+        MalivaService(
+            maliva, execute=BackendExecute(backend), translator=TWITTER_TRANSLATOR
+        ) as real,
+        # A second service over the same database *and* backend: each
+        # appended row must still be loaded exactly once.
+        MalivaService(maliva, execute=BackendExecute(backend, own_backend=False)),
     ):
         before = memory.answer_many(stream)
-        for offset in (0, 8):
+        # Through the service, then behind its back on the engine itself:
+        # the stage ships the new rows from the invalidation hook either way.
+        for offset, append_rows in ((0, real.append_rows), (8, database.append_rows)):
             # Re-post every 16th tweet under a new id: whatever matched the
             # originals matches the copies, so the answers must move.
             copies = tweets.select_rows(range(offset, 2_400, 16), "copies")
             rows = {c.name: copies.column(c.name) for c in tweets.schema.columns}
             rows["id"] = np.arange(tweets.n_rows, tweets.n_rows + 150)
-            real.append_rows("tweets", rows)
+            append_rows("tweets", rows)
         assert backend._run("SELECT COUNT(*) FROM tweets", ()) == [(2_800,)]
         after = memory.answer_many(stream)
         assert any(
@@ -175,8 +184,8 @@ class TestTaxiDashboardAcceptance:
         backend.ingest(taxi_maliva.database)
         with (
             MalivaService(taxi_maliva, translator=TAXI_TRANSLATOR) as memory,
-            BackendMalivaService(
-                taxi_maliva, backend, translator=TAXI_TRANSLATOR
+            MalivaService(
+                taxi_maliva, execute=BackendExecute(backend), translator=TAXI_TRANSLATOR
             ) as real,
         ):
             memory_outcomes = memory.answer_many(stream)

@@ -1,8 +1,8 @@
 """ServiceConfig/build_service: one place that composes a serving stack.
 
 Every composition the serve CLI offers must be reachable through the
-factory — and the old hand-assembled constructors keep working (the rest
-of this suite still uses them directly, which is itself the pin).
+factory, and every one of them is the same ``MalivaService`` over a
+different execute stage.
 """
 
 import pytest
@@ -12,13 +12,14 @@ from repro.errors import QueryError
 from repro.serving import (
     AdmissionController,
     AsyncMalivaService,
-    BackendMalivaService,
+    BackendExecute,
+    DispatchExecute,
     FifoScheduler,
+    LocalExecute,
     MalivaService,
-    ReplicatedMalivaService,
+    ScatterExecute,
     ServiceConfig,
     SessionAffinityScheduler,
-    ShardedMalivaService,
     build_service,
 )
 from repro.viz import TWITTER_TRANSLATOR
@@ -28,6 +29,7 @@ class TestPlainCompositions:
     def test_default_is_plain_service(self, serving_maliva):
         with build_service(serving_maliva) as service:
             assert type(service) is MalivaService
+            assert type(service.execute) is LocalExecute
             assert isinstance(service.scheduler, SessionAffinityScheduler)
             assert service.admission is None
 
@@ -72,19 +74,22 @@ class TestScaleOutCompositions:
             translator=TWITTER_TRANSLATOR, n_shards=2, processes=False
         )
         with build_service(serving_maliva, config) as service:
-            assert isinstance(service, ShardedMalivaService)
+            assert type(service) is MalivaService
+            assert type(service.execute) is ScatterExecute
 
     def test_replicated(self, serving_maliva):
         config = ServiceConfig(
             translator=TWITTER_TRANSLATOR, n_routers=2, processes=False
         )
         with build_service(serving_maliva, config) as service:
-            assert isinstance(service, ReplicatedMalivaService)
+            assert type(service) is MalivaService
+            assert type(service.execute) is DispatchExecute
 
     def test_backend(self, serving_maliva):
         config = ServiceConfig(translator=TWITTER_TRANSLATOR, backend="sqlite")
         with build_service(serving_maliva, config) as service:
-            assert isinstance(service, BackendMalivaService)
+            assert type(service) is MalivaService
+            assert type(service.execute) is BackendExecute
             assert service.report()["backend"]["name"] == "sqlite"
 
     def test_backend_instance_keeps_caller_ownership(self, serving_maliva):
@@ -92,7 +97,8 @@ class TestScaleOutCompositions:
         backend.ingest(serving_maliva.database)
         config = ServiceConfig(translator=TWITTER_TRANSLATOR, backend=backend)
         service = build_service(serving_maliva, config)
-        assert service.backend is backend
+        assert type(service) is MalivaService
+        assert service.execute.backend is backend
         service.close()
         # The factory did not take ownership: the backend is still open.
         assert not backend._closed
@@ -101,6 +107,7 @@ class TestScaleOutCompositions:
     def test_memory_string_means_plain(self, serving_maliva):
         with build_service(serving_maliva, backend="memory") as service:
             assert type(service) is MalivaService
+            assert type(service.execute) is LocalExecute
 
     def test_async_wrapper(self, serving_maliva):
         config = ServiceConfig(
@@ -109,6 +116,7 @@ class TestScaleOutCompositions:
         wrapper = build_service(serving_maliva, config)
         assert isinstance(wrapper, AsyncMalivaService)
         assert type(wrapper.service) is MalivaService
+        assert type(wrapper.service.execute) is LocalExecute
         wrapper.service.close()
 
 

@@ -20,9 +20,9 @@ import pytest
 from repro.errors import ServiceOverloadError
 from repro.serving import (
     AdmissionController,
+    DispatchExecute,
     MalivaService,
-    ReplicatedMalivaService,
-    ShardedMalivaService,
+    ScatterExecute,
 )
 from repro.serving.faults import (
     CRASH,
@@ -102,13 +102,15 @@ def test_worker_failure_mid_execute_is_bit_identical(ft_twins, processes, kind):
     single_maliva, sharded_maliva, stream = ft_twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
     plan = FaultPlan([FaultSpec(op="execute", kind=kind, shard_id=1, nth=2)])
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=3,
-        processes=processes,
-        respawn_backoff_s=0.0,
-        fault_plan=plan,
+        execute=ScatterExecute(
+            n_shards=3,
+            processes=processes,
+            respawn_backoff_s=0.0,
+            fault_plan=plan,
+        ),
     )
     with sharded:
         for chunk in _chunks(stream, 5):
@@ -122,20 +124,22 @@ def test_worker_failure_mid_execute_is_bit_identical(ft_twins, processes, kind):
         assert shards.n_recovered_entries >= 1
         # The slot respawned warm and later batches scattered through it.
         assert shards.n_respawns >= 1
-        assert not sharded._closed
+        assert not sharded.execute._closed
 
 
 def test_inline_hang_surfaces_as_timeout(ft_twins):
     single_maliva, sharded_maliva, stream = ft_twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
     plan = FaultPlan([FaultSpec(op="execute", kind="hang", shard_id=0, nth=1)])
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
-        respawn_backoff_s=0.0,
-        fault_plan=plan,
+        execute=ScatterExecute(
+            n_shards=2,
+            processes=False,
+            respawn_backoff_s=0.0,
+            fault_plan=plan,
+        ),
     )
     with sharded:
         for chunk in _chunks(stream[:10], 5):
@@ -153,15 +157,17 @@ def test_hang_past_rpc_deadline_recovers(ft_twins):
     single_maliva, sharded_maliva, stream = ft_twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
     plan = FaultPlan([FaultSpec(op="execute", kind="hang", shard_id=1, nth=1)])
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=True,
-        rpc_deadline_ms=400.0,
-        deadline_tau_factor=0.0,
-        respawn_backoff_s=0.0,
-        fault_plan=plan,
+        execute=ScatterExecute(
+            n_shards=2,
+            processes=True,
+            rpc_deadline_ms=400.0,
+            deadline_tau_factor=0.0,
+            respawn_backoff_s=0.0,
+            fault_plan=plan,
+        ),
     )
     with sharded:
         chunk = stream[:5]
@@ -189,13 +195,15 @@ def test_crash_during_coherence_sync_recovers(op):
     )
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
     plan = FaultPlan([FaultSpec(op=op, kind="crash", shard_id=0, nth=1)])
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
-        respawn_backoff_s=0.0,
-        fault_plan=plan,
+        execute=ScatterExecute(
+            n_shards=2,
+            processes=False,
+            respawn_backoff_s=0.0,
+            fault_plan=plan,
+        ),
     )
     with sharded:
         half = len(stream) // 2
@@ -228,15 +236,17 @@ def test_flapping_shard_trips_breaker_and_rebalances(ft_twins, shard_by):
     plan = FaultPlan(
         [FaultSpec(op="execute", kind="crash", shard_id=0, nth=1, repeat=True)]
     )
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=3,
-        shard_by=shard_by,
-        processes=False,
-        max_respawns=2,
-        respawn_backoff_s=0.0,
-        fault_plan=plan,
+        execute=ScatterExecute(
+            n_shards=3,
+            shard_by=shard_by,
+            processes=False,
+            max_respawns=2,
+            respawn_backoff_s=0.0,
+            fault_plan=plan,
+        ),
     )
     with sharded:
         for chunk in _chunks(stream, 4):
@@ -249,28 +259,30 @@ def test_flapping_shard_trips_breaker_and_rebalances(ft_twins, shard_by):
         assert shards.per_shard[0].breaker_open
         assert shards.n_rebalances >= 1
         assert shards.n_respawns == 2  # budget spent flapping
-        assert sharded._slots[0].retired
+        assert sharded.execute._slots[0].retired
         # Survivors keep scattering after the rebalance.
         before = shards.n_scattered
         _assert_outcomes_match(
             single.answer_many(stream[:4]), sharded.answer_many(stream[:4])
         )
         assert shards.n_scattered > before
-        assert not sharded._closed
+        assert not sharded.execute._closed
 
 
 def test_whole_fleet_retired_serves_from_router(ft_twins):
     single_maliva, sharded_maliva, stream = ft_twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
     plan = FaultPlan([FaultSpec(op="execute", kind="crash", nth=1, repeat=True)])
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
-        max_respawns=0,
-        respawn_backoff_s=0.0,
-        fault_plan=plan,
+        execute=ScatterExecute(
+            n_shards=2,
+            processes=False,
+            max_respawns=0,
+            respawn_backoff_s=0.0,
+            fault_plan=plan,
+        ),
     )
     with sharded:
         for chunk in _chunks(stream, 4):
@@ -280,8 +292,8 @@ def test_whole_fleet_retired_serves_from_router(ft_twins):
         shards = sharded.stats.shards
         assert shards is not None
         assert shards.n_retired == 2
-        assert not sharded._active_slots()
-        assert not sharded._closed
+        assert not sharded.execute._active_slots()
+        assert not sharded.execute._closed
 
 
 # ----------------------------------------------------------------------
@@ -290,12 +302,10 @@ def test_whole_fleet_retired_serves_from_router(ft_twins):
 def test_killed_worker_process_loses_zero_requests(ft_twins):
     single_maliva, sharded_maliva, stream = ft_twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=True,
-        respawn_backoff_s=0.0,
+        execute=ScatterExecute(n_shards=2, processes=True, respawn_backoff_s=0.0),
     )
     with sharded:
         chunk = stream[:5]
@@ -303,7 +313,7 @@ def test_killed_worker_process_loses_zero_requests(ft_twins):
             single.answer_many(chunk), sharded.answer_many(chunk)
         )
         # Murder shard 0's worker out from under the router.
-        victim = sharded._slots[0].handle._process
+        victim = sharded.execute._slots[0].handle._process
         victim.kill()
         victim.join(timeout=5.0)
         # The very next batch completes — zero requests lost, outcomes
@@ -314,7 +324,7 @@ def test_killed_worker_process_loses_zero_requests(ft_twins):
         shards = sharded.stats.shards
         assert shards is not None
         assert shards.n_worker_deaths >= 1
-        assert not sharded._closed
+        assert not sharded.execute._closed
         # And the one after that scatters through the respawned worker.
         batches_before = shards.per_shard[0].n_batches
         _assert_outcomes_match(
@@ -422,12 +432,11 @@ def test_degraded_taus_match_across_deployments(ft_twins):
         translator=TWITTER_TRANSLATOR,
         admission=AdmissionController(load_watermark_ms=200.0, mode="degrade"),
     )
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
         admission=AdmissionController(load_watermark_ms=200.0, mode="degrade"),
+        execute=ScatterExecute(n_shards=2, processes=False),
     )
     with sharded:
         for chunk in _chunks(stream, 5):
@@ -459,13 +468,17 @@ def test_close_reaps_and_releases_fds(ft_twins, tier):
     ends even when the worker is already dead — no FD leak per death."""
     _single, fleet_maliva, _stream = ft_twins
     if tier == "sharded":
-        service = ShardedMalivaService(fleet_maliva, n_shards=2, processes=True)
-        slots = service._slots
-    else:
-        service = ReplicatedMalivaService(
-            fleet_maliva, n_routers=2, processes=True
+        service = MalivaService(
+            fleet_maliva,
+            execute=ScatterExecute(n_shards=2, processes=True),
         )
-        slots = service._group.slots
+        slots = service.execute._slots
+    else:
+        service = MalivaService(
+            fleet_maliva,
+            execute=DispatchExecute(n_routers=2, processes=True),
+        )
+        slots = service.execute._group.slots
     handle = slots[0].handle
     process, conn = handle._process, handle._conn
     process.kill()

@@ -308,7 +308,7 @@ def test_fleet_knobs_are_validated_once():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("tier", ["sharded", "replicated"])
 def test_tiers_report_last_fault(tier):
-    from repro.serving import ReplicatedMalivaService, ShardedMalivaService
+    from repro.serving import DispatchExecute, MalivaService, ScatterExecute
     from repro.viz import TWITTER_TRANSLATOR
 
     from tests.conftest import build_session_stream
@@ -316,16 +316,15 @@ def test_tiers_report_last_fault(tier):
 
     maliva = _build_maliva(n_tweets=400, max_epochs=2)
     stream = build_session_stream(maliva.database, n_sessions=2, n_steps=3, seed=3)
-    common = dict(translator=TWITTER_TRANSLATOR, processes=False)
     if tier == "sharded":
         plan = FaultPlan([FaultSpec(op="execute", kind="crash", shard_id=1)])
-        service = ShardedMalivaService(maliva, n_shards=2, fault_plan=plan, **common)
+        stage = ScatterExecute(n_shards=2, fault_plan=plan, processes=False)
         windows, reason = ("shards", "per_shard"), "shard worker 1: injected crash"
     else:
         plan = FaultPlan([FaultSpec(op="serve", kind="garble", shard_id=1)])
-        service = ReplicatedMalivaService(maliva, n_routers=2, fault_plan=plan, **common)
+        stage = DispatchExecute(n_routers=2, fault_plan=plan, processes=False)
         windows, reason = ("routers", "per_router"), "router worker 1: garbled serve"
-    with service:
+    with MalivaService(maliva, translator=TWITTER_TRANSLATOR, execute=stage) as service:
         service.answer_many(stream)
         fleet_report = service.report()["service"][windows[0]]
     window = fleet_report[windows[1]]["1"]

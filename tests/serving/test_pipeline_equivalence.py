@@ -23,6 +23,7 @@ from repro.serving import (
 from repro.viz import TWITTER_TRANSLATOR
 
 from ..conftest import build_trained_maliva
+from .conftest import SequentialExecute
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +160,9 @@ def _assert_outcomes_identical(batched, sequential):
 def test_batched_execute_stage_matches_sequential_execute(
     serving_maliva, make_workload, scheduler_cls
 ):
-    """The execute stage's own equivalence: batch_execute on vs off produce
-    identical outcomes under either scheduler, and only the batched service
-    reports execute-stage sharing."""
+    """The execute stage's own equivalence: the batched local stage and the
+    sequential reference stage produce identical outcomes under either
+    scheduler, and only the batched service reports execute-stage sharing."""
     requests = make_workload(13, 24)
     batched_service = MalivaService(
         serving_maliva, translator=TWITTER_TRANSLATOR, scheduler=scheduler_cls()
@@ -170,7 +171,7 @@ def test_batched_execute_stage_matches_sequential_execute(
         serving_maliva,
         translator=TWITTER_TRANSLATOR,
         scheduler=scheduler_cls(),
-        batch_execute=False,
+        execute=SequentialExecute(),
     )
     batched = batched_service.answer_many(requests)
     sequential = sequential_service.answer_many(requests)
@@ -241,7 +242,7 @@ def test_mutations_mid_stream_do_not_leak_stale_shared_state():
     assert [r.request_id for r in stream_a] == [r.request_id for r in stream_b]
     batched = maliva_a.service(translator=TWITTER_TRANSLATOR, stream_batch_size=6)
     sequential = maliva_b.service(
-        translator=TWITTER_TRANSLATOR, stream_batch_size=6, batch_execute=False
+        translator=TWITTER_TRANSLATOR, stream_batch_size=6, execute=SequentialExecute()
     )
     mutate_at = 8  # lands inside the second micro-batch's assembly
     served_a = [

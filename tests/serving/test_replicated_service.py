@@ -24,8 +24,9 @@ from repro.errors import QueryError
 from repro.serving import (
     AdmissionController,
     AsyncMalivaService,
+    DispatchExecute,
     FifoScheduler,
-    ReplicatedMalivaService,
+    MalivaService,
     SessionAffinityScheduler,
 )
 from repro.serving.faults import FaultPlan, FaultSpec
@@ -58,10 +59,16 @@ def _make_scheduler(name: str):
     return {"affinity": SessionAffinityScheduler, "fifo": FifoScheduler}[name]()
 
 
-def _replicated(maliva, **kwargs):
-    kwargs.setdefault("translator", TWITTER_TRANSLATOR)
-    kwargs.setdefault("respawn_backoff_s", 0.0)
-    return ReplicatedMalivaService(maliva, **kwargs)
+def _replicated(maliva, *, scheduler=None, admission=None, **fleet_kwargs):
+    """The dispatcher: a plain service over a :class:`DispatchExecute` stage."""
+    fleet_kwargs.setdefault("respawn_backoff_s", 0.0)
+    return MalivaService(
+        maliva,
+        translator=TWITTER_TRANSLATOR,
+        scheduler=scheduler,
+        admission=admission,
+        execute=DispatchExecute(**fleet_kwargs),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +89,7 @@ def test_inline_fleet_matches_single_engine(repl_twins, n_routers):
         )
         routers = repl.stats.routers
         assert routers is not None
-        assert repl._journal.depth == 0
+        assert repl.execute._journal.depth == 0
         if not CHAOS:
             assert routers.n_dispatched == 2 * len(stream)
             assert routers.n_local == 0
@@ -117,8 +124,8 @@ def test_journal_acks_every_dispatched_request(repl_twins):
     repl = _replicated(repl_maliva, n_routers=2, processes=False)
     with repl:
         repl.answer_many(stream)
-        assert repl._journal.depth == 0
-        assert repl._journal.next_seq == len(stream)
+        assert repl.execute._journal.depth == 0
+        assert repl.execute._journal.next_seq == len(stream)
         routers = repl.stats.routers
         assert routers is not None
         assert routers.journal_high_water == len(stream)
@@ -148,7 +155,7 @@ def test_router_failure_mid_serve_is_bit_identical(repl_twins, processes, kind):
         assert routers is not None
         assert routers.n_router_deaths >= 1
         assert routers.n_replayed >= 1
-        assert repl._journal.depth == 0
+        assert repl.execute._journal.depth == 0
 
 
 def test_flapping_router_trips_breaker_and_rebalances(repl_twins):
@@ -183,7 +190,7 @@ def test_flapping_router_trips_breaker_and_rebalances(repl_twins):
         assert controller.capacity_fraction == pytest.approx(0.5)
         assert controller.effective_watermark_ms == pytest.approx(5e8)
         # Every surviving request was served by router 0 or replayed there.
-        assert repl._journal.depth == 0
+        assert repl.execute._journal.depth == 0
 
 
 def test_whole_fleet_retired_serves_on_dispatcher(repl_twins):
@@ -206,8 +213,8 @@ def test_whole_fleet_retired_serves_on_dispatcher(repl_twins):
         assert routers is not None
         assert routers.n_retired == 2
         assert routers.n_local > 0
-        assert repl._journal.depth == 0
-        assert not repl._closed
+        assert repl.execute._journal.depth == 0
+        assert not repl.execute._closed
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +238,7 @@ def test_killed_router_process_loses_zero_requests(repl_twins, scheduler_name):
             single.answer_many(chunk), repl.answer_many(chunk)
         )
         # Murder a live router out from under the dispatcher.
-        victim = repl._group.live_slots()[0]
+        victim = repl.execute._group.live_slots()[0]
         victim.handle._process.kill()
         victim.handle._process.join(timeout=5.0)
         # The very next batch completes — zero requests lost, outcomes
@@ -243,8 +250,8 @@ def test_killed_router_process_loses_zero_requests(repl_twins, scheduler_name):
         assert routers is not None
         assert routers.n_router_deaths >= 1
         assert routers.n_replayed >= 1
-        assert repl._journal.depth == 0
-        assert not repl._closed
+        assert repl.execute._journal.depth == 0
+        assert not repl.execute._closed
         # And the one after that dispatches through the respawned router.
         _assert_outcomes_match(
             single.answer_many(chunk), repl.answer_many(chunk)
@@ -279,7 +286,7 @@ def test_killed_router_async_stream_loses_zero_requests(
                 if len(pairs) == 5:
                     # First chunk landed; kill a live router while the
                     # pipeline is still streaming.
-                    victim = repl._group.live_slots()[0]
+                    victim = repl.execute._group.live_slots()[0]
                     victim.handle._process.kill()
                     victim.handle._process.join(timeout=5.0)
         return pairs
@@ -295,7 +302,7 @@ def test_killed_router_async_stream_loses_zero_requests(
         assert routers is not None
         assert routers.n_router_deaths >= 1
         assert routers.n_replayed >= 1
-        assert repl._journal.depth == 0
+        assert repl.execute._journal.depth == 0
 
 
 # ----------------------------------------------------------------------
@@ -382,18 +389,25 @@ def test_mutation_syncs_every_replica(repl_twins):
 def test_replicated_validation(repl_twins):
     _, repl_maliva, _ = repl_twins
     with pytest.raises(QueryError):
-        ReplicatedMalivaService(repl_maliva, n_routers=0, processes=False)
-    with pytest.raises(QueryError):
-        ReplicatedMalivaService(
-            repl_maliva, processes=False, rpc_deadline_ms=0.0
+        MalivaService(
+            repl_maliva,
+            execute=DispatchExecute(n_routers=0, processes=False),
         )
     with pytest.raises(QueryError):
-        ReplicatedMalivaService(
-            repl_maliva, processes=False, deadline_tau_factor=-1.0
+        MalivaService(
+            repl_maliva,
+            execute=DispatchExecute(processes=False, rpc_deadline_ms=0.0),
         )
     with pytest.raises(QueryError):
-        ReplicatedMalivaService(
-            repl_maliva, processes=False, quality_fn=lambda *args: 1.0
+        MalivaService(
+            repl_maliva,
+            execute=DispatchExecute(processes=False, deadline_tau_factor=-1.0),
+        )
+    with pytest.raises(QueryError):
+        MalivaService(
+            repl_maliva,
+            quality_fn=lambda *args: 1.0,
+            execute=DispatchExecute(processes=False),
         )
 
 
@@ -420,7 +434,7 @@ def test_close_is_idempotent_and_reaps(repl_twins):
     with repl:
         repl.answer_many(stream[:4])
         processes = [
-            slot.handle._process for slot in repl._group.live_slots()
+            slot.handle._process for slot in repl.execute._group.live_slots()
         ]
     repl.close()  # second close: no-op
     for process in processes:

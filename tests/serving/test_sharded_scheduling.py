@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import RewriteOptionSpace
-from repro.serving import FifoScheduler, ShardedMalivaService
+from repro.serving import FifoScheduler, MalivaService, ScatterExecute
 from repro.viz import TWITTER_TRANSLATOR
 from repro.workloads import TwitterWorkloadGenerator
 
@@ -65,15 +65,16 @@ def test_fifo_and_affinity_outcomes_identical_under_sharding(stream_for):
     affinity_maliva = _build_maliva()
     fifo_maliva = _build_maliva()
     stream = stream_for(affinity_maliva)
-    affinity = ShardedMalivaService(
-        affinity_maliva, translator=TWITTER_TRANSLATOR, n_shards=3, processes=False
+    affinity = MalivaService(
+        affinity_maliva,
+        translator=TWITTER_TRANSLATOR,
+        execute=ScatterExecute(n_shards=3, processes=False),
     )
-    fifo = ShardedMalivaService(
+    fifo = MalivaService(
         fifo_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=3,
-        processes=False,
         scheduler=FifoScheduler(),
+        execute=ScatterExecute(n_shards=3, processes=False),
     )
     with affinity, fifo:
         lhs = affinity.answer_many(stream)
@@ -93,11 +94,10 @@ def test_fifo_and_affinity_outcomes_identical_under_sharding(stream_for):
 def test_affinity_grouping_survives_saturation(stream_for):
     maliva = _build_maliva(dataset_seed=17)
     stream = stream_for(maliva)
-    service = ShardedMalivaService(
+    service = MalivaService(
         maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        processes=False,
+        execute=ScatterExecute(n_shards=2, processes=False),
     )
     with service:
         service.answer_many(stream)
@@ -116,8 +116,10 @@ def test_single_shard_degenerates_to_full_slice(stream_for):
     """n_shards=1 rows mode: one worker holds the whole row space."""
     maliva = _build_maliva(dataset_seed=23)
     stream = stream_for(maliva)[:8]
-    service = ShardedMalivaService(
-        maliva, translator=TWITTER_TRANSLATOR, n_shards=1, processes=False
+    service = MalivaService(
+        maliva,
+        translator=TWITTER_TRANSLATOR,
+        execute=ScatterExecute(n_shards=1, processes=False),
     )
     with service:
         outcomes = service.answer_many(stream)

@@ -1,7 +1,7 @@
 """Sharded serving == single-engine serving, bit for bit.
 
 Twin engines are built from identical seeds: one serves through the plain
-:class:`MalivaService`, the other through a :class:`ShardedMalivaService`
+:class:`MalivaService`, the other through a :class:`ScatterExecute` stage
 (rows and table modes, inline and real worker processes).  Every user-visible
 outcome — viability, virtual times, result rows/bins, canonical work
 counters — must match exactly under the deterministic profile; that is the
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import Maliva, RewriteOptionSpace
-from repro.serving import ShardedMalivaService, VizRequest
+from repro.serving import MalivaService, ScatterExecute, VizRequest
 from repro.viz import TWITTER_TRANSLATOR
 from repro.workloads import TwitterJoinWorkloadGenerator, TwitterWorkloadGenerator
 
@@ -83,12 +83,10 @@ def _assert_outcomes_match(lhs, rhs):
 def test_rows_mode_matches_single_engine(twins, n_shards):
     single_maliva, sharded_maliva, stream = twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=n_shards,
-        shard_by="rows",
-        processes=False,
+        execute=ScatterExecute(n_shards=n_shards, shard_by="rows", processes=False),
     )
     with sharded:
         _assert_outcomes_match(
@@ -112,12 +110,10 @@ def test_rows_mode_matches_single_engine(twins, n_shards):
 def test_table_mode_matches_single_engine(twins):
     single_maliva, sharded_maliva, stream = twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        shard_by="table",
-        processes=False,
+        execute=ScatterExecute(n_shards=2, shard_by="table", processes=False),
     )
     with sharded:
         _assert_outcomes_match(
@@ -133,12 +129,10 @@ def test_worker_processes_match_single_engine(twins):
     single_maliva, sharded_maliva, stream = twins
     short = stream[:12]
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        shard_by="rows",
-        processes=True,
+        execute=ScatterExecute(n_shards=2, shard_by="rows", processes=True),
     )
     with sharded:
         _assert_outcomes_match(
@@ -152,12 +146,10 @@ def test_worker_processes_match_single_engine(twins):
 
 def test_stream_serving_matches_batch(twins):
     _single_maliva, sharded_maliva, stream = twins
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=2,
-        shard_by="rows",
-        processes=False,
+        execute=ScatterExecute(n_shards=2, shard_by="rows", processes=False),
     )
     with sharded:
         batch_outcomes = sharded.answer_many(stream)
@@ -189,7 +181,10 @@ def test_join_queries_fall_back_and_match():
         for i, query in enumerate(queries)
     ]
     single = single_maliva.service()
-    sharded = ShardedMalivaService(sharded_maliva, n_shards=2, processes=False)
+    sharded = MalivaService(
+        sharded_maliva,
+        execute=ScatterExecute(n_shards=2, processes=False),
+    )
     with sharded:
         _assert_outcomes_match(
             single.answer_many(requests), sharded.answer_many(requests)
@@ -216,12 +211,10 @@ def test_append_rows_stays_coherent(shard_by):
         single_maliva.database, n_sessions=4, n_steps=4, seed=41
     )
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=3,
-        shard_by=shard_by,
-        processes=False,
+        execute=ScatterExecute(n_shards=3, shard_by=shard_by, processes=False),
     )
     with sharded:
         half = len(stream) // 2
@@ -246,8 +239,10 @@ def test_direct_database_mutation_propagates_via_hook():
         single_maliva.database, n_sessions=3, n_steps=4, seed=23
     )
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
-        sharded_maliva, translator=TWITTER_TRANSLATOR, n_shards=2, processes=False
+    sharded = MalivaService(
+        sharded_maliva,
+        translator=TWITTER_TRANSLATOR,
+        execute=ScatterExecute(n_shards=2, processes=False),
     )
     with sharded:
         single.answer_many(stream[:4])
@@ -272,12 +267,10 @@ def test_worker_failure_recovers_on_router(twins):
 
     single_maliva, sharded_maliva, stream = twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=3,
-        processes=False,
-        respawn_backoff_s=0.0,
+        execute=ScatterExecute(n_shards=3, processes=False, respawn_backoff_s=0.0),
     )
     with sharded:
         requests = stream[:6]
@@ -288,11 +281,11 @@ def test_worker_failure_recovers_on_router(twins):
         def explode(*_args, **_kwargs):
             raise WorkerFault("boom")
 
-        sharded._handles[1].collect = explode
+        sharded.execute._fleet.live_slots()[1].handle.collect = explode
         _assert_outcomes_match(
             single.answer_many(requests), sharded.answer_many(requests)
         )
-        assert not sharded._closed
+        assert not sharded.execute._closed
         shards = sharded.stats.shards
         assert shards is not None
         if not CHAOS:
@@ -317,12 +310,10 @@ def test_submit_failure_also_recovers(twins):
 
     single_maliva, sharded_maliva, stream = twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
+    sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        n_shards=3,
-        processes=False,
-        respawn_backoff_s=0.0,
+        execute=ScatterExecute(n_shards=3, processes=False, respawn_backoff_s=0.0),
     )
     with sharded:
         _assert_outcomes_match(
@@ -332,11 +323,11 @@ def test_submit_failure_also_recovers(twins):
         def explode(_entries):
             raise WorkerFault("worker gone")
 
-        sharded._handles[2].submit_execute = explode
+        sharded.execute._fleet.live_slots()[2].handle.submit_execute = explode
         _assert_outcomes_match(
             single.answer_many(stream[:4]), sharded.answer_many(stream[:4])
         )
-        assert not sharded._closed
+        assert not sharded.execute._closed
         if not CHAOS:
             shards = sharded.stats.shards
             assert shards is not None
@@ -361,8 +352,10 @@ def test_planning_stays_on_the_router():
         single_maliva.database, n_sessions=3, n_steps=4, seed=53
     )
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = ShardedMalivaService(
-        sharded_maliva, translator=TWITTER_TRANSLATOR, n_shards=2, processes=False
+    sharded = MalivaService(
+        sharded_maliva,
+        translator=TWITTER_TRANSLATOR,
+        execute=ScatterExecute(n_shards=2, processes=False),
     )
 
     def lookups(report):
@@ -381,7 +374,10 @@ def test_planning_stays_on_the_router():
 
 def test_closed_service_refuses_work(twins):
     _single, sharded_maliva, stream = twins
-    sharded = ShardedMalivaService(sharded_maliva, n_shards=2, processes=False)
+    sharded = MalivaService(
+        sharded_maliva,
+        execute=ScatterExecute(n_shards=2, processes=False),
+    )
     sharded.close()
     sharded.close()  # idempotent
     from repro.errors import QueryError
