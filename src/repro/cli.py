@@ -593,6 +593,12 @@ def _run_serve(args) -> int:
     report = service.report()
     service.close()
     print(f"\nengine cache hit rate: {report['engine_hit_rate']:.1%}")
+    for name, cache in report["engine_caches"].items():
+        held = f", {cache['bytes_held'] / 2**20:.2f} MiB" if cache["bytes_held"] else ""
+        print(
+            f"  {name:<10} {cache['hit_rate']:6.1%} hits, "
+            f"{cache['entries']} entries{held}"
+        )
     print(f"decision cache hits:   {warm['decision_cache_hits']}/{warm['n_requests']}")
     backend_report = report.get("backend")
     if backend_report:

@@ -37,6 +37,7 @@ from .schema import Column, ForeignKey, TableSchema
 from .sql import parse_sql
 from .statistics import StatisticsConfig, TableStatistics
 from .table import Table, make_table
+from .tokens import PackedTokens
 from .types import BoundingBox, ColumnKind, Interval, days, tokenize
 
 __all__ = [
@@ -68,6 +69,7 @@ __all__ = [
     "KeywordPredicate",
     "LimitRule",
     "Optimizer",
+    "PackedTokens",
     "PhysicalPlan",
     "Predicate",
     "RangePredicate",

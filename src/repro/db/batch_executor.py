@@ -12,7 +12,8 @@ post-batch cache state — while doing the underlying computation once per
   lookup_batch` sweep per (table, column) group;
 * **shared predicate row sets** — each distinct predicate's RowSet is
   materialized once and shared, so its bitmap (the O(1)-probe intersection
-  representation) is built at most once per batch;
+  representation) is built at most once per batch and lives in the batch:
+  the match cache keeps only the compact one-array form;
 * **scan memoization** — requests whose plans share the same (scan, join,
   limit) pipeline reuse the selected rows and their work counters;
 * **fused aggregation** — all histograms over the same (table, BIN_ID cell
@@ -118,13 +119,15 @@ class _BatchAccess(EngineAccess):
     Drives the database's instrumented caches through exactly the get/put
     sequence ``Database.match_rowset`` / ``Database.index_lookup`` would,
     but on a miss consults the batch's precomputed values before falling
-    back to the per-predicate compute path.  Access-path row sets are shared
-    across the batch so each predicate's bitmap materializes at most once.
+    back to the per-predicate compute path.  Access-path and match row sets
+    are shared across the batch so each predicate's bitmap materializes at
+    most once; those bitmaps stay here, never in the engine's caches.
     """
 
     def __init__(self, database: "Database", stats: BatchSharingStats) -> None:
         super().__init__(database)
         self.lookup_values: dict[tuple, "IndexLookup"] = {}
+        #: The batch's match sets, with their bitmaps (``RowSet.with_mask``).
         self.match_values: dict[tuple, RowSet] = {}
         self._access_rowsets: dict[tuple, RowSet] = {}
         self._stats = stats
@@ -149,32 +152,28 @@ class _BatchAccess(EngineAccess):
     def match_rowset(self, table_name: str, predicate) -> RowSet:
         key = (table_name, predicate.key())
         cached = self._db._match_cache.get(key)
-        if cached is not None:
-            return cached
         rowset = self.match_values.get(key)
+        if cached is not None:
+            return cached if rowset is None else rowset
         if rowset is None:
-            table = self._db.table(table_name)
-            index = self._db.index(table_name, predicate.column)
-            if index is not None and index.supports(predicate):
-                rowset = RowSet.from_ids(index.lookup(predicate).row_ids, table.n_rows)
-                rowset.mask  # bitmap intersections for the whole batch
-            else:
-                rowset = predicate.matching_rowset(table)
+            rowset = self._db._compute_match(table_name, predicate).with_mask()
+            self.match_values[key] = rowset
             self._stats.n_matches_computed += 1
-        self._db._match_cache.put(key, rowset, tags=[table_name])
+        self._db._cache_match(key, rowset)
         return rowset
 
     def access_rowset(self, table_name: str, predicate, lookup) -> RowSet:
         key = (table_name, predicate.key())
         rowset = self._access_rowsets.get(key)
         if rowset is None:
-            rowset = RowSet.from_ids(lookup.row_ids, self._db.table(table_name).n_rows)
             # Materialize the bitmap once for the whole batch: every scan
             # intersecting this access path then takes the O(rows) bitmap
             # strategy instead of an O(k log k) sorted merge.  The result of
             # any intersect strategy is identical (the RowSet invariant), so
             # this only moves work, never changes counters or rows.
-            rowset.mask
+            rowset = RowSet.from_ids(
+                lookup.row_ids, self._db.table(table_name).n_rows
+            ).with_mask()
             self._access_rowsets[key] = rowset
         return rowset
 
@@ -427,39 +426,44 @@ class BatchExecutor:
                         need_matches[key] = (plan.join.inner_table, predicate)
 
         # One fused sweep per (table, column) index answers both the lookup
-        # needs and the index-backed match needs; index-less matches fall
-        # back to exact per-predicate masks.
-        sweeps: dict[tuple[str, str], list[tuple[tuple, object, bool]]] = {}
+        # needs and the index-backed match needs, each distinct probe once:
+        # a match whose probe the batch also needs as a lookup, or that the
+        # lookup cache already holds, shares that probe's id array.
+        # Index-less matches fall back to exact per-predicate masks.
+        sweeps: dict[tuple[str, str], dict[tuple, object]] = {}
         for key, (table_name, predicate) in need_lookups.items():
-            sweeps.setdefault((table_name, predicate.column), []).append(
-                (key, predicate, True)
-            )
+            sweeps.setdefault((table_name, predicate.column), {})[key] = predicate
+        probed_matches: list[tuple] = []
         for key, (table_name, predicate) in need_matches.items():
             index = db.index(table_name, predicate.column)
-            if index is not None and index.supports(predicate):
-                sweeps.setdefault((table_name, predicate.column), []).append(
-                    (key, predicate, False)
-                )
-            else:
+            if index is None or not index.supports(predicate):
                 self._access.match_values[key] = predicate.matching_rowset(
                     db.table(table_name)
                 )
                 self._stats.n_matches_computed += 1
-        for (table_name, _column), entries in sweeps.items():
-            index = db.index(table_name, entries[0][1].column)
+                continue
+            probed_matches.append(key)
+            if key not in need_lookups and db._lookup_cache.peek(key) is None:
+                sweeps.setdefault((table_name, predicate.column), {})[key] = predicate
+        probes: dict[tuple, "IndexLookup"] = {}
+        for (table_name, column), predicates in sweeps.items():
+            index = db.index(table_name, column)
             assert index is not None
-            lookups = index.lookup_batch([predicate for _, predicate, _ in entries])
-            n_rows = db.table(table_name).n_rows
-            for (key, _predicate, is_lookup), lookup in zip(entries, lookups):
-                if is_lookup:
-                    self._access.lookup_values[key] = lookup
-                    self._stats.n_probes_computed += 1
-                else:
-                    rowset = RowSet.from_ids(lookup.row_ids, n_rows)
-                    rowset.mask  # bitmap intersections for the whole batch
-                    self._access.match_values[key] = rowset
-                    self._stats.n_matches_computed += 1
+            lookups = index.lookup_batch(list(predicates.values()))
+            probes.update(zip(predicates, lookups))
             self._stats.n_probe_sweeps += 1
+        for key in need_lookups:
+            self._access.lookup_values[key] = probes[key]
+            self._stats.n_probes_computed += 1
+        for key in probed_matches:
+            lookup = probes.get(key)
+            if lookup is None:
+                lookup = db._lookup_cache.peek(key)
+            n_rows = db.table(key[0]).n_rows
+            self._access.match_values[key] = RowSet.from_ids(
+                lookup.row_ids, n_rows
+            ).with_mask()
+            self._stats.n_matches_computed += 1
 
     def _count_plan_groups(self, pending: list[_Pending]) -> None:
         groups = set()

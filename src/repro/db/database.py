@@ -45,6 +45,14 @@ from .table import Table
 from .types import ColumnKind
 
 
+#: Byte budget of each of the two array-valued engine caches (``match``
+#: and ``lookup``; 32 MiB for the pair).  Their values range from a few ids
+#: to a table-sized array, so an entry count bounds nothing.
+ARRAY_CACHE_BYTES = 16 << 20
+#: Entry cap of the scalar-valued engine caches (``estimate``, ``true_time``).
+SCALAR_CACHE_ENTRIES = 4096
+
+
 @dataclass(frozen=True)
 class SimProfile:
     """Behavioural knobs of the *simulated* engine.
@@ -135,15 +143,21 @@ class Database:
         self._optimizer = Optimizer(self)
         self._executor = Executor(self)
 
-        self._match_cache = InstrumentedCache("match", capacity=1024)
-        self._lookup_cache = InstrumentedCache("lookup", capacity=1024)
+        # A cached RowSet holds one array (``RowSet.compact``); batches
+        # keep the bitmaps they intersect with themselves.
+        self._match_cache = InstrumentedCache("match", budget_bytes=ARRAY_CACHE_BYTES)
+        self._lookup_cache = InstrumentedCache("lookup", budget_bytes=ARRAY_CACHE_BYTES)
         self._plan_cache = InstrumentedCache("plan", capacity=1024)
         self._key_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-        self._true_time_cache = InstrumentedCache("true_time")
+        self._true_time_cache = InstrumentedCache(
+            "true_time", capacity=SCALAR_CACHE_ENTRIES
+        )
         # Statistics-based selectivity estimates are pure functions of the
         # current statistics build; the QTE featurizer asks for the same
         # (table, predicate) pairs on every estimate of every request.
-        self._estimate_cache = InstrumentedCache("estimate", capacity=4096)
+        self._estimate_cache = InstrumentedCache(
+            "estimate", capacity=SCALAR_CACHE_ENTRIES
+        )
         # Precomputed whole-column BIN_ID layouts shared by aggregate
         # queries.  Deliberately uninstrumented (like the key cache): both
         # the sequential and the batched executor may consult it without
@@ -472,22 +486,33 @@ class Database:
     def match_rowset(self, table_name: str, predicate: Predicate) -> RowSet:
         """Exact :class:`RowSet` matching ``predicate`` on ``table_name``.
 
-        This is the engine's predicate-match cache: the RowSet (and whichever
-        of its two representations later consumers materialize) is shared
-        across every request that filters on the same condition.
+        This is the engine's predicate-match cache: the RowSet, in its
+        compact one-array form, is shared across every request that filters
+        on the same condition.
         """
         key = (table_name, predicate.key())
         cached = self._match_cache.get(key)
         if cached is not None:
             return cached
+        return self._cache_match(key, self._compute_match(table_name, predicate))
+
+    def _compute_match(self, table_name: str, predicate: Predicate) -> RowSet:
+        """The match set, from the index probe when one answers it (reusing
+        a cached probe without touching the lookup cache's counters)."""
         table = self.table(table_name)
         index = self.index(table_name, predicate.column)
-        if index is not None and index.supports(predicate):
-            rowset = RowSet.from_ids(index.lookup(predicate).row_ids, table.n_rows)
-        else:
-            rowset = predicate.matching_rowset(table)
-        self._match_cache.put(key, rowset, tags=[table_name])
-        return rowset
+        if index is None or not index.supports(predicate):
+            return predicate.matching_rowset(table)
+        lookup = self._lookup_cache.peek((table_name, predicate.key()))
+        if lookup is None:
+            lookup = index.lookup(predicate)
+        return RowSet.from_ids(lookup.row_ids, table.n_rows)
+
+    def _cache_match(self, key: tuple, rowset: RowSet) -> RowSet:
+        """Put ``rowset``'s compact form in the match cache; return it."""
+        compact = rowset.compact()
+        self._match_cache.put(key, compact, tags=[key[0]])
+        return compact
 
     def match_ids(self, table_name: str, predicate: Predicate) -> np.ndarray:
         """Exact sorted row ids matching ``predicate`` on ``table_name``."""
@@ -524,7 +549,7 @@ class Database:
         table = self.table(table_name)
         if table.n_rows == 0:
             return 0.0
-        return len(self.match_ids(table_name, predicate)) / table.n_rows
+        return len(self.match_rowset(table_name, predicate)) / table.n_rows
 
     def estimated_selectivity(self, table_name: str, predicate: Predicate) -> float:
         key = (table_name, predicate.key())

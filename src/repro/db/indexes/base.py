@@ -30,6 +30,11 @@ class IndexLookup:
     def count(self) -> int:
         return int(len(self.row_ids))
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the id array (what the engine's lookup cache budgets)."""
+        return int(self.row_ids.nbytes)
+
 
 class Index(ABC):
     """A secondary index over one column of one table."""

@@ -25,14 +25,8 @@ class InvertedIndex(Index):
     def extend(self, table: Table, first_new: int) -> bool:
         """New row ids are larger than every posted id, so concatenating
         them onto the touched tokens' postings keeps each one ascending."""
-        token_sets = table.token_sets(self.column)
-        fresh: dict[str, list[int]] = {}
-        for row_id in range(first_new, len(token_sets)):
-            for token in token_sets[row_id]:
-                fresh.setdefault(token, []).append(row_id)
         postings = self._postings
-        for token, ids in fresh.items():
-            new = np.asarray(ids, dtype=np.int64)
+        for token, new in table.tokens(self.column).postings(first_new):
             old = postings.get(token)
             postings[token] = new if old is None else np.concatenate((old, new))
         self.n_rows = table.n_rows

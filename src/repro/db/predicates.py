@@ -92,12 +92,7 @@ class KeywordPredicate(Predicate):
         object.__setattr__(self, "keyword", tokens[0])
 
     def mask(self, table: Table) -> np.ndarray:
-        token_sets = table.token_sets(self.column)
-        return np.fromiter(
-            (self.keyword in tokens for tokens in token_sets),
-            dtype=bool,
-            count=len(token_sets),
-        )
+        return table.tokens(self.column).contains(self.keyword)
 
     def _compute_key(self) -> tuple:
         return ("keyword", self.column, self.keyword)

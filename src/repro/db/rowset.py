@@ -1,10 +1,10 @@
-"""RowSet: a dual sorted-array / bitmap representation of matching rows.
+"""RowSet: a sorted-array / bitmap representation of matching rows.
 
 Every selection primitive in the engine ultimately produces "the set of row
 ids of one table matching a condition".  The seed implementation shuttled
 these around as sorted ``np.ndarray``s and combined them with chains of
 ``np.intersect1d`` — O(n log n) per pair and allocation-heavy.  A
-:class:`RowSet` keeps *both* natural representations lazily:
+:class:`RowSet` holds one or both natural representations:
 
 * ``ids``  — sorted ascending ``int64`` row ids (what indexes produce and
   the executor's LIMIT/ordering logic consumes), and
@@ -19,9 +19,12 @@ fallback for two pure id lists.  Whichever path runs, the result is
 identical to ``np.intersect1d`` on the id arrays — ``tests/db/test_rowset.py``
 asserts this property over random sets.
 
-RowSets are value objects: treat the underlying arrays as immutable.  They
-are safe to share across requests, which is what the :class:`~repro.db.
-database.Database` match cache does.
+RowSets are immutable value objects: which arrays one holds is fixed at
+construction, and asking for a representation it does not hold derives a
+fresh array without keeping it.  That is what lets a cache bound its bytes:
+the :class:`~repro.db.database.Database` match cache keeps the
+:meth:`compact` form (one array), while a batch that intersects a set many
+times keeps :meth:`with_mask` (both arrays) for the batch's lifetime only.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 class RowSet:
     """An immutable set of row ids within a table of ``universe`` rows."""
 
-    __slots__ = ("universe", "_ids", "_mask")
+    __slots__ = ("universe", "_ids", "_mask", "_len")
 
     def __init__(
         self,
@@ -49,6 +52,7 @@ class RowSet:
         self.universe = int(universe)
         self._ids = ids
         self._mask = mask
+        self._len = int(len(ids)) if ids is not None else int(np.count_nonzero(mask))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -79,34 +83,50 @@ class RowSet:
     # ------------------------------------------------------------------
     @property
     def ids(self) -> np.ndarray:
-        """Sorted ascending row ids (materialized on first access)."""
-        if self._ids is None:
-            assert self._mask is not None
-            self._ids = np.flatnonzero(self._mask).astype(np.int64)
-        return self._ids
+        """Sorted ascending row ids (derived from the bitmap if not held)."""
+        if self._ids is not None:
+            return self._ids
+        return np.flatnonzero(self._mask).astype(np.int64, copy=False)
 
     @property
     def mask(self) -> np.ndarray:
-        """Boolean bitmap over the row space (materialized on first access)."""
-        if self._mask is None:
-            assert self._ids is not None
-            mask = np.zeros(self.universe, dtype=bool)
-            mask[self._ids] = True
-            self._mask = mask
-        return self._mask
+        """Boolean bitmap over the row space (derived from the ids if not held)."""
+        if self._mask is not None:
+            return self._mask
+        mask = np.zeros(self.universe, dtype=bool)
+        mask[self._ids] = True
+        return mask
+
+    def with_mask(self) -> "RowSet":
+        """This set holding its bitmap too, for O(rows) intersections.
+
+        Costs one byte per table row on top of the ids: what a batch keeps
+        while it intersects the set many times, never what a cache keeps.
+        """
+        if self._mask is not None:
+            return self
+        return RowSet(self.universe, ids=self._ids, mask=self.mask)
+
+    def compact(self) -> "RowSet":
+        """This set holding only its smaller representation.
+
+        The bitmap costs ``universe`` bytes and the ids ``8·len``; the
+        bitmap is kept when ``8·len > universe``, the ids otherwise.
+        """
+        if 8 * self._len > self.universe:
+            return self if self._ids is None else RowSet(self.universe, mask=self.mask)
+        return self if self._mask is None else RowSet(self.universe, ids=self.ids)
 
     @property
-    def has_mask(self) -> bool:
-        return self._mask is not None
+    def nbytes(self) -> int:
+        """Bytes of the arrays this set holds."""
+        return sum(int(a.nbytes) for a in (self._ids, self._mask) if a is not None)
 
     def __len__(self) -> int:
-        if self._ids is not None:
-            return int(len(self._ids))
-        assert self._mask is not None
-        return int(self._mask.sum())
+        return self._len
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self._len > 0
 
     # ------------------------------------------------------------------
     # Set algebra

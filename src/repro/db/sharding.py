@@ -507,10 +507,8 @@ class ShardEngine:
             n_rows = database.table(table_name).n_rows
             lookups = index.lookup_batch(list(predicates.values()))
             for pred_key, lookup in zip(predicates, lookups):
-                database._match_cache.put(
-                    (table_name, pred_key),
-                    RowSet.from_ids(lookup.row_ids, n_rows),
-                    tags=[table_name],
+                database._cache_match(
+                    (table_name, pred_key), RowSet.from_ids(lookup.row_ids, n_rows)
                 )
 
     def _shared_path_rowsets(
@@ -520,8 +518,8 @@ class ShardEngine:
 
         Misses are computed in one vectorized ``lookup_batch`` sweep per
         (table, column); the instrumented lookup cache keeps serving warm
-        repeats across batches.  Bitmaps are materialized so per-entry
-        intersections take the O(rows) strategy.  Values are
+        repeats across batches.  Bitmaps are materialized for the batch so
+        per-entry intersections take the O(rows) strategy.  Values are
         ``(rowset, entries_scanned)`` — the shard-physical entry count the
         slice's own index geometry implies.
         """
@@ -541,7 +539,7 @@ class ShardEngine:
                 cached = database._lookup_cache.get((table_name, pred_key))
                 if cached is not None:
                     shared[(table_name, pred_key)] = (
-                        RowSet.from_ids(cached.row_ids, n_rows),
+                        RowSet.from_ids(cached.row_ids, n_rows).with_mask(),
                         int(cached.entries_scanned),
                     )
                 else:
@@ -555,11 +553,9 @@ class ShardEngine:
                         (table_name, pred_key), lookup, tags=[table_name]
                     )
                     shared[(table_name, pred_key)] = (
-                        RowSet.from_ids(lookup.row_ids, n_rows),
+                        RowSet.from_ids(lookup.row_ids, n_rows).with_mask(),
                         int(lookup.entries_scanned),
                     )
-        for rowset, _entries in shared.values():
-            rowset.mask  # noqa: B018 - materialize the O(rows) intersection form
         return shared
 
     def _report_for(

@@ -40,6 +40,7 @@ from .predicates import (
     SpatialPredicate,
 )
 from .table import Table
+from .tokens import PackedTokens
 from .types import BoundingBox, ColumnKind
 
 
@@ -104,13 +105,13 @@ class TextColumnStats:
 
     def __init__(
         self,
-        token_sets: list[frozenset[str]],
+        tokens: PackedTokens,
         mcv_size: int,
         sample_rows: int,
         default_selectivity: float,
         seed: int,
     ) -> None:
-        n = len(token_sets)
+        n = tokens.n_rows
         if n == 0:
             raise SchemaError("cannot build statistics for an empty column")
         self.default_selectivity = default_selectivity
@@ -121,15 +122,16 @@ class TextColumnStats:
         rng = np.random.default_rng(seed)
         if n > sample_rows:
             picked = rng.choice(n, size=sample_rows, replace=False)
-            sample = [token_sets[i] for i in picked]
+            counts = tokens.document_counts(picked)
+            sample_n = sample_rows
         else:
-            sample = token_sets
-        counts: dict[str, int] = {}
-        for tokens in sample:
-            for token in tokens:
-                counts[token] = counts.get(token, 0) + 1
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        sample_n = len(sample)
+            counts = tokens.document_counts()
+            sample_n = n
+        vocabulary = tokens.vocabulary
+        ranked = sorted(
+            ((vocabulary[t], int(counts[t])) for t in np.flatnonzero(counts).tolist()),
+            key=lambda item: (-item[1], item[0]),
+        )
         self.mcv = {token: count / sample_n for token, count in ranked[:mcv_size]}
 
     def selectivity_keyword(self, token: str) -> float:
@@ -175,7 +177,7 @@ class TableStatistics:
                 )
             elif column.kind is ColumnKind.TEXT:
                 self._text[column.name] = TextColumnStats(
-                    table.token_sets(column.name),
+                    table.tokens(column.name),
                     self.config.mcv_size,
                     self.config.text_sample_rows,
                     self.config.default_token_selectivity,

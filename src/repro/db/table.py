@@ -16,7 +16,8 @@ import numpy as np
 
 from ..errors import SchemaError
 from .schema import TableSchema
-from .types import ColumnKind, tokenize
+from .tokens import PackedTokens
+from .types import ColumnKind
 
 ColumnData = "np.ndarray | list[str]"
 
@@ -47,7 +48,7 @@ class Table:
     ) -> None:
         self.schema = schema
         self._columns: dict[str, object] = {}
-        self._token_sets: dict[str, list[frozenset[str]]] = {}
+        self._tokens: dict[str, PackedTokens] = {}
         #: Texts run through the tokenizer so far (maintenance accounting).
         self.texts_tokenized = 0
         self.base_table = base_table
@@ -108,16 +109,19 @@ class Table:
             raise SchemaError(f"column {name!r} of {self.name!r} is not TEXT")
         return self._columns[name]  # type: ignore[return-value]
 
-    def token_sets(self, name: str) -> list[frozenset[str]]:
-        """Tokenized view of a TEXT column, cached per column after first use."""
-        cached = self._token_sets.get(name)
-        if cached is None:
-            cached = self._token_sets[name] = self._tokenized(self.texts(name))
-        return cached
+    def tokens(self, name: str) -> PackedTokens:
+        """Packed token ids of a TEXT column, cached per column after first
+        use and extended by :meth:`append_rows`."""
+        packed = self._tokens.get(name)
+        if packed is None:
+            texts = self.texts(name)
+            packed = self._tokens[name] = PackedTokens()
+            self._tokenize(packed, texts)
+        return packed
 
-    def _tokenized(self, texts: list[str]) -> list[frozenset[str]]:
+    def _tokenize(self, packed: PackedTokens, texts: list[str]) -> None:
         self.texts_tokenized += len(texts)
-        return [frozenset(tokenize(t)) for t in texts]
+        packed.extend(texts)
 
     def to_base_ids(self, row_ids: np.ndarray) -> np.ndarray:
         """Map local row ids to base-table row ids (identity for base tables)."""
@@ -148,7 +152,7 @@ class Table:
     def append_rows(self, columns: Mapping[str, object]) -> int:
         """Append rows (one entry per schema column); returns new row count.
 
-        Token sets already cached for a TEXT column are extended with the
+        Packed tokens already cached for a TEXT column are extended with the
         new rows' tokens (the old rows are not re-tokenized).  Mutating a
         table still invalidates everything else derived from it — callers
         should go through :meth:`repro.db.database.Database.append_rows`,
@@ -177,9 +181,9 @@ class Table:
             else:
                 assert isinstance(current, list) and isinstance(data, list)
                 current.extend(data)
-                cached = self._token_sets.get(name)
-                if cached is not None:
-                    cached.extend(self._tokenized(data))
+                packed = self._tokens.get(name)
+                if packed is not None:
+                    self._tokenize(packed, data)
         self.n_rows += int(n_new or 0)
         return self.n_rows
 

@@ -48,11 +48,11 @@ def fused_predicate_counts(
         )
         return hit.sum(axis=1)
     if kind is KeywordPredicate:
-        counts = {p.keyword: 0 for p in group}
-        keywords = frozenset(counts)
-        for tokens in table.token_sets(column):
-            for keyword in keywords & tokens:
-                counts[keyword] += 1
-        return np.array([counts[p.keyword] for p in group])
+        packed = table.tokens(column)
+        counts = packed.document_counts()
+        token_ids = [packed.token_id(p.keyword) for p in group]
+        return np.array(
+            [0 if t is None else int(counts[t]) for t in token_ids], dtype=np.int64
+        )
     # Unknown predicate kinds fall back to exact per-predicate masks.
     return np.array([int(p.mask(table).sum()) for p in group])

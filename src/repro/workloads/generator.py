@@ -218,11 +218,12 @@ class QueryWorkloadGenerator:
         table = self.database.table(self.table)
         kind = table.schema.kind_of(attribute).name
         if kind == "TEXT":
-            # token_sets yields frozensets: sort so the keyword draw does not
-            # depend on the interpreter's hash seed (workloads must be
-            # reproducible from the generator seed alone).
+            # Sorted, so the keyword draw depends on the row's tokens alone
+            # (workloads must be reproducible from the generator seed).
             tokens = sorted(
-                t for t in table.token_sets(attribute)[row] if t not in STOP_WORDS
+                t
+                for t in table.tokens(attribute).row_tokens(row)
+                if t not in STOP_WORDS
             )
             if not tokens:
                 return None

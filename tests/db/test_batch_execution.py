@@ -72,8 +72,8 @@ def assert_results_identical(sequential, batched) -> None:
 
 
 def assert_cache_state_identical(db_a: Database, db_b: Database) -> None:
-    left = {c.name: (c.hits, c.misses, c.invalidations) for c in db_a.cache_stats().caches}
-    right = {c.name: (c.hits, c.misses, c.invalidations) for c in db_b.cache_stats().caches}
+    left = {c.name: c.to_dict() for c in db_a.cache_stats().caches}
+    right = {c.name: c.to_dict() for c in db_b.cache_stats().caches}
     assert left == right
 
 

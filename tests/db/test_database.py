@@ -154,9 +154,13 @@ class TestSelectivities:
 
     def test_match_ids_uses_cache(self, small_db):
         predicate = RangePredicate("value", 5.0, 95.0)
-        first = small_db.match_ids("rows", predicate)
-        second = small_db.match_ids("rows", predicate)
+        first = small_db.match_rowset("rows", predicate)
+        second = small_db.match_rowset("rows", predicate)
         assert first is second  # memoized object identity
+        # The cached set holds one array; ids of a bitmap-held set are
+        # derived per call, equal every time.
+        assert first.nbytes in (first.universe, 8 * len(first))
+        assert np.array_equal(small_db.match_ids("rows", predicate), first.ids)
 
     def test_estimate_cardinality_join(self, twitter_db):
         from repro.db import JoinSpec
@@ -180,11 +184,11 @@ class TestSelectivities:
 
     def test_clear_caches(self, small_db):
         predicate = RangePredicate("value", 5.0, 95.0)
-        first = small_db.match_ids("rows", predicate)
+        first = small_db.match_rowset("rows", predicate)
         small_db.clear_caches()
-        second = small_db.match_ids("rows", predicate)
+        second = small_db.match_rowset("rows", predicate)
         assert first is not second
-        assert np.array_equal(first, second)
+        assert np.array_equal(first.ids, second.ids)
 
 
 class TestKeyLookup:

@@ -263,7 +263,7 @@ def test_small_appends_equal_bulk_append_equal_fresh_build(new_tweets):
 def test_lookups_taken_before_an_append_are_not_mutated(new_tweets):
     database = _engine(*_base_tables())
     table = database.table("tweets")
-    keyword = sorted(table.token_sets("text")[0])[0]
+    keyword = sorted(table.tokens("text").row_tokens(0))[0]
     extent = BoundingBox(-1e9, -1e9, 1e9, 1e9)
     predicates = [
         KeywordPredicate("text", keyword),

@@ -18,8 +18,9 @@ class TestKeywordPredicate:
     def test_token_membership(self, small_table):
         predicate = KeywordPredicate("note", "alpha")
         mask = predicate.mask(small_table)
-        for i, tokens in enumerate(small_table.token_sets("note")):
-            assert mask[i] == ("alpha" in tokens)
+        packed = small_table.tokens("note")
+        for i in range(small_table.n_rows):
+            assert mask[i] == ("alpha" in packed.row_tokens(i))
 
     def test_keyword_normalized(self):
         assert KeywordPredicate("note", "  Alpha ").keyword == "alpha"

@@ -24,10 +24,9 @@ def as_representation(ids: np.ndarray, universe: int, repr_kind: str) -> RowSet:
         return RowSet.from_ids(ids.copy(), universe)
     mask = np.zeros(universe, dtype=bool)
     mask[ids] = True
-    rowset = RowSet.from_mask(mask)
     if repr_kind == "both":
-        rowset.ids  # materialize the second representation too
-    return rowset
+        return RowSet.from_ids(ids.copy(), universe).with_mask()
+    return RowSet.from_mask(mask)
 
 
 @pytest.mark.parametrize("left_kind", ["ids", "mask", "both"])
@@ -103,3 +102,48 @@ def test_contains_is_vectorized_membership():
     np.testing.assert_array_equal(
         rowset.contains(np.array([0, 2, 3, 8])), [False, True, False, True]
     )
+
+
+@pytest.mark.parametrize("repr_kind", ["ids", "mask", "both"])
+def test_length_is_stored_at_construction(repr_kind):
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        universe = int(rng.integers(1, 300))
+        ids = random_ids(rng, universe)
+        rowset = as_representation(ids, universe, repr_kind)
+        assert len(rowset) == len(ids) and bool(rowset) == bool(len(ids))
+    # A bitmap-only set does not recount its bitmap per call (the executor
+    # asks for lengths twice per access path per scan).
+    mask = np.ones(50, dtype=bool)
+    bitmap_only = RowSet.from_mask(mask)
+    mask[:] = False  # breaks the immutability contract, to prove no recount
+    assert len(bitmap_only) == 50
+
+
+@pytest.mark.parametrize("repr_kind", ["ids", "mask", "both"])
+def test_compact_keeps_only_the_smaller_representation(repr_kind):
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        universe = int(rng.integers(1, 400))
+        ids = random_ids(rng, universe)
+        rowset = as_representation(ids, universe, repr_kind)
+        compact = rowset.compact()
+        assert compact.nbytes == min(universe, 8 * len(ids))
+        np.testing.assert_array_equal(compact.ids, ids)
+        np.testing.assert_array_equal(np.flatnonzero(compact.mask), ids)
+        # Deriving the other representation does not keep it.
+        assert compact.nbytes == min(universe, 8 * len(ids))
+        assert compact.compact() is compact
+        assert rowset.with_mask().nbytes >= universe
+
+
+def test_with_mask_holds_both_and_keeps_values():
+    ids = np.array([1, 4, 6], dtype=np.int64)
+    rowset = RowSet.from_ids(ids, 8)
+    assert rowset.nbytes == 24
+    dual = rowset.with_mask()
+    assert dual.nbytes == 24 + 8 and dual.with_mask() is dual
+    np.testing.assert_array_equal(dual.ids, ids)
+    assert dual.ids is ids
+    bitmap = RowSet.from_mask(np.ones(8, dtype=bool))
+    assert bitmap.with_mask() is bitmap

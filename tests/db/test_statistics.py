@@ -89,13 +89,15 @@ class TestTextStats:
         """``mcv_size == 0`` keeps no list, so it must not sample, count
         and sort the tokens only to drop them (paid on every append)."""
 
-        class Unread(list):
-            def __iter__(self):
-                raise AssertionError("token sets were read")
+        class Unread:
+            """Packed tokens of 9 000 rows that fail on any other read."""
 
-            __getitem__ = __iter__
+            n_rows = 9_000
 
-        stats = TextColumnStats(Unread([frozenset()] * 9_000), 0, 5_000, 0.005, seed=1)
+            def __getattr__(self, name):
+                raise AssertionError(f"tokens were read ({name})")
+
+        stats = TextColumnStats(Unread(), 0, 5_000, 0.005, seed=1)
         assert stats.mcv == {}
         assert stats.selectivity_keyword("anything") == 0.005
 

@@ -29,6 +29,11 @@ def build_table(n: int = 10) -> Table:
     )
 
 
+def row_token_sets(table: Table, column: str) -> list[set[str]]:
+    packed = table.tokens(column)
+    return [set(packed.row_tokens(row)) for row in range(packed.n_rows)]
+
+
 class TestConstruction:
     def test_row_count(self):
         assert build_table(7).n_rows == 7
@@ -74,9 +79,11 @@ class TestAccessors:
 
     def test_token_sets_cached(self):
         table = build_table()
-        first = table.token_sets("txt")
-        assert first is table.token_sets("txt")
-        assert "word1" in first[1]
+        first = table.tokens("txt")
+        assert first is table.tokens("txt")
+        assert table.texts_tokenized == 10
+        assert "word1" in first.row_tokens(1)
+        assert first.ids.dtype == np.int32 and first.offsets.dtype == np.int64
 
     def test_token_sets_cached_per_column(self):
         """Regression: the cache was one slot, so the second TEXT column
@@ -86,9 +93,9 @@ class TestAccessors:
             columns=(Column("a", ColumnKind.TEXT), Column("b", ColumnKind.TEXT)),
         )
         table = Table(schema, {"a": ["red fox", "red hen"], "b": ["blue", "green sky"]})
-        assert table.token_sets("a") == [{"red", "fox"}, {"red", "hen"}]
-        assert table.token_sets("b") == [{"blue"}, {"green", "sky"}]
-        assert table.token_sets("a") is not table.token_sets("b")
+        assert row_token_sets(table, "a") == [{"red", "fox"}, {"red", "hen"}]
+        assert row_token_sets(table, "b") == [{"blue"}, {"green", "sky"}]
+        assert table.tokens("a") is not table.tokens("b")
 
     def test_append_extends_every_cached_token_column(self):
         schema = TableSchema(
@@ -96,14 +103,16 @@ class TestAccessors:
             columns=(Column("a", ColumnKind.TEXT), Column("b", ColumnKind.TEXT)),
         )
         table = Table(schema, {"a": ["red fox"], "b": ["blue"]})
-        cached_a, cached_b = table.token_sets("a"), table.token_sets("b")
+        cached_a, cached_b = table.tokens("a"), table.tokens("b")
         assert table.texts_tokenized == 2
         table.append_rows({"a": ["red hen", "owl"], "b": ["green sky", "sea"]})
         # Old rows are not tokenized again; both caches grew by the delta.
         assert table.texts_tokenized == 6
-        assert table.token_sets("a") is cached_a and table.token_sets("b") is cached_b
-        assert cached_a == [{"red", "fox"}, {"red", "hen"}, {"owl"}]
-        assert cached_b == [{"blue"}, {"green", "sky"}, {"sea"}]
+        assert table.tokens("a") is cached_a and table.tokens("b") is cached_b
+        assert row_token_sets(table, "a") == [{"red", "fox"}, {"red", "hen"}, {"owl"}]
+        assert row_token_sets(table, "b") == [{"blue"}, {"green", "sky"}, {"sea"}]
+        # Known tokens keep their id; new ones extend the vocabulary.
+        assert cached_a.vocabulary == ["red", "fox", "hen", "owl"]
 
 
 class TestSampling:

@@ -168,6 +168,7 @@ class TestServe:
         out = capsys.readouterr().out
         assert "2 rows-sharded workers" in out
         assert "shard router:" in out
+        assert "  match " in out and " entries" in out
         saved = json.loads((tmp_path / "serving_report.json").read_text())
         assert saved["warm"]["shards"]["n_shards"] == 2
         assert saved["warm"]["shards"]["n_scattered"] >= 1
