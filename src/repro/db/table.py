@@ -129,23 +129,6 @@ class Table:
             return row_ids
         return self.base_row_ids[row_ids]
 
-    def memory_bytes(self) -> int:
-        """Approximate resident size of the table's column storage.
-
-        Numpy columns report exact buffer sizes; TEXT columns estimate one
-        byte per character plus the CPython ``str`` object overhead.  Used
-        by the dataset-scale benchmarks' memory-footprint report.
-        """
-        total = 0
-        for data in self._columns.values():
-            if isinstance(data, np.ndarray):
-                total += int(data.nbytes)
-            else:
-                total += sum(len(text) for text in data) + 56 * len(data)
-        if self.base_row_ids is not None:
-            total += int(self.base_row_ids.nbytes)
-        return total
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

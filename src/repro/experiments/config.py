@@ -5,7 +5,7 @@ clock decouples *measured* latencies from dataset size, so smaller tables
 reproduce the same trade-offs faster.  Three presets:
 
 * ``tiny`` — seconds-scale, used by the test suite,
-* ``small`` — the default for ``benchmarks/`` (a few minutes end to end),
+* ``small`` — the default for the figure benchmarks (a few minutes end to end),
 * ``medium`` — closer to the paper's workload sizes, for overnight runs.
 """
 

@@ -6,15 +6,11 @@ This module is a faithful copy of the trainer internals as they were
 update loops over six per-layer parameter arrays, and a
 :class:`ReferenceTrainer` whose ``_learn`` materializes ``Transition``
 objects and re-stacks them per gradient step.  It exists so that
-
-* ``tests/core/test_trainer_determinism.py`` can assert that the
-  tensorized trainer's default (sequential) trajectories are bit-identical
-  — same RNG draw order, same epoch rewards, same convergence epoch, same
-  replay contents, same final weights — and that lockstep waves match the
-  pre-batching wave loop, and
-* ``benchmarks/test_training_throughput.py`` can measure the tensorized
-  subsystem against the true pre-PR sequential baseline rather than a
-  strawman.
+``tests/core/test_trainer_determinism.py`` can assert that the tensorized
+trainer's default (sequential) trajectories are bit-identical — same RNG
+draw order, same epoch rewards, same convergence epoch, same replay
+contents, same final weights — and that lockstep waves match the
+pre-batching wave loop.
 
 Do not "modernize" this module: its value is that it does NOT change when
 the production trainer does.
@@ -409,39 +405,3 @@ class ReferenceTrainer:
             config.epsilon_end - config.epsilon_start
         )
 
-
-def reference_train_validated(
-    database,
-    qte,
-    space,
-    tau_ms,
-    train_queries,
-    validation_queries,
-    n_candidates,
-    config: TrainingConfig,
-    reward=None,
-):
-    """The pre-PR hold-out protocol: sequential candidates, per-query
-    greedy-episode validation."""
-    best = None
-    best_score = -np.inf
-    for candidate in range(n_candidates):
-        candidate_config = TrainingConfig(
-            **{**config.__dict__, "seed": config.seed + candidate * 7_919}
-        )
-        trainer = ReferenceTrainer(
-            database, qte, space, tau_ms, reward=reward, config=candidate_config
-        )
-        history = trainer.train(train_queries)
-        if validation_queries is None or n_candidates == 1:
-            return trainer, history
-        viable = 0
-        for query in validation_queries:
-            _, was_viable = trainer.run_episode(query, epsilon=0.0, learn=False)
-            viable += int(was_viable)
-        score = viable / max(1, len(validation_queries))
-        if score > best_score:
-            best_score = score
-            best = (trainer, history)
-    assert best is not None
-    return best

@@ -202,6 +202,36 @@ def test_rewrite_batch_bit_identical_to_sequential(
         assert decision.rewritten.key() == sequential.rewritten.key()
 
 
+def _count_forward_passes(monkeypatch, network: QNetwork) -> list[int]:
+    """Wrap ``network.predict_rows``; one list entry per forward pass."""
+    passes: list[int] = []
+    real = network.predict_rows
+
+    def counted(states):
+        passes.append(1)
+        return real(states)
+
+    monkeypatch.setattr(network, "predict_rows", counted)
+    return passes
+
+
+def test_rewrite_batch_one_forward_pass_per_depth(
+    accurate_maliva, twitter_queries, monkeypatch
+):
+    """Count guard: lockstep planning scores the whole frontier in one
+    q-network pass per MDP depth; sequential planning pays one per step."""
+    queries = list(twitter_queries[:12])
+    passes = _count_forward_passes(monkeypatch, accurate_maliva.agent.network)
+    batched = accurate_maliva.rewrite_batch(queries)
+    batched_passes = len(passes)
+    passes.clear()
+    for query in queries:
+        accurate_maliva.rewrite(query)
+    assert len(passes) == sum(decision.n_explored for decision in batched)
+    assert batched_passes == max(decision.n_explored for decision in batched)
+    assert batched_passes < len(passes)
+
+
 def test_rewrite_batch_scalar_tau_and_empty_batch(accurate_maliva, twitter_queries):
     assert accurate_maliva.rewrite_batch([]) == []
     batched = accurate_maliva.rewrite_batch(list(twitter_queries[:4]), 45.0)
@@ -318,3 +348,26 @@ def test_lockstep_greedy_epoch_matches_sequential_viability(twitter_db, hint_spa
     total, viable = trainer.run_episodes_lockstep(queries, epsilon=0.0, learn=False)
     assert viable == sum(int(v) for _, v in sequential)
     assert total == pytest.approx(sum(r for r, _ in sequential))
+
+
+def test_lockstep_epoch_one_forward_pass_per_wave(twitter_db, hint_space, monkeypatch):
+    """Count guard: a lockstep epoch scores each wave's frontier in one
+    q-network pass; sequential episodes pay one pass per episode-step."""
+    qte = AccurateQTE(twitter_db, unit_cost_ms=5.0, overhead_ms=1.0)
+    queries = TwitterWorkloadGenerator(twitter_db, seed=41).generate(10)
+    trainer = DQNTrainer(
+        twitter_db, qte, hint_space, TEST_TAU_MS, config=TrainingConfig(seed=5)
+    )
+    passes = _count_forward_passes(monkeypatch, trainer.network)
+    steps = []
+    for query in queries:
+        before = len(trainer.memory)
+        trainer.run_episode(query, epsilon=0.0, learn=False)
+        steps.append(len(trainer.memory) - before)
+    assert len(passes) == sum(steps)
+    passes.clear()
+    trainer.run_episodes_lockstep(queries, epsilon=0.0, learn=False)
+    # The greedy waves follow the sequential trajectories (pinned above),
+    # so the epoch runs as many waves as its longest episode has steps.
+    assert len(passes) == max(steps)
+    assert len(passes) < sum(steps)

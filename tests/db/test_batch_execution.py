@@ -95,6 +95,64 @@ def test_batch_bit_identical_to_sequential(profile_name, workload_seed):
     assert sharing.shared_scans >= len(workload) - sharing.n_distinct_scans
 
 
+def _count_engine_work(monkeypatch, database: Database) -> tuple[list, list]:
+    """Wrap the scan kernel and every index's probe entry points.
+
+    Returns ``(scans, probe_calls)``: one entry per ``scan_rows`` call, and
+    one per ``lookup`` / ``lookup_batch`` call made by the engine (a batch
+    sweep's internal per-predicate lookups are not counted again).
+    """
+    scans: list[int] = []
+    probe_calls: list[str] = []
+    depth = [0]
+    real_scan = database._executor.scan_rows
+
+    def counted_scan(plan, *args, **kwargs):
+        scans.append(1)
+        return real_scan(plan, *args, **kwargs)
+
+    def counted_probe(real, name):
+        def counted(arg):
+            if depth[0] == 0:
+                probe_calls.append(name)
+            depth[0] += 1
+            try:
+                return real(arg)
+            finally:
+                depth[0] -= 1
+
+        return counted
+
+    monkeypatch.setattr(database._executor, "scan_rows", counted_scan)
+    for table_name in database.table_names:
+        for index in database.indexes_for(table_name).values():
+            for name in ("lookup", "lookup_batch"):
+                monkeypatch.setattr(
+                    index, name, counted_probe(getattr(index, name), name)
+                )
+    return scans, probe_calls
+
+
+def test_batch_computes_each_distinct_scan_once(monkeypatch):
+    """Count guard: from cold caches, ``execute_batch`` runs the scan
+    kernel once per distinct (scan, join, limit) pipeline and answers its
+    probes in one sweep per index; sequential ``execute`` runs one scan per
+    query and one index call per distinct probe."""
+    db_seq, db_bat = _twin_dbs("deterministic")
+    workload = random_query_workload(db_seq, seed=0, n=40)
+    seq_scans, seq_probes = _count_engine_work(monkeypatch, db_seq)
+    for query in workload:
+        db_seq.execute(query)
+    bat_scans, bat_probes = _count_engine_work(monkeypatch, db_bat)
+    _, sharing = db_bat.execute_batch(workload)
+    assert sharing.fused
+    assert len(seq_scans) == len(workload)
+    assert len(bat_scans) == sharing.n_distinct_scans < len(workload)
+    assert set(bat_probes) == {"lookup_batch"}
+    assert len(bat_probes) == sharing.n_probe_sweeps
+    assert sharing.n_probe_sweeps < sharing.n_probes_computed <= len(seq_probes)
+
+
 def test_warm_caches_preserve_equivalence():
     """Second pass over the same workload: every probe is a cache hit on
     both sides, and per-request hit/miss deltas still agree exactly."""
