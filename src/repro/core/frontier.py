@@ -198,15 +198,14 @@ class LockstepFrontier:
         probes in row order reproduces :meth:`gather_probes` exactly.
         """
         missing = self.required[active, actions] & ~self.collected[active]
-        wave: list[tuple[SelectQuery, list]] = []
-        for pos in range(len(active)):
-            i = int(active[pos])
-            columns = self.columns[i]
-            by_column = self.predicate_of[i]
-            probes = [
-                by_column[columns[ci]] for ci in np.flatnonzero(missing[pos])
-            ]
-            wave.append((self.rewritten[i][int(actions[pos])], probes))
+        rows = active.tolist()
+        wave: list[tuple[SelectQuery, list]] = [
+            (self.rewritten[i][j], []) for i, j in zip(rows, actions.tolist())
+        ]
+        # Row-major, as in gather_probes: columns ascend within each row.
+        for pos, ci in np.argwhere(missing).tolist():
+            i = rows[pos]
+            wave[pos][1].append(self.predicate_of[i][self.columns[i][ci]])
         return wave
 
     def transition(self, active: np.ndarray, actions: np.ndarray) -> None:

@@ -83,10 +83,8 @@ def bin_counts_many(
     in ascending bin order exactly as the per-query path produces them.
     """
     lengths = [len(ids) for ids in id_arrays]
-    results: list[dict[int, float]] = [{} for _ in id_arrays]
-    total = sum(lengths)
-    if total == 0 or layout.n_bins == 0:
-        return results
+    if sum(lengths) == 0 or layout.n_bins == 0:
+        return [{} for _ in id_arrays]
     segments = np.repeat(np.arange(len(id_arrays), dtype=np.int64), lengths)
     gathered = np.concatenate(
         [layout.codes[ids] for ids in id_arrays if len(ids)]
@@ -94,10 +92,11 @@ def bin_counts_many(
     combined = segments * layout.n_bins + gathered
     values, counts = np.unique(combined, return_counts=True)
     owners = values // layout.n_bins
-    bins = layout.bin_ids[values % layout.n_bins]
-    for owner, bin_id, count in zip(owners.tolist(), bins.tolist(), counts.tolist()):
-        results[owner][int(bin_id)] = float(count) * weight
-    return results
+    bins = layout.bin_ids[values % layout.n_bins].tolist()
+    weighted = (counts.astype(np.float64) * weight).tolist()
+    # Segment k's bins are values[cuts[k]:cuts[k + 1]] (owners ascend).
+    cuts = np.searchsorted(owners, np.arange(len(id_arrays) + 1)).tolist()
+    return [dict(zip(bins[a:b], weighted[a:b])) for a, b in zip(cuts, cuts[1:])]
 
 
 def bin_center(bin_id: int, group_by: BinGroupBy) -> tuple[float, float]:

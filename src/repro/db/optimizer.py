@@ -20,6 +20,7 @@ exact index set (and join method), exactly like ``pg_hint_plan``.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import chain, combinations
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -50,9 +51,12 @@ class Optimizer:
     # ------------------------------------------------------------------
     def plan(self, query: SelectQuery, obey_hints: bool = True) -> PhysicalPlan:
         """Produce a physical plan; honours ``query.hints`` when asked to."""
+        oracle = self._oracle(
+            query.table, None if query.join is None else query.join.table
+        )
         if query.hints is not None and obey_hints:
-            return self._hinted_plan(query)
-        return self._best_plan(query)
+            return self._hinted_plan(query, oracle)
+        return self._best_plan(query, oracle)
 
     def indexable_attributes(self, query: SelectQuery) -> tuple[str, ...]:
         """Main-table filter attributes that have an index to exploit."""
@@ -67,13 +71,16 @@ class Optimizer:
         self, plan: PhysicalPlan, query: SelectQuery
     ) -> tuple[float, float]:
         """(estimated cost in ms, estimated output rows) for ``plan``."""
-        counters, out_rows = self._estimated_counters(plan, query)
+        oracle = self._oracle(
+            plan.scan.table, None if plan.join is None else plan.join.inner_table
+        )
+        counters, out_rows = derive_counters(plan, **oracle)
         return self._db.cost_model.time_ms(counters), out_rows
 
     # ------------------------------------------------------------------
     # Hinted planning
     # ------------------------------------------------------------------
-    def _hinted_plan(self, query: SelectQuery) -> PhysicalPlan:
+    def _hinted_plan(self, query: SelectQuery, oracle: dict) -> PhysicalPlan:
         hints = query.hints
         assert hints is not None
         access: list[AccessPath] = []
@@ -95,7 +102,7 @@ class Optimizer:
         if query.join is not None:
             method = hints.join_method
             if method is None:
-                method = self._cheapest_join_method(query, scan)
+                method = self._cheapest_join_method(query, scan, oracle)
             join = JoinStep(
                 method=method,
                 inner_table=query.join.table,
@@ -103,9 +110,11 @@ class Optimizer:
                 right_column=query.join.right_column,
                 inner_predicates=query.join.predicates,
             )
-        return self._finalize(query, scan, join)
+        return self._finalize(query, scan, join, oracle)
 
-    def _cheapest_join_method(self, query: SelectQuery, scan: ScanPlan) -> str:
+    def _cheapest_join_method(
+        self, query: SelectQuery, scan: ScanPlan, oracle: dict
+    ) -> str:
         best_method = JOIN_METHODS[0]
         best_cost = math.inf
         for method in JOIN_METHODS:
@@ -117,7 +126,7 @@ class Optimizer:
                 query.join.right_column,
                 query.join.predicates,
             )
-            candidate = self._finalize(query, scan, join)
+            candidate = self._finalize(query, scan, join, oracle)
             if candidate.estimated_cost_ms < best_cost:
                 best_cost = candidate.estimated_cost_ms
                 best_method = method
@@ -126,9 +135,8 @@ class Optimizer:
     # ------------------------------------------------------------------
     # Cost-based enumeration
     # ------------------------------------------------------------------
-    def _best_plan(self, query: SelectQuery) -> PhysicalPlan:
+    def _best_plan(self, query: SelectQuery, oracle: dict) -> PhysicalPlan:
         indexable = self.indexable_attributes(query)
-        by_column = {p.column: p for p in query.predicates}
         best: PhysicalPlan | None = None
         for subset in _subsets(indexable):
             chosen = set(subset)
@@ -143,7 +151,7 @@ class Optimizer:
                     residual.append(predicate)
             scan = ScanPlan(query.table, tuple(access), tuple(residual))
             for join in self._join_candidates(query):
-                candidate = self._finalize(query, scan, join)
+                candidate = self._finalize(query, scan, join, oracle)
                 if best is None or candidate.estimated_cost_ms < best.estimated_cost_ms:
                     best = candidate
         if best is None:  # pragma: no cover - guarded by SelectQuery validation
@@ -167,40 +175,38 @@ class Optimizer:
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
+    def _oracle(self, table: str, inner_table: str | None) -> dict:
+        """:func:`derive_counters`' statistics arguments, each predicate's
+        selectivity estimated at most once however many candidate plans
+        (index subsets, join methods) ask for it.  The memos live as long
+        as one ``plan()`` call."""
+        stats = self._db.stats(table)
+        oracle = {
+            "n_rows": stats.n_rows,
+            "selectivity": cache(stats.estimate_selectivity),
+            "inner_rows": None,
+            "inner_selectivity": None,
+        }
+        if inner_table is not None:
+            inner = self._db.stats(inner_table)
+            oracle["inner_rows"] = inner.n_rows
+            oracle["inner_selectivity"] = cache(inner.estimate_selectivity)
+        return oracle
+
     def _finalize(
-        self, query: SelectQuery, scan: ScanPlan, join: JoinStep | None
+        self, query: SelectQuery, scan: ScanPlan, join: JoinStep | None, oracle: dict
     ) -> PhysicalPlan:
         plan = PhysicalPlan(
             scan=scan, join=join, group_by=query.group_by, limit=query.limit
         )
-        counters, out_rows = self._estimated_counters(plan, query)
+        counters, out_rows = derive_counters(plan, **oracle)
         plan.estimated_cost_ms = self._db.cost_model.time_ms(counters)
         plan.estimated_rows = out_rows
-        stats = self._db.stats(query.table)
+        selectivity = oracle["selectivity"]
         plan.estimated_access_selectivities = tuple(
-            stats.estimate_selectivity(path.predicate) for path in scan.access
+            selectivity(path.predicate) for path in scan.access
         )
         return plan
-
-    def _estimated_counters(
-        self, plan: PhysicalPlan, query: SelectQuery
-    ) -> tuple[WorkCounters, float]:
-        stats = self._db.stats(plan.scan.table)
-        return derive_counters(
-            plan,
-            n_rows=stats.n_rows,
-            selectivity=stats.estimate_selectivity,
-            inner_rows=(
-                None
-                if plan.join is None
-                else self._db.stats(plan.join.inner_table).n_rows
-            ),
-            inner_selectivity=(
-                None
-                if plan.join is None
-                else self._db.stats(plan.join.inner_table).estimate_selectivity
-            ),
-        )
 
 
 def derive_counters(
@@ -219,9 +225,10 @@ def derive_counters(
     """
     counters = WorkCounters()
     scan = plan.scan
+    access_sels = [selectivity(path.predicate) for path in scan.access]
     all_sel = 1.0
-    for predicate in scan.access:
-        all_sel *= selectivity(predicate.predicate)
+    for sel in access_sels:
+        all_sel *= sel
     for predicate in scan.residual:
         all_sel *= selectivity(predicate)
 
@@ -229,12 +236,10 @@ def derive_counters(
         counters.seq_rows += n_rows
         card = n_rows * all_sel
     else:
-        access_matches = [
-            n_rows * selectivity(path.predicate) for path in scan.access
-        ]
+        access_matches = [n_rows * sel for sel in access_sels]
         access_sel = 1.0
-        for path in scan.access:
-            access_sel *= selectivity(path.predicate)
+        for sel in access_sels:
+            access_sel *= sel
         counters.index_probes += len(scan.access)
         counters.index_entries += sum(access_matches)
         if len(scan.access) > 1:

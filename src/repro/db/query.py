@@ -133,7 +133,7 @@ class SelectQuery:
         """Hashable identity (used by memoization layers).
 
         Computed once and cached on the (immutable) instance: every cache
-        layer in the stack — plan, true-time, decision, QTE feature memos —
+        layer in the stack — plan, true-time, decision, rewrite-build —
         keys on it, several times per request on the planning hot path.
         """
         try:

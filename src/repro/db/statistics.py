@@ -27,7 +27,9 @@ The estimates combine under the classic attribute-independence assumption.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,9 +69,11 @@ class NumericColumnStats:
             raise SchemaError("cannot build statistics for an empty column")
         self.n = len(values)
         quantiles = np.linspace(0.0, 1.0, buckets + 1)
-        self.boundaries = np.quantile(values, quantiles)
-        self.min = float(self.boundaries[0])
-        self.max = float(self.boundaries[-1])
+        # Plain floats: every planned predicate estimates one scalar here,
+        # where numpy's per-call overhead dwarfs the arithmetic.
+        self.boundaries: list[float] = np.quantile(values, quantiles).tolist()
+        self.min = self.boundaries[0]
+        self.max = self.boundaries[-1]
         # Distinct-count estimate from the sample of sorted values.
         self.n_distinct = int(len(np.unique(values[:: max(1, self.n // 10_000)])))
 
@@ -78,23 +82,25 @@ class NumericColumnStats:
         hi = self.max if high is None else high
         if hi < self.min or lo > self.max:
             return 0.0
-        frac_hi = self._cumulative_fraction(hi, side="right")
-        frac_lo = self._cumulative_fraction(lo, side="left")
-        return float(np.clip(frac_hi - frac_lo, 0.0, 1.0))
+        frac_hi = self._cumulative_fraction(hi, bisect_right)
+        frac_lo = self._cumulative_fraction(lo, bisect_left)
+        return min(max(frac_hi - frac_lo, 0.0), 1.0)
 
     def selectivity_equals(self) -> float:
         return 1.0 / max(1, self.n_distinct)
 
-    def _cumulative_fraction(self, value: float, side: str) -> float:
-        """Fraction of rows <= value, linearly interpolated within buckets."""
+    def _cumulative_fraction(
+        self, value: float, search: Callable[[list[float], float], int]
+    ) -> float:
+        """Fraction of rows <= value, linearly interpolated within buckets;
+        ``search`` is the bisect side (``searchsorted``'s left/right)."""
         boundaries = self.boundaries
         buckets = len(boundaries) - 1
         if value <= boundaries[0]:
             return 0.0
         if value >= boundaries[-1]:
             return 1.0
-        pos = int(np.searchsorted(boundaries, value, side=side))
-        pos = min(max(pos, 1), buckets)
+        pos = min(max(search(boundaries, value), 1), buckets)
         left, right = boundaries[pos - 1], boundaries[pos]
         within = 0.5 if right == left else (value - left) / (right - left)
         return ((pos - 1) + within) / buckets
@@ -157,7 +163,7 @@ class SpatialColumnStats:
         total_area = self.extent.area()
         if total_area <= 0:
             return 1.0
-        return float(np.clip(overlap.area() / total_area, 0.0, 1.0))
+        return min(max(overlap.area() / total_area, 0.0), 1.0)
 
 
 class TableStatistics:

@@ -52,15 +52,16 @@ class SamplingQTE(QueryTimeEstimator):
         self.ridge = ridge
         self._weights: np.ndarray | None = None
         self.training_rmse_log: float | None = None
-        # Cross-request memos: repeated session queries skip both the sample
-        # count (selectivity) and the featurization work.  Virtual estimation
-        # costs are *not* affected — the paper's C_i accounting charges for
-        # collection per request regardless of how fast the middleware's
-        # hardware produces the number.
+        # Cross-request memo: a predicate sampled for one request is not
+        # counted again for the next.  Virtual estimation costs are *not*
+        # affected — the paper's C_i accounting charges for collection per
+        # request regardless of how fast the middleware's hardware produces
+        # the number.  Feature rows are not memoized: their key (the query
+        # plus its selectivity snapshot) costs as much as the row and
+        # practically never repeats.
         self._sel_memo = InstrumentedCache("qte_selectivity", capacity=8192)
-        self._feature_memo = InstrumentedCache("qte_feature", capacity=8192)
         #: table name -> (n_rows, log1p(n_rows) / 12) — recomputed per
-        #: featurization otherwise; dropped with the other memos.
+        #: featurization otherwise; dropped with the selectivity memo.
         self._table_memo: dict[str, tuple[int, float]] = {}
         # Self-invalidate on any catalog change, so even a bare Maliva
         # facade (no serving layer attached) never serves stale memos.
@@ -153,50 +154,17 @@ class SamplingQTE(QueryTimeEstimator):
         self._sel_memo.put(predicate.key(), selectivity)
         return selectivity
 
-    def _resolved_selectivities(
-        self, rewritten: SelectQuery, cache: SelectivityCache
-    ) -> dict[str, float]:
-        """Selectivity per filter attribute: collected if cached, else the
-        optimizer's (error-prone) statistics estimate."""
-        resolved: dict[str, float] = {}
-        for predicate in rewritten.predicates:
-            if cache.has(predicate.column):
-                resolved[predicate.column] = cache.get(predicate.column)
-            else:
-                resolved[predicate.column] = self._db.estimated_selectivity(
-                    rewritten.table, predicate
-                )
-        return resolved
-
     def feature_vector(
         self, rewritten: SelectQuery, cache: SelectivityCache
     ) -> np.ndarray:
         """Cost-structure features mirroring the analytic model of [67].
 
-        Memoized per (query, resolved-selectivity snapshot): a repeated
-        session query whose per-request cache collected the same attributes
-        reuses the vector bit-identically instead of re-featurizing.
-        """
-        query_columns = [p.column for p in rewritten.predicates]
-        collected = tuple(
-            sorted(item for item in cache.items() if item[0] in query_columns)
-        )
-        memo_key = (rewritten.key(), collected)
-        memoized = self._feature_memo.get(memo_key)
-        if memoized is not None:
-            return memoized
-        features = self._compute_feature_vector(rewritten, cache)
-        self._feature_memo.put(memo_key, features)
-        return features
-
-    def _compute_feature_vector(
-        self, rewritten: SelectQuery, cache: SelectivityCache
-    ) -> np.ndarray:
-        """One feature row.  Runs once per MDP step on the planning hot
-        path, so the selectivity resolution is inlined (single predicate
-        pass) and the per-table log term memoized; the arithmetic — order
-        of multiplications included — matches the original formulation
-        exactly."""
+        Selectivities come from ``cache`` when collected, else from the
+        optimizer's (error-prone) statistics.  Runs once per MDP step on the
+        planning hot path, so the row is assembled from plain floats into
+        one array and the per-table log term is memoized; the arithmetic —
+        order of multiplications included — matches the original
+        formulation exactly."""
         log1p = math.log1p
         table_memo = self._table_memo.get(rewritten.table)
         if table_memo is None:
@@ -226,43 +194,37 @@ class SamplingQTE(QueryTimeEstimator):
                 access_product *= sel
 
         full_scan = 0.0 if access_sels else 1.0
-        features = np.empty(self.n_features, dtype=np.float64)
-        features[0] = 1.0
-        features[1] = log_rows
-        features[2] = full_scan
-        features[3] = full_scan * log_rows
-        features[4] = log1p(n_rows * access_product) / 12.0 if access_sels else 0.0
-        features[5] = log1p(sum(n_rows * s for s in access_sels)) / 12.0
-        features[6] = log1p(n_rows * all_sel) / 12.0
-        features[7] = float(len(access_sels))
-        features[8] = float(len(rewritten.predicates) - len(access_sels))
+        row = [
+            1.0,
+            log_rows,
+            full_scan,
+            full_scan * log_rows,
+            log1p(n_rows * access_product) / 12.0 if access_sels else 0.0,
+            log1p(sum(n_rows * s for s in access_sels)) / 12.0,
+            log1p(n_rows * all_sel) / 12.0,
+            float(len(access_sels)),
+            float(len(rewritten.predicates) - len(access_sels)),
+        ]
         # Per canonical attribute: presence, index usage, log selectivity.
-        index = 9
         for attribute in self.attributes:
             sel = sels.get(attribute)
-            features[index] = 1.0 if sel is not None else 0.0
-            features[index + 1] = 1.0 if attribute in hinted else 0.0
-            features[index + 2] = (
-                -math.log10(max(sel, 1e-6)) / 6.0 if sel is not None else 0.0
+            row += (
+                1.0 if sel is not None else 0.0,
+                1.0 if attribute in hinted else 0.0,
+                -math.log10(max(sel, 1e-6)) / 6.0 if sel is not None else 0.0,
             )
-            index += 3
         # Join method one-hots and inner-filter selectivity estimate.
         join_method = hints.join_method if hints is not None else None
-        for method in ("nestloop", "hash", "merge"):
-            features[index] = 1.0 if join_method == method else 0.0
-            index += 1
+        row += [1.0 if join_method == m else 0.0 for m in ("nestloop", "hash", "merge")]
         if rewritten.join is not None:
             inner_stats = self._db.stats(rewritten.join.table)
             inner_sel = inner_stats.estimate_conjunction(rewritten.join.predicates)
-            features[index] = 1.0
-            features[index + 1] = log1p(inner_stats.n_rows * inner_sel) / 12.0
+            row += (1.0, log1p(inner_stats.n_rows * inner_sel) / 12.0)
         else:
-            features[index] = 0.0
-            features[index + 1] = 0.0
-        features[index + 2] = (
-            log1p(rewritten.limit) / 12.0 if rewritten.limit is not None else 0.0
-        )
-        return features
+            row += (0.0, 0.0)
+        limit = rewritten.limit
+        row.append(log1p(limit) / 12.0 if limit is not None else 0.0)
+        return np.array(row, dtype=np.float64)
 
     @property
     def n_features(self) -> int:
@@ -308,13 +270,12 @@ class SamplingQTE(QueryTimeEstimator):
     def invalidate(self) -> None:
         """Drop the cross-request memos (normally hook-driven, see __init__)."""
         self._sel_memo.clear()
-        self._feature_memo.clear()
         self._table_memo.clear()
 
     def _on_table_invalidated(self, table_name: str) -> None:
-        # Features embed base-table statistics and sample counts; clearing
-        # both memos on any catalog change is cheap and always safe.
+        # Sample counts and table sizes change with the catalog; clearing
+        # the memos on any catalog change is cheap and always safe.
         self.invalidate()
 
     def cache_stats(self) -> tuple[CacheStats, ...]:
-        return (self._sel_memo.stats.snapshot(), self._feature_memo.stats.snapshot())
+        return (self._sel_memo.stats.snapshot(),)

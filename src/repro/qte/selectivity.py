@@ -35,11 +35,6 @@ class SelectivityCache:
     def collected(self) -> dict[str, float]:
         return dict(self._values)
 
-    def items(self):
-        """Live (attribute, selectivity) view — hot-path alternative to
-        copying :attr:`collected`."""
-        return self._values.items()
-
     @property
     def collected_keys(self):
         """Live, read-only view of the collected attribute names.

@@ -284,9 +284,15 @@ def test_bin_counts_many_matches_bin_counts(small_db):
     rng = np.random.default_rng(4)
     selections = [
         np.sort(rng.choice(table.n_rows, size=size, replace=False)).astype(np.int64)
-        for size in (0, 1, 17, 120, table.n_rows)
+        for size in (0, 1, 17, 0, 120, table.n_rows, 0)
     ]
-    for weight in (1.0, 12.5):
+    for weight in (1.0, 12.5, 0.1):
         fused = bin_counts_many(layout, selections, weight=weight)
+        assert len(fused) == len(selections)
         for ids, bins in zip(selections, fused):
-            assert bins == bin_counts(points[ids], group_by, weight=weight)
+            expected = bin_counts(points[ids], group_by, weight=weight)
+            # Same keys in the same (ascending) order, same values and types.
+            assert list(bins.items()) == list(expected.items())
+            assert all(
+                type(k) is int and type(v) is float for k, v in bins.items()
+            )

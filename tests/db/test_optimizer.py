@@ -1,6 +1,7 @@
 """Optimizer tests: hint obedience, cost-based enumeration, estimation."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.db import (
     RangePredicate,
     SelectQuery,
     SpatialPredicate,
+    TableStatistics,
     apply_hints,
 )
 from repro.db.optimizer import derive_counters
@@ -113,6 +115,55 @@ class TestJoinPlanning:
         plan = twitter_db.explain(query)
         assert plan.join is not None
         assert plan.join.method in ("nestloop", "hash", "merge")
+
+
+JOIN_QUERY = SelectQuery(
+    table="tweets",
+    predicates=(KeywordPredicate("text", "covid"),),
+    output=("id",),
+    join=JoinSpec("users", "user_id", "id", (RangePredicate("tweet_cnt", 10, 50),)),
+)
+
+
+class TestStatisticsOncePerPlan:
+    """Count guard: one ``plan()`` call reads each distinct predicate's
+    statistics at most once, however many candidate plans (index subsets,
+    join methods) it costs."""
+
+    @pytest.fixture()
+    def estimated(self, monkeypatch):
+        keys: list[tuple] = []
+        real = TableStatistics.estimate_selectivity
+
+        def counted(self, predicate):
+            keys.append(predicate.key())
+            return real(self, predicate)
+
+        monkeypatch.setattr(TableStatistics, "estimate_selectivity", counted)
+        return keys
+
+    @staticmethod
+    def _assert_once_each(estimated: list, n_distinct: int) -> None:
+        counts = Counter(estimated)
+        assert len(counts) == n_distinct
+        assert max(counts.values()) == 1, counts
+        estimated.clear()
+
+    def test_hinted_plan(self, small_db, twitter_db, estimated):
+        for attrs in ((), ("value",), ("value", "note"), ("note", "value", "spot")):
+            hinted = apply_hints(rows_query(), HintSet(frozenset(attrs)))
+            small_db._optimizer.plan(hinted)
+            self._assert_once_each(estimated, 3)
+        # No join-method hint: all three methods are costed, then the pick.
+        hinted = apply_hints(JOIN_QUERY, HintSet(frozenset({"text"})))
+        twitter_db._optimizer.plan(hinted)
+        self._assert_once_each(estimated, 2)
+
+    def test_unhinted_best_plan(self, small_db, twitter_db, estimated):
+        small_db._optimizer.plan(rows_query())  # 2^3 index subsets
+        self._assert_once_each(estimated, 3)
+        twitter_db._optimizer.plan(JOIN_QUERY)  # index subsets x join methods
+        self._assert_once_each(estimated, 2)
 
 
 class TestDeriveCounters:

@@ -170,6 +170,12 @@ class TestSamplingQTE:
             rqs[7], cache_b
         )
 
+    def test_only_the_selectivity_memo(self, fitted, rqs):
+        """Count guard: feature rows are not memoized (their key never
+        repeated across requests), so the QTE reports one cache."""
+        fitted.estimate(rqs[1], SelectivityCache())
+        assert [stats.name for stats in fitted.cache_stats()] == ["qte_selectivity"]
+
     def test_estimate_collects_selectivities(self, fitted, rqs, space):
         cache = SelectivityCache()
         all_three = next(

@@ -368,7 +368,7 @@ def test_planning_stays_on_the_router():
             single.answer_many(stream), sharded.answer_many(stream)
         )
         after = lookups(sharded.report())
-    assert len(before) > 1  # the build cache and at least one QTE memo
+    assert len(before) > 1  # the build cache and the QTE selectivity memo
     assert all(now > then for then, now in zip(before, after))
 
 
