@@ -170,20 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the execute stage across N worker processes (1 = off)",
     )
     serve.add_argument(
-        "--shard-by",
-        default="rows",
-        choices=["rows", "rows-strided", "table"],
-        help=(
-            "partitioning: contiguous row ranges, round-robin strided rows "
-            "(balances time-ordered skew), or whole-table ownership"
-        ),
-    )
-    serve.add_argument(
-        "--inline-shards",
-        action="store_true",
-        help="run shard engines in-process (debugging / single-core hosts)",
-    )
-    serve.add_argument(
         "--routers",
         type=int,
         default=1,
@@ -194,9 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--inline-routers",
+        "--inline",
         action="store_true",
-        help="run router replicas in-process (debugging / single-core hosts)",
+        help=(
+            "run shard engines or router replicas in-process "
+            "(debugging / single-core hosts)"
+        ),
     )
     serve.add_argument(
         "--rpc-deadline-ms",
@@ -212,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help=(
-            "respawn budget per shard slot before the circuit breaker "
-            "retires it and the fleet rebalances"
+            "respawn budget per shard slot or router replica before the "
+            "circuit breaker retires it and the fleet rebalances"
         ),
     )
     serve.add_argument(
@@ -505,11 +494,8 @@ def _run_serve(args) -> int:
         admission=args.admission,
         load_watermark_ms=args.load_watermark,
         n_shards=args.shards,
-        shard_by=args.shard_by,
         n_routers=args.routers,
-        processes=not (
-            args.inline_routers if args.routers > 1 else args.inline_shards
-        ),
+        processes=not args.inline,
         rpc_deadline_ms=args.rpc_deadline_ms or None,
         max_respawns=args.max_respawns,
         backend=None if args.backend == "memory" else args.backend,
@@ -556,7 +542,7 @@ def _run_serve(args) -> int:
     if args.routers > 1:
         sharding = f", {args.routers} replicated routers"
     elif args.shards > 1:
-        sharding = f", {args.shards} {args.shard_by}-sharded workers"
+        sharding = f", {args.shards} shard workers"
     else:
         sharding = ""
     if args.backend != "memory":
@@ -618,7 +604,7 @@ def _run_serve(args) -> int:
     shards = warm.get("shards")
     if shards:
         print(
-            f"shard router:          {shards['n_shards']} shards ({shards['shard_by']}), "
+            f"shard router:          {shards['n_shards']} shards, "
             f"{shards['n_scattered']} scattered / {shards['n_fallback']} fallback, "
             f"{shards['n_syncs']} syncs"
         )

@@ -278,21 +278,6 @@ class Database:
         """Virtual cost of producing one physical plan."""
         return self.cost_model.planning_ms
 
-    def seed_plan(
-        self, query: SelectQuery, plan: PhysicalPlan, obey_hints: bool = True
-    ) -> None:
-        """Install an externally produced plan into the plan cache.
-
-        Shard workers execute plans the router chose against the full
-        catalog; seeding them here makes the worker's own execution paths
-        (``execute_batch`` included) pick up the canonical plan instead of
-        re-optimizing against shard-local statistics.
-        """
-        tags = [query.table]
-        if query.join is not None:
-            tags.append(query.join.table)
-        self._plan_cache.put((query.key(), obey_hints), plan, tags=tags)
-
     def begin_execution(self, query: SelectQuery) -> tuple[PhysicalPlan, bool, bool]:
         """The planning half of :meth:`execute`: ``(plan, obeyed, was_planned)``.
 

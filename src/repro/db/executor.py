@@ -196,7 +196,7 @@ class Executor:
         the scan's stage cardinalities).
 
         ``apply_limit=False`` skips LIMIT scaling/truncation — the shard
-        engine's partial mode, where the router applies the LIMIT to the
+        engine's slice scans, where the router applies the LIMIT to the
         merged result instead (``merge_scatter``).
         """
         access = access or self._access

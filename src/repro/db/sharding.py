@@ -1,23 +1,20 @@
-"""Row-range / table partitioning substrate for sharded serving.
+"""Row-range partitioning substrate for sharded serving.
 
-The sharded serving layer (``repro.serving.sharded``, DESIGN.md §4.3)
+The sharded serving layer (``repro.serving.sharded``, DESIGN.md §4.3.1)
 splits one logical :class:`~repro.db.database.Database` into N *shard
-engines*, each running in its own worker process.  This module owns the
-engine-level halves of that design:
+engines*, each running in its own worker process.  There is one
+partition: every table is sliced into N contiguous, ascending row ranges.
+This module owns the engine-level halves of that design:
 
-* :class:`ShardSpec` — a pickle-safe description of one shard (sliced or
-  whole tables, the columns to index, profile and cost model) from which a
+* :class:`ShardSpec` — a pickle-safe description of one shard (its table
+  slices, the columns to index, profile and cost model) from which a
   worker process warm-starts its engine;
-* :func:`build_shard_specs` — partition a database by row range
-  (``shard_by="rows"``: every table is sliced into N contiguous ranges;
-  ``shard_by="rows-strided"``: round-robin rows, which balances worker
-  wall time on time-ordered tables where contiguous ranges skew) or
-  by table (``shard_by="table"``: whole base tables, with their sample
-  tables, are assigned round-robin);
-* :class:`ShardEngine` — the worker-side executor: runs a batch of
-  (query, canonical plan) entries against the shard's data, with fused
-  index probes and fused BIN_ID histogram sweeps, and reports compact
-  :class:`ShardQueryReport`s;
+* :func:`build_shard_specs` / :func:`rebuild_shard_spec` /
+  :func:`reslice_for_sync` — slice the router's live catalog for a first
+  spawn, a respawn at the current fleet arity, or a coherence sync;
+* :class:`ShardEngine` — the worker-side executor: scans its slice for a
+  batch of canonical plans, with fused index probes and fused BIN_ID
+  histogram sweeps, and reports compact :class:`ShardQueryReport`s;
 * :func:`merge_scatter` — the router-side gather: reconstructs the
   *canonical single-engine* work counters, result rows, and bins from the
   per-shard reports.
@@ -32,14 +29,12 @@ Shards therefore never ship *charged* counters — they ship the
 (``Executor.scan_rows``) emits, the stage sizes every charge derives from:
 
 * per access path: the size of the path's match set on the shard and the
-  size of the running intersection (both partition across row partitions,
-  so their sums are exactly the whole-table sizes);
-* the final candidate count, the global-id result rows (contiguous slices
-  are ascending, so shard-order concatenation *is* the single-engine row
-  order; strided partitions re-sort the merged ids once, restoring the
-  same order), and — for aggregates — raw integer bin counts (bin ids
-  come from a fixed global grid origin, so partial histograms sum
-  exactly).
+  size of the running intersection (both partition across row ranges, so
+  their sums are exactly the whole-table sizes);
+* the final candidate count, the global-id result rows (slices are
+  ascending, so shard-order concatenation *is* the single-engine row
+  order), and — for aggregates — raw integer bin counts (bin ids come
+  from a fixed global grid origin, so partial histograms sum exactly).
 
 The router then replays the executor's accounting —
 :func:`~repro.db.executor.charge_scan`, the same function the kernel
@@ -70,13 +65,8 @@ from .database import Database, SimProfile
 from .executor import EngineAccess, ScanCardinalities, charge_scan
 from .indexes import IndexLookup
 from .plans import PhysicalPlan
-from .query import SelectQuery
 from .rowset import RowSet
 from .table import Table
-
-#: Execution modes a :class:`ShardEntry` can request.
-PARTIAL = "partial"
-FULL = "full"
 
 
 def scatter_eligible(plan: PhysicalPlan) -> bool:
@@ -105,14 +95,11 @@ class ShardSpec:
 
     shard_id: int
     n_shards: int
-    shard_by: str
     tables: list[Table]
     #: table name -> columns to index (mirrors the router's catalog).
     indexed_columns: dict[str, tuple[str, ...]]
     profile: SimProfile = field(default_factory=SimProfile.deterministic)
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Tables this shard owns outright (table mode; empty in rows mode).
-    owned_tables: frozenset[str] = frozenset()
 
     def build_engine(self) -> Database:
         """Construct the shard's engine (tables + indexes, no statistics)."""
@@ -144,155 +131,49 @@ def slice_table(table: Table, start: int, stop: int) -> Table:
     return table.select_rows(ids, table.name)
 
 
-def strided_ids(n_rows: int, shard: int, n_shards: int) -> np.ndarray:
-    """Round-robin row ids for one shard of a strided partition."""
-    return np.arange(shard, n_rows, n_shards, dtype=np.int64)
-
-
-def slice_table_strided(table: Table, shard: int, n_shards: int) -> Table:
-    """One round-robin slice of a table, keeping its name.
-
-    Strided partitions spread a time-ordered table's recent rows evenly
-    across shards — the selectivity of typical recency predicates (and so
-    worker wall time) balances where contiguous ranges skew 2–3x.  Shard
-    concatenation is no longer the canonical row order; the gather
-    re-sorts merged ids once.
-    """
-    return table.select_rows(strided_ids(table.n_rows, shard, n_shards), table.name)
-
-
-def rows_partitioned(shard_by: str) -> bool:
-    """Whether a mode partitions every table by rows (contiguous or strided)."""
-    return shard_by in ("rows", "rows-strided")
-
-
-def build_shard_specs(
-    database: Database, n_shards: int, shard_by: str = "rows"
-) -> list[ShardSpec]:
+def build_shard_specs(database: Database, n_shards: int) -> list[ShardSpec]:
     """Partition a database's catalog into ``n_shards`` shard specs."""
     if n_shards < 1:
         raise SchemaError(f"n_shards must be at least 1, got {n_shards}")
-    if shard_by not in ("rows", "rows-strided", "table"):
-        raise SchemaError(
-            f"shard_by must be 'rows', 'rows-strided', or 'table', got {shard_by!r}"
-        )
-    names = sorted(database.table_names)
-    indexed = {
-        name: tuple(sorted(database.indexes_for(name))) for name in names
-    }
-    if rows_partitioned(shard_by):
-        specs = []
-        for shard in range(n_shards):
-            tables = []
-            for name in names:
-                table = database.table(name)
-                if shard_by == "rows-strided":
-                    tables.append(slice_table_strided(table, shard, n_shards))
-                else:
-                    start, stop = slice_bounds(table.n_rows, n_shards)[shard]
-                    tables.append(slice_table(table, start, stop))
-            specs.append(
-                ShardSpec(
-                    shard_id=shard,
-                    n_shards=n_shards,
-                    shard_by=shard_by,
-                    tables=tables,
-                    indexed_columns=dict(indexed),
-                    cost_model=database.cost_model,
-                )
-            )
-        return specs
-
-    # Table mode: whole base tables (plus their samples) round-robin.
-    groups: list[list[str]] = []
-    base_names = [n for n in names if not database.table(n).is_sample]
-    for base in base_names:
-        members = [base] + [
-            n
-            for n in names
-            if database.table(n).is_sample and database.table(n).base_table == base
-        ]
-        groups.append(members)
-    assignments: list[list[str]] = [[] for _ in range(n_shards)]
-    for position, members in enumerate(groups):
-        assignments[position % n_shards].extend(members)
-    specs = []
-    for shard in range(n_shards):
-        owned = assignments[shard]
-        specs.append(
-            ShardSpec(
-                shard_id=shard,
-                n_shards=n_shards,
-                shard_by="table",
-                tables=[database.table(name) for name in owned],
-                indexed_columns={name: indexed[name] for name in owned},
-                cost_model=database.cost_model,
-                owned_tables=frozenset(owned),
-            )
-        )
-    return specs
+    return [
+        rebuild_shard_spec(database, shard, shard, n_shards)
+        for shard in range(n_shards)
+    ]
 
 
 def rebuild_shard_spec(
-    database: Database,
-    shard_id: int,
-    rank: int,
-    n_active: int,
-    shard_by: str,
-    owned_tables: Sequence[str] = (),
+    database: Database, shard_id: int, rank: int, n_active: int
 ) -> ShardSpec:
-    """One fresh shard spec from the live catalog (worker respawn path).
+    """One fresh shard spec from the live catalog (first spawn and respawn).
 
     A respawned worker must rejoin *bit-coherent* with the surviving
-    fleet: in rows modes it takes slice ``rank`` of an ``n_active``-way
-    partition of the router's current tables (``rank`` is the slot's
-    position among the fleet's active shards, which may be smaller than
-    the original arity after breaker retirements); in table mode it
-    rebuilds the whole tables it currently owns.  Building from the live
-    catalog collapses the spec + every ``sync_table`` replay the dead
-    worker missed into one warm start.
+    fleet: it takes slice ``rank`` of an ``n_active``-way partition of the
+    router's current tables (``rank`` is the slot's position among the
+    fleet's active shards, which may be smaller than the original arity
+    after breaker retirements).  Building from the live catalog collapses
+    the spec + every ``sync_table`` replay the dead worker missed into one
+    warm start.
     """
     names = sorted(database.table_names)
-    indexed = {name: tuple(sorted(database.indexes_for(name))) for name in names}
-    if rows_partitioned(shard_by):
-        tables = []
-        for name in names:
-            table = database.table(name)
-            if shard_by == "rows-strided":
-                tables.append(slice_table_strided(table, rank, n_active))
-            else:
-                start, stop = slice_bounds(table.n_rows, n_active)[rank]
-                tables.append(slice_table(table, start, stop))
-        return ShardSpec(
-            shard_id=shard_id,
-            n_shards=n_active,
-            shard_by=shard_by,
-            tables=tables,
-            indexed_columns=dict(indexed),
-            cost_model=database.cost_model,
-        )
-    owned = sorted(owned_tables)
+    tables = []
+    for name in names:
+        table = database.table(name)
+        start, stop = slice_bounds(table.n_rows, n_active)[rank]
+        tables.append(slice_table(table, start, stop))
     return ShardSpec(
         shard_id=shard_id,
         n_shards=n_active,
-        shard_by="table",
-        tables=[database.table(name) for name in owned],
-        indexed_columns={name: indexed[name] for name in owned},
+        tables=tables,
+        indexed_columns={
+            name: tuple(sorted(database.indexes_for(name))) for name in names
+        },
         cost_model=database.cost_model,
-        owned_tables=frozenset(owned),
     )
 
 
-def reslice_for_sync(
-    database: Database, table_name: str, n_shards: int, shard_by: str = "rows"
-) -> list[Table]:
+def reslice_for_sync(database: Database, table_name: str, n_shards: int) -> list[Table]:
     """Fresh per-shard row slices of one (possibly mutated) table."""
     table = database.table(table_name)
-    if shard_by == "rows-strided":
-        return [
-            slice_table_strided(table, shard, n_shards)
-            for shard in range(n_shards)
-        ]
     return [
         slice_table(table, start, stop)
         for start, stop in slice_bounds(table.n_rows, n_shards)
@@ -302,34 +183,18 @@ def reslice_for_sync(
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardEntry:
-    """One unit of scattered work: a query plus its canonical plan."""
-
-    query: SelectQuery
-    plan: PhysicalPlan
-    #: ``PARTIAL`` — row-range scatter (scan the shard's slice, report
-    #: cardinalities); ``FULL`` — the shard owns the whole table and runs
-    #: the complete canonical execution (table mode).
-    mode: str = PARTIAL
-
-
 @dataclass
 class ShardQueryReport:
-    """What one shard reports back for one scattered query."""
+    """What one shard reports back for one scattered plan."""
 
-    #: Partial-mode: the stage cardinalities the unified kernel emitted for
-    #: this shard's slice of the scan (None in full mode).
-    cards: ScanCardinalities | None = None
+    #: The stage cardinalities the unified kernel emitted for this shard's
+    #: slice of the scan.
+    cards: ScanCardinalities
     #: Matching rows in *base-table* id space, ascending (None when the
     #: query aggregates and no LIMIT can truncate it).
     row_ids: np.ndarray | None = None
     #: Raw integer bin counts (aggregates without LIMIT).
     raw_bins: dict[int, int] | None = None
-    #: Full-mode only: the canonical counters of the whole execution.
-    counters: WorkCounters | None = None
-    #: Full-mode only: weighted bins exactly as the single engine computes.
-    bins: dict[int, float] | None = None
 
 
 @dataclass
@@ -381,71 +246,41 @@ class ShardEngine:
         self.database = spec.build_engine()
 
     # ------------------------------------------------------------------
-    def execute(self, entries: Sequence[ShardEntry]) -> ShardBatchReply:
-        """Run a batch, fusing shared probes/sweeps across its entries."""
+    def execute(self, plans: Sequence[PhysicalPlan]) -> ShardBatchReply:
+        """Scan this shard's slice for a batch of canonical joinless plans,
+        fusing shared probes/sweeps across them."""
         started = time.perf_counter()
         database = self.database
         before = database._cache_counts()
         physical = WorkCounters()
-        placeholders: list = [None] * len(entries)
-        reports: list[ShardQueryReport] = placeholders
-
-        partial = [
-            (position, entry)
-            for position, entry in enumerate(entries)
-            if entry.mode == PARTIAL
-        ]
-        full = [
-            (position, entry)
-            for position, entry in enumerate(entries)
-            if entry.mode == FULL
-        ]
-
-        if partial:
-            self._warm_match_rowsets([entry for _, entry in partial])
-            shared = self._shared_path_rowsets([entry for _, entry in partial])
-            access = _SharedScanAccess(database, shared)
-            executor = database._executor
-            scans = []
-            # Entries sharing a scan pipeline (same table, access paths,
-            # residuals — serving streams repeat them heavily) compute it
-            # once; physical counters charge the work actually performed.
-            # The scan itself is the engine's one kernel, run over the
-            # shared path match sets with the LIMIT deferred to the gather.
-            scan_memo: dict[tuple, tuple] = {}
-            for position, entry in partial:
-                assert entry.plan.join is None, "partial entries must be joinless"
-                scan = entry.plan.scan
-                memo_key = (
-                    scan.table,
-                    tuple(path.predicate.key() for path in scan.access),
-                    tuple(predicate.key() for predicate in scan.residual),
-                )
-                cached_scan = scan_memo.get(memo_key)
-                if cached_scan is None:
-                    cached_scan = executor.scan_rows(
-                        entry.plan, access=access, apply_limit=False
-                    )
-                    scan_memo[memo_key] = cached_scan
-                    physical = physical + cached_scan[0]
-                report, local_ids = self._report_for(entry, cached_scan)
-                reports[position] = report
-                scans.append((position, entry, report, local_ids))
-            self._fused_partial_bins(scans)
-
-        if full:
-            for _, entry in full:
-                self.database.seed_plan(entry.query, entry.plan)
-            results, _sharing = database.execute_batch(
-                [entry.query for _, entry in full]
+        self._warm_match_rowsets(plans)
+        access = _SharedScanAccess(database, self._shared_path_rowsets(plans))
+        executor = database._executor
+        reports: list[ShardQueryReport] = []
+        scans = []
+        # Plans sharing a scan pipeline (same table, access paths,
+        # residuals — serving streams repeat them heavily) compute it
+        # once; physical counters charge the work actually performed.
+        # The scan itself is the engine's one kernel, run over the
+        # shared path match sets with the LIMIT deferred to the gather.
+        scan_memo: dict[tuple, tuple] = {}
+        for plan in plans:
+            assert plan.join is None, "scattered plans must be joinless"
+            scan = plan.scan
+            memo_key = (
+                scan.table,
+                tuple(path.predicate.key() for path in scan.access),
+                tuple(predicate.key() for predicate in scan.residual),
             )
-            for (position, entry), result in zip(full, results):
-                physical = physical + result.counters
-                reports[position] = ShardQueryReport(
-                    row_ids=result.row_ids,
-                    bins=result.bins,
-                    counters=result.counters,
-                )
+            cached_scan = scan_memo.get(memo_key)
+            if cached_scan is None:
+                cached_scan = executor.scan_rows(plan, access=access, apply_limit=False)
+                scan_memo[memo_key] = cached_scan
+                physical = physical + cached_scan[0]
+            report, local_ids = self._report_for(plan, cached_scan)
+            reports.append(report)
+            scans.append((plan, report, local_ids))
+        self._fused_partial_bins(scans)
 
         hits, misses = database._cache_delta(before)
         return ShardBatchReply(
@@ -478,21 +313,21 @@ class ShardEngine:
         return self.database.cache_stats()
 
     # ------------------------------------------------------------------
-    def _warm_match_rowsets(self, entries: Sequence[ShardEntry]) -> None:
+    def _warm_match_rowsets(self, plans: Sequence[PhysicalPlan]) -> None:
         """Pre-fill the match cache for the batch's residual predicates.
 
         ``match_rowset`` answers an index-supported predicate through a
         per-predicate ``Index.lookup`` — a python cell walk for the grid
         index.  Computing the batch's distinct residual matches in one
         ``lookup_batch`` sweep per (table, column) first (identical values,
-        same RowSet construction) turns the per-entry scan loop's misses
+        same RowSet construction) turns the per-plan scan loop's misses
         into hits.
         """
         database = self.database
         needed: dict[tuple[str, str], dict[tuple, object]] = {}
-        for entry in entries:
-            table_name = entry.plan.scan.table
-            for predicate in entry.plan.scan.residual:
+        for plan in plans:
+            table_name = plan.scan.table
+            for predicate in plan.scan.residual:
                 index = database.index(table_name, predicate.column)
                 if index is None or not index.supports(predicate):
                     continue
@@ -512,22 +347,22 @@ class ShardEngine:
                 )
 
     def _shared_path_rowsets(
-        self, entries: Sequence[ShardEntry]
+        self, plans: Sequence[PhysicalPlan]
     ) -> dict[tuple[str, tuple], tuple[RowSet, int]]:
         """Materialize each distinct access-path match set once per batch.
 
         Misses are computed in one vectorized ``lookup_batch`` sweep per
         (table, column); the instrumented lookup cache keeps serving warm
         repeats across batches.  Bitmaps are materialized for the batch so
-        per-entry intersections take the O(rows) strategy.  Values are
+        per-plan intersections take the O(rows) strategy.  Values are
         ``(rowset, entries_scanned)`` — the shard-physical entry count the
         slice's own index geometry implies.
         """
         database = self.database
         needed: dict[tuple[str, str], dict[tuple, object]] = {}
-        for entry in entries:
-            table_name = entry.plan.scan.table
-            for path in entry.plan.scan.access:
+        for plan in plans:
+            table_name = plan.scan.table
+            for path in plan.scan.access:
                 group = needed.setdefault((table_name, path.predicate.column), {})
                 group.setdefault(path.predicate.key(), path.predicate)
 
@@ -559,11 +394,10 @@ class ShardEngine:
         return shared
 
     def _report_for(
-        self, entry: ShardEntry, scanned: tuple
+        self, plan: PhysicalPlan, scanned: tuple
     ) -> tuple[ShardQueryReport, np.ndarray]:
-        """Wrap one (possibly memo-shared) kernel scan as this entry's report."""
+        """Wrap one (possibly memo-shared) kernel scan as this plan's report."""
         _counters, local_ids, cards = scanned
-        plan = entry.plan
         table = self.database.table(plan.scan.table)
         ship_ids = plan.group_by is None or plan.limit is not None
         shipped = None
@@ -581,12 +415,12 @@ class ShardEngine:
         """Raw integer bin counts for un-LIMITed aggregates, one sweep per
         (table, bin grid) group — the shard-side half of "bin counts sum"."""
         groups: dict[tuple, tuple[object, list]] = {}
-        for _position, entry, report, local_ids in scans:
-            group_by = entry.plan.group_by
-            if group_by is None or entry.plan.limit is not None:
+        for plan, report, local_ids in scans:
+            group_by = plan.group_by
+            if group_by is None or plan.limit is not None:
                 continue
             key = (
-                entry.plan.scan.table,
+                plan.scan.table,
                 group_by.column,
                 group_by.cell_x,
                 group_by.cell_y,
@@ -611,8 +445,6 @@ def merge_scatter(
     database: Database,
     plan: PhysicalPlan,
     reports: Sequence[ShardQueryReport],
-    *,
-    presorted: bool = True,
 ) -> tuple[WorkCounters, np.ndarray | None, dict[int, float] | None]:
     """Merge per-shard reports into the canonical single-engine outcome.
 
@@ -620,18 +452,14 @@ def merge_scatter(
     charged — via the kernel's own :func:`charge_scan` over the summed
     shard cardinalities — from its whole-table indexes, and LIMIT-truncated
     aggregates are finalized against its base-table points (bounded by the
-    LIMIT).  ``presorted=False`` (strided partitions) re-sorts the merged
-    ids to restore canonical row order before the LIMIT truncates.
-    Returns the exact ``(counters, row_ids, bins)`` the full engine's
+    LIMIT).  Returns the exact ``(counters, row_ids, bins)`` the full engine's
     executor would produce for ``plan`` under the deterministic profile.
     """
     assert plan.join is None, "join plans are not scatter-eligible"
     counters = WorkCounters()
     table = database.table(plan.scan.table)
 
-    card_parts = [report.cards for report in reports]
-    assert all(cards is not None for cards in card_parts)
-    cards = ScanCardinalities.merge(card_parts)
+    cards = ScanCardinalities.merge([report.cards for report in reports])
     path_entries = []
     for path in plan.scan.access:
         index = database.index(plan.scan.table, path.predicate.column)
@@ -654,10 +482,7 @@ def merge_scatter(
         ]
         merged_ids = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        if not presorted:
-            merged_ids = np.sort(merged_ids)
-        merged_ids = merged_ids[:kept]
+        )[:kept]
 
     if plan.group_by is not None:
         counters.group_rows += kept

@@ -55,6 +55,7 @@ class ServiceConfig:
 
     # -- execute stage (the three non-local stages are exclusive) -------
     n_shards: int = 1
+    #: The shard partition: "rows" (contiguous row ranges) is the only one.
     shard_by: str = "rows"
     n_routers: int = 1
     #: Worker/replica processes (False = inline, for debugging).
@@ -105,6 +106,10 @@ def _resolve_execute(maliva: "Maliva", config: ServiceConfig) -> ExecuteStage | 
     """The one execute stage ``config`` asks for (``None``: the local engine)."""
     if config.n_shards < 1 or config.n_routers < 1:
         raise QueryError("n_shards and n_routers must be at least 1")
+    if config.shard_by != "rows":
+        raise QueryError(
+            f"shard_by must be 'rows' (the only partition), got {config.shard_by!r}"
+        )
     if config.n_shards > 1 and config.n_routers > 1:
         raise QueryError(
             "replicate the router tier or shard the execute stage, not both"
@@ -128,9 +133,7 @@ def _resolve_execute(maliva: "Maliva", config: ServiceConfig) -> ExecuteStage | 
     if config.n_shards > 1:
         from .sharded import ScatterExecute
 
-        return ScatterExecute(
-            n_shards=config.n_shards, shard_by=config.shard_by, **fleet_kwargs
-        )
+        return ScatterExecute(n_shards=config.n_shards, **fleet_kwargs)
     if isinstance(backend, str):
         owned: ExecutionBackend = create_backend(backend)
         owned.ingest(maliva.database)

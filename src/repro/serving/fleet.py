@@ -37,9 +37,8 @@ retry).  The supervisor then:
   backoff.  Respawns are budgeted (``max_respawns``); a flapping worker
   exhausts the budget and trips the circuit breaker.
 * **retires.**  A breaker-open slot is permanently removed and the tier
-  shrinks around it (shard re-slicing / table re-adoption, session
-  rebalancing and admission capacity); with zero survivors every request
-  runs on the router.
+  shrinks around it (shard re-slicing, session rebalancing and admission
+  capacity); with zero survivors every request runs on the router.
 
 Deadline classes: request-path ops get ``rpc_deadline_ms`` plus a share of
 the batch's largest tau (:meth:`SupervisedFleet.call_deadline_s`);

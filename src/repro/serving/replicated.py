@@ -457,7 +457,6 @@ class DispatchExecute(ExecuteStage):
         *,
         n_routers: int = 2,
         processes: bool = True,
-        start_method: str | None = None,
         rpc_deadline_ms: float | None = 10_000.0,
         deadline_tau_factor: float = 1.0,
         max_respawns: int = 3,
@@ -473,7 +472,6 @@ class DispatchExecute(ExecuteStage):
             kind="router",
             on_death=self._on_router_death,
             processes=processes,
-            start_method=start_method,
             fault_plan=fault_plan,
             rpc_deadline_ms=rpc_deadline_ms,
             deadline_tau_factor=deadline_tau_factor,
@@ -866,8 +864,8 @@ class DispatchExecute(ExecuteStage):
         deadline_s = self._group.setup_deadline_s()
         # Dead slots skip the sync: their respawn rebuilds from the live
         # catalog and cannot go stale.
-        self._group.call_live(
+        delivered = self._group.call_live(
             lambda slot: slot.handle.router_sync(table, indexed, stats, deadline_s)
         )
-        if self._router_stats is not None:
+        if delivered and self._router_stats is not None:
             self._router_stats.n_syncs += 1

@@ -5,23 +5,20 @@ ExecuteStage` that scales execution past one process (DESIGN.md §4.3.1):
 ``MalivaService(maliva, execute=ScatterExecute(n_shards=…))`` keeps the
 staged resolve → schedule → plan pipeline as it is — planning stays on the
 router (DESIGN.md §4.4 records why) — and executes by scatter/gather
-across N workers, each running in its own process over a row slice
-(contiguous ``rows``, round-robin ``rows-strided``) or an owned set of
-whole tables:
+across N workers, each running in its own process over one contiguous row
+slice of every table.  Each scheduled request is one of three things:
 
-* **rows execution** — every scatter-eligible plan (no join) is sent to
-  *all* shards; each worker scans its slice with fused index probes and
-  fused BIN_ID sweeps and reports stage cardinalities
-  (:class:`~repro.db.sharding.ScanCardinalities`), global-id rows, and raw
+* **scattered** — a joinless plan the engine obeyed is sent to *all*
+  shards; each worker scans its slice with fused index probes and fused
+  BIN_ID sweeps and reports stage cardinalities
+  (:class:`~repro.db.executor.ScanCardinalities`), global-id rows, and raw
   integer bin counts; the router merges them into the canonical
   single-engine outcome (:func:`repro.db.sharding.merge_scatter`) and
   charges profile effects once, on its own engine.
-* **table execution** — each query runs wholly on the shard owning its
-  scan table (joins require the inner table to be co-located); the
-  worker's execution *is* canonical because it holds the full tables.
-* **fallback** — joins in rows modes, hint-ignoring draws, and unowned
-  tables execute on the router's full engine, preserving the equivalence
-  contract trivially.
+* **fallback** — joins and hint-ignoring draws execute on the router's
+  full engine, preserving the equivalence contract trivially.
+* **recovered** — a scattered plan some shard could not report (dead,
+  retired, or failed mid-batch) re-executes on the router, bit-identically.
 
 Transport, fault interpretation, deadlines, and the death → warm respawn →
 breaker life-cycle are the shared substrate in :mod:`repro.serving.fleet`
@@ -30,10 +27,9 @@ shard op table, the :class:`ShardHandle` reply checks, and the tier's
 reactions.  A respawning slot rebuilds a fresh
 :class:`~repro.db.sharding.ShardSpec` from the *live* catalog
 (:func:`~repro.db.sharding.rebuild_shard_spec`).  When the breaker retires
-a shard, surviving rows-mode shards re-slice to the smaller arity (rank
-order follows shard-id order, so merged concatenation stays canonical) and
-orphaned table-mode groups are re-adopted round-robin; subsequent batches
-scatter across the smaller fleet.
+a shard, the survivors re-slice to the smaller arity (rank order follows
+shard-id order, so merged concatenation stays canonical); subsequent
+batches scatter across the smaller fleet.
 
 A note on per-request engine-cache deltas: outcomes served by this stage
 attribute cache activity from the *execute phase only*.  Scattered queries
@@ -47,8 +43,9 @@ every equivalence-contract field but not on this observability counter.
 Coherence: the service's engine invalidation hook reaches the stage as
 ``table_invalidated``; any catalog change on the router database —
 `append_rows`, `create_index`, direct `Database` calls included — re-slices
-the affected table and broadcasts a ``sync_table`` to every worker, which
-replaces its copy, rebuilds its indexes, and evicts derived cache state.
+the affected table and broadcasts a ``sync_table`` to every live worker,
+which replaces its slice, rebuilds its indexes, and evicts derived cache
+state.
 """
 
 from __future__ import annotations
@@ -57,17 +54,13 @@ from typing import Sequence
 
 from ..core.middleware import RequestOutcome
 from ..db.caches import CacheStatsReport
+from ..db.plans import PhysicalPlan
 from ..db.sharding import (
-    FULL,
-    PARTIAL,
     ShardBatchReply,
     ShardEngine,
-    ShardEntry,
-    build_shard_specs,
     merge_scatter,
     rebuild_shard_spec,
     reslice_for_sync,
-    rows_partitioned,
     scatter_eligible,
 )
 from ..errors import QueryError
@@ -91,7 +84,7 @@ def shard_ops() -> dict:
 
     return {
         "init": init,
-        "execute": lambda entries: engine.execute(entries),
+        "execute": lambda plans: engine.execute(plans),
         "sync": sync,
         "cache_stats": lambda _: engine.cache_stats(),
     }
@@ -103,11 +96,10 @@ class ShardHandle(WorkerHandle):
 
     def __init__(self, fleet: SupervisedFleet, spec) -> None:
         self.shard_id = spec.shard_id
-        self.owned_tables = spec.owned_tables
         super().__init__(fleet, spec.shard_id, shard_ops, spec)
 
-    def submit_execute(self, entries: Sequence[ShardEntry]) -> None:
-        self._channel.send("execute", list(entries))
+    def submit_execute(self, plans: Sequence[PhysicalPlan]) -> None:
+        self._channel.send("execute", list(plans))
 
     def collect(self, deadline_s: float | None = None, expected: int | None = None):
         reply = self._reply("execute", deadline_s, ShardBatchReply)
@@ -132,12 +124,12 @@ class _ShardedInflight:
 
     __slots__ = (
         "jobs",
+        "plans",
         "scatter_positions",
-        "owner_positions",
-        "fallback_indexes",
-        "recovered",
+        "n_fallback",
+        "blocking_shard",
+        "n_recovered",
         "scatter_ids",
-        "targets",
         "submitted",
         "deadline_s",
     )
@@ -150,9 +142,7 @@ class ScatterExecute(ExecuteStage):
         self,
         *,
         n_shards: int = 2,
-        shard_by: str = "rows",
         processes: bool = True,
-        start_method: str | None = None,
         rpc_deadline_ms: float | None = 10_000.0,
         deadline_tau_factor: float = 1.0,
         max_respawns: int = 3,
@@ -167,7 +157,6 @@ class ScatterExecute(ExecuteStage):
             kind="shard",
             on_death=self._on_worker_death,
             processes=processes,
-            start_method=start_method,
             fault_plan=fault_plan,
             rpc_deadline_ms=rpc_deadline_ms,
             deadline_tau_factor=deadline_tau_factor,
@@ -181,26 +170,11 @@ class ScatterExecute(ExecuteStage):
         #: collected.
         self._execute_inflight = False
         self.n_shards = n_shards
-        self.shard_by = shard_by
 
     def bind(self, service: MalivaService) -> "ScatterExecute":
         super().bind(service)
         #: Quality-scored batches execute here, sequentially on the router.
         self._local = LocalExecute().bind(service)
-        # Table mode: whole base tables (plus their samples) are owned
-        # round-robin.  Rows modes own nothing — every shard holds a slice
-        # of every table.
-        self._table_owner = (
-            {}
-            if rows_partitioned(self.shard_by)
-            else {
-                name: spec.shard_id
-                for spec in build_shard_specs(
-                    service.maliva.database, self.n_shards, self.shard_by
-                )
-                for name in spec.owned_tables
-            }
-        )
         self._fleet.spawn()
         self.reset_stats()
         return self
@@ -213,18 +187,11 @@ class ScatterExecute(ExecuteStage):
     def _build_handle(self, slot: SupervisedSlot) -> ShardHandle:
         """Warm-(re)spawn one slot from the live catalog, bit-coherent."""
         active = self._active_slots()
-        owned = sorted(
-            name
-            for name, owner in self._table_owner.items()
-            if owner == slot.shard_id
-        )
         spec = rebuild_shard_spec(
             self.service.maliva.database,
             slot.shard_id,
             active.index(slot),
             len(active),
-            self.shard_by,
-            owned,
         )
         return ShardHandle(self._fleet, spec)
 
@@ -235,9 +202,7 @@ class ScatterExecute(ExecuteStage):
         return self._fleet.active_slots()
 
     def reset_stats(self) -> None:
-        self.service.stats.shards = ShardStats(
-            shard_by=self.shard_by, n_shards=self.n_shards
-        )
+        self.service.stats.shards = ShardStats(n_shards=self.n_shards)
 
     def close(self) -> None:
         """Stop every shard worker (idempotent)."""
@@ -279,77 +244,41 @@ class ScatterExecute(ExecuteStage):
         if retired:
             self._do_rebalance()
 
-    def _sync_slices(self, table_name: str, deadline_s: float | None) -> None:
+    def _sync_slices(self, table_name: str, deadline_s: float | None) -> bool:
         """Re-slice one table at the active arity and sync the live shards.
 
         Dead slots skip the sync: their respawn rebuilds from the live
-        catalog at the current arity and cannot go stale.
+        catalog at the current arity and cannot go stale.  Returns whether
+        the sync reached at least one live worker.
         """
         database = self.service.maliva.database
         active = self._active_slots()
-        slices = reslice_for_sync(database, table_name, len(active), self.shard_by)
+        slices = reslice_for_sync(database, table_name, len(active))
         fresh = {slot.shard_id: part for slot, part in zip(active, slices)}
         indexed = tuple(sorted(database.indexes_for(table_name)))
-        self._fleet.call_live(
+        delivered = self._fleet.call_live(
             lambda slot: slot.handle.sync_table(
                 fresh[slot.shard_id], indexed, deadline_s
             )
         )
-
-    def _sync_owner(self, table_name: str, deadline_s: float | None) -> None:
-        """Table mode: ship one whole table to the shard that owns it."""
-        owner = self._table_owner.get(table_name)
-        if owner is None:
-            return
-        database = self.service.maliva.database
-        indexed = tuple(sorted(database.indexes_for(table_name)))
-        self._fleet.call_live(
-            lambda slot: slot.handle.sync_table(
-                database.table(table_name), indexed, deadline_s
-            ),
-            [self._slots[owner]],
-        )
+        return bool(delivered)
 
     def _do_rebalance(self) -> None:
-        """Re-partition the survivors after a breaker retirement.
-
-        Rows modes re-slice every table at the new (smaller) arity —
-        rank order follows shard-id order, so ``sorted(shard_id)``
-        concatenation of reports stays the canonical row order.  Table
-        mode re-adopts orphaned base-table groups (base plus its
-        samples, which must stay co-located) round-robin.
-        """
+        """Re-slice every table at the survivors' (smaller) arity after a
+        breaker retirement — rank order follows shard-id order, so
+        ``sorted(shard_id)`` concatenation of reports stays the canonical
+        row order."""
         if self._closed:
             return
         if self._shard_stats is not None:
             self._shard_stats.n_rebalances += 1
-        active = self._active_slots()
-        if not active:
+        if not self._active_slots():
             # Whole fleet retired: every request recovers on the router.
             return
         database = self.service.maliva.database
         deadline_s = self._fleet.setup_deadline_s()
-        if rows_partitioned(self.shard_by):
-            for name in sorted(database.table_names):
-                self._sync_slices(name, deadline_s)
-            return
-        orphaned = sorted(
-            name
-            for name, owner in self._table_owner.items()
-            if self._slots[owner].retired
-        )
-        groups: dict[str, list[str]] = {}
-        for name in orphaned:
-            if not database.has_table(name):  # pragma: no cover - dropped
-                continue
-            table = database.table(name)
-            base = table.base_table if table.is_sample else name
-            groups.setdefault(base, []).append(name)
-        for position, base in enumerate(sorted(groups)):
-            slot = active[position % len(active)]
-            for name in sorted(groups[base]):
-                self._table_owner[name] = slot.shard_id
-                self._sync_owner(name, deadline_s)
+        for name in sorted(database.table_names):
+            self._sync_slices(name, deadline_s)
 
     # ------------------------------------------------------------------
     # Cross-shard coherence
@@ -368,12 +297,8 @@ class ScatterExecute(ExecuteStage):
         database = self.service.maliva.database
         if self._closed or not database.has_table(table_name):
             return
-        deadline_s = self._fleet.setup_deadline_s()
-        if not rows_partitioned(self.shard_by):
-            self._sync_owner(table_name, deadline_s)
-        elif self._active_slots():
-            self._sync_slices(table_name, deadline_s)
-        if self._shard_stats is not None:
+        synced = self._sync_slices(table_name, self._fleet.setup_deadline_s())
+        if synced and self._shard_stats is not None:
             self._shard_stats.n_syncs += 1
 
     # ------------------------------------------------------------------
@@ -382,7 +307,7 @@ class ScatterExecute(ExecuteStage):
     def begin(self, planned: _PlannedBatch) -> _ShardedInflight | None:
         """Classify and scatter-submit the batch, then return.
 
-        Shard processes crunch the submitted entries while the caller (the
+        Shard processes crunch the submitted plans while the caller (the
         async tier) plans the next micro-batch on the router;
         :meth:`finish` collects and assembles.  Between the two calls the
         worker pipes are reserved for execute replies
@@ -405,21 +330,16 @@ class ScatterExecute(ExecuteStage):
         state = _ShardedInflight()
         self._ensure_workers()
 
-        rows_mode = rows_partitioned(self.shard_by)
         active = self._active_slots()
         scatter_slots = [slot for slot in active if slot.handle is not None]
-        # Rows-mode scatter needs reports from *every* active slot (the
-        # partition's arity); one dead survivor routes the whole
-        # scatter-eligible set through router recovery instead.
-        scatter_ready = (
-            rows_mode and bool(active) and len(scatter_slots) == len(active)
+        # A scatter needs reports from *every* active slot (the partition's
+        # arity); one dead survivor routes the whole scatter-eligible set
+        # through router recovery instead.
+        scatter_ready = bool(active) and len(scatter_slots) == len(active)
+        # Recovery is then charged to the first slot blocking the scatter.
+        blocking_shard = next(
+            (s.shard_id for s in self._slots if s.retired or s.handle is None), 0
         )
-        blocking_shard: int | None = None
-        if rows_mode and not scatter_ready:
-            for slot in self._slots:
-                if slot.retired or slot.handle is None:
-                    blocking_shard = slot.shard_id
-                    break
 
         # Classify the scheduled batch.  begin_execution consumes the
         # hint-obey draw and the plan-cache sequence in scheduled order,
@@ -427,76 +347,44 @@ class ScatterExecute(ExecuteStage):
         # makes recovered entries bit-identical: they re-execute below in
         # that same order, against the same consumed draws.
         jobs = []  # (index, query, tau, decision, plan, obeyed, was_planned)
-        scatter_positions: dict[int, int] = {}  # index -> entry position
-        owner_positions: dict[int, tuple[int, int]] = {}  # index -> (shard, pos)
-        fallback_indexes: list[int] = []  # structural router executions
-        recovered: dict[int, list[int]] = {}  # shard -> health-recovered idx
-        entries: list[ShardEntry] = []
-        per_owner_entries: dict[int, list[ShardEntry]] = {}
+        plans: list[PhysicalPlan] = []
+        scatter_positions: dict[int, int] = {}  # index -> plan position
+        n_fallback = 0  # structural router executions
+        n_recovered = 0  # health-recovered router executions
         for index in order:
             query, tau = resolved[index]
             decision = decisions[index]
             rewritten = decision.rewritten  # type: ignore[union-attr]
             plan, obeyed, was_planned = database.begin_execution(rewritten)
             jobs.append((index, query, tau, decision, plan, obeyed, was_planned))
-            if not obeyed:
-                fallback_indexes.append(index)
-                continue
-            if rows_mode:
-                if not scatter_eligible(plan):
-                    fallback_indexes.append(index)
-                elif scatter_ready:
-                    scatter_positions[index] = len(entries)
-                    entries.append(ShardEntry(rewritten, plan, PARTIAL))
-                else:
-                    recovered.setdefault(
-                        blocking_shard if blocking_shard is not None else 0, []
-                    ).append(index)
+            if not obeyed or not scatter_eligible(plan):
+                n_fallback += 1
+            elif scatter_ready:
+                scatter_positions[index] = len(plans)
+                plans.append(plan)
             else:
-                owner = self._table_owner.get(plan.scan.table)
-                co_located = owner is not None and (
-                    plan.join is None
-                    or self._table_owner.get(plan.join.inner_table) == owner
-                )
-                if not co_located:
-                    fallback_indexes.append(index)
-                    continue
-                slot = self._slots[owner]
-                if slot.retired or slot.handle is None:
-                    recovered.setdefault(owner, []).append(index)
-                else:
-                    shard_entries = per_owner_entries.setdefault(owner, [])
-                    owner_positions[index] = (owner, len(shard_entries))
-                    shard_entries.append(ShardEntry(rewritten, plan, FULL))
+                n_recovered += 1
 
         state.jobs = jobs
+        state.plans = plans
         state.scatter_positions = scatter_positions
-        state.owner_positions = owner_positions
-        state.fallback_indexes = fallback_indexes
-        state.recovered = recovered
-        state.scatter_ids = sorted(slot.shard_id for slot in scatter_slots)
+        state.n_fallback = n_fallback
+        state.blocking_shard = blocking_shard
+        state.n_recovered = n_recovered
+        state.scatter_ids = [slot.shard_id for slot in scatter_slots]
         state.deadline_s = self._fleet.call_deadline_s(
             max((resolved[i][1] for i in order), default=None)
         )
-        # Scatter: rows mode sends the same entry list to every scatter
-        # slot, table mode sends each owner its own list.  Every shard's
-        # batch is submitted before any reply is collected, so the workers
-        # run concurrently while the router plans the next batch or
-        # handles fallbacks.  A failed submit marks its slot dead and the
-        # sweep continues; finish recovers what goes unreported.
-        if not rows_mode:
-            state.targets = per_owner_entries
-        elif entries:
-            state.targets = {slot.shard_id: entries for slot in scatter_slots}
-        else:
-            state.targets = {}
+        # Scatter: every slot gets the same plan list, submitted before any
+        # reply is collected, so the workers run concurrently while the
+        # router plans the next batch or handles fallbacks.  A failed
+        # submit marks its slot dead and the sweep continues; finish
+        # recovers what goes unreported.
         state.submitted = [
             slot
             for slot, _ in self._fleet.call_live(
-                lambda slot: slot.handle.submit_execute(
-                    state.targets[slot.shard_id]
-                ),
-                [self._slots[shard_id] for shard_id in sorted(state.targets)],
+                lambda slot: slot.handle.submit_execute(plans),
+                scatter_slots if plans else [],
             )
         ]
         self._execute_inflight = True
@@ -522,11 +410,7 @@ class ScatterExecute(ExecuteStage):
     def _gather(self, state: _ShardedInflight) -> list[RequestOutcome]:
         database = self.service.maliva.database
         shard_stats = self._shard_stats
-        jobs = state.jobs
         scatter_positions = state.scatter_positions
-        owner_positions = state.owner_positions
-        fallback_indexes = state.fallback_indexes
-        recovered = state.recovered
         scatter_ids = state.scatter_ids
         # Gather.  call_live drains every submitted shard even after one
         # failed — an uncollected reply would desync the pipe protocol for
@@ -534,93 +418,60 @@ class ScatterExecute(ExecuteStage):
         # incomplete.
         reports: dict[int, list] = {}
         for slot, reply in self._fleet.call_live(
-            lambda slot: slot.handle.collect(
-                state.deadline_s, len(state.targets[slot.shard_id])
-            ),
+            lambda slot: slot.handle.collect(state.deadline_s, len(state.plans)),
             state.submitted,
         ):
             reports[slot.shard_id] = reply.reports
             if shard_stats is not None:
                 shard_stats.record_shard(slot.shard_id, reply)
 
-        # Assemble outcomes in scheduled order.  A scatter entry is
-        # shard-served only if *every* required shard reported it; anything
-        # less re-executes on the router, bit-identically.
-        outcomes: list = [None] * len(jobs)
-        fallback_set = set(fallback_indexes)
-        recovered_shard = {
-            index: shard_id
-            for shard_id, indexes in recovered.items()
-            for index in indexes
-        }
+        # Assemble outcomes in scheduled order.  A scattered plan is
+        # shard-served only if *every* scatter shard reported it; anything
+        # less — and every fallback or recovered request — executes on the
+        # router, bit-identically.
+        outcomes: list = [None] * len(state.jobs)
         mid_recovered: dict[int, int] = {}
         n_shard_served = 0
-        for index, query, tau, decision, plan, obeyed, was_planned in jobs:
-            rewritten = decision.rewritten  # type: ignore[union-attr]
-            if index in fallback_set or index in recovered_shard:
+        for index, query, tau, decision, plan, obeyed, was_planned in state.jobs:
+            position = scatter_positions.get(index)
+            if position is not None and all(
+                len(reports.get(sid, [])) > position for sid in scatter_ids
+            ):
+                counters, row_ids, bins = merge_scatter(
+                    database,
+                    plan,
+                    [reports[sid][position] for sid in scatter_ids],
+                )
+                result = database.complete_execution(
+                    plan,
+                    counters,
+                    row_ids,
+                    bins,
+                    obeyed=obeyed,
+                    was_planned=was_planned,
+                )
+                n_shard_served += 1
+            else:
                 result = database.execute_planned(
-                    plan, rewritten, obeyed=obeyed, was_planned=was_planned
+                    plan,
+                    decision.rewritten,  # type: ignore[union-attr]
+                    obeyed=obeyed,
+                    was_planned=was_planned,
                 )
-            elif index in scatter_positions:
-                position = scatter_positions[index]
-                complete = all(
-                    len(reports.get(sid, [])) > position for sid in scatter_ids
-                )
-                if complete:
-                    counters, row_ids, bins = merge_scatter(
-                        database,
-                        plan,
-                        [reports[sid][position] for sid in scatter_ids],
-                        # Contiguous slices concatenate in canonical order;
-                        # strided slices interleave and need the merge's
-                        # sort.
-                        presorted=self.shard_by != "rows-strided",
-                    )
-                    result = database.complete_execution(
-                        plan,
-                        counters,
-                        row_ids,
-                        bins,
-                        obeyed=obeyed,
-                        was_planned=was_planned,
-                    )
-                    n_shard_served += 1
-                else:
-                    result = database.execute_planned(
-                        plan, rewritten, obeyed=obeyed, was_planned=was_planned
-                    )
+                if position is not None:
                     victim = min(
                         scatter_ids, key=lambda sid: len(reports.get(sid, []))
                     )
                     mid_recovered[victim] = mid_recovered.get(victim, 0) + 1
-            else:
-                shard_id, position = owner_positions[index]
-                shard_reports = reports.get(shard_id, [])
-                if len(shard_reports) > position:
-                    shard_report = shard_reports[position]
-                    result = database.complete_execution(
-                        plan,
-                        shard_report.counters,
-                        shard_report.row_ids,
-                        shard_report.bins,
-                        obeyed=obeyed,
-                        was_planned=was_planned,
-                    )
-                    n_shard_served += 1
-                else:
-                    result = database.execute_planned(
-                        plan, rewritten, obeyed=obeyed, was_planned=was_planned
-                    )
-                    mid_recovered[shard_id] = mid_recovered.get(shard_id, 0) + 1
             outcomes[index] = self.service.maliva.assemble_outcome(
                 query, decision, tau, result
             )
 
         if shard_stats is not None:
             shard_stats.n_scattered += n_shard_served
-            shard_stats.n_fallback += len(fallback_set)
-            for shard_id, indexes in recovered.items():
-                shard_stats.record_recovered(shard_id, len(indexes))
+            shard_stats.n_fallback += state.n_fallback
+            if state.n_recovered:
+                shard_stats.record_recovered(state.blocking_shard, state.n_recovered)
             for shard_id, count in mid_recovered.items():
                 shard_stats.record_recovered(shard_id, count)
 

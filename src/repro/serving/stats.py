@@ -63,15 +63,14 @@ class ShardWindow:
 class ShardStats:
     """Scatter/gather accounting across all shards of a sharded service."""
 
-    shard_by: str = "rows"
     n_shards: int = 0
     per_shard: dict[int, ShardWindow] = field(default_factory=dict)
     #: Queries answered by scatter/gather across shard workers.
     n_scattered: int = 0
-    #: Queries the router executed on the full engine (joins, ignored
-    #: hints, unowned tables).
+    #: Queries the router executed on the full engine (joins, ignored hints).
     n_fallback: int = 0
-    #: Table re-slices broadcast to keep shard data/caches coherent.
+    #: Table re-slices broadcast to keep shard data/caches coherent (only
+    #: those that reached at least one live worker).
     n_syncs: int = 0
     #: Worker deaths across the fleet (each triggers recovery, not failure).
     n_worker_deaths: int = 0
@@ -114,7 +113,6 @@ class ShardStats:
 
     def to_dict(self) -> dict:
         return {
-            "shard_by": self.shard_by,
             "n_shards": self.n_shards,
             "n_scattered": self.n_scattered,
             "n_fallback": self.n_fallback,
@@ -203,7 +201,8 @@ class RouterStats:
     n_gossip_broadcast: int = 0
     #: Gossip-mirror hits reported by the fleet.
     n_gossip_hits: int = 0
-    #: Catalog syncs broadcast to keep replica engines coherent.
+    #: Catalog syncs broadcast to keep replica engines coherent (only
+    #: those that reached at least one live replica).
     n_syncs: int = 0
     #: Deepest the pre-dispatch journal ever got (unacknowledged entries).
     journal_high_water: int = 0

@@ -9,11 +9,8 @@ contract:
 * ``charge_scan`` replayed from the emitted cardinalities reproduces the
   kernel's own counters exactly (charging is commutative integer adds);
 * shard partial scans merge, via summed cardinalities and the router's
-  canonical index entries, into the full engine's counters/rows/bins — for
-  contiguous *and* strided row partitions, across engine profiles and
-  workload seeds;
-* strided partitioning is a true partition of the row space and balances
-  time-ordered (``created_at``-sorted) rows across shards.
+  canonical index entries, into the full engine's counters/rows/bins —
+  across shard counts and engine profiles.
 """
 
 from __future__ import annotations
@@ -25,15 +22,10 @@ from repro.db import Database, EngineProfile
 from repro.db.cost_model import WorkCounters
 from repro.db.executor import ScanCardinalities, charge_scan
 from repro.db.sharding import (
-    PARTIAL,
     ShardEngine,
-    ShardEntry,
     build_shard_specs,
     merge_scatter,
-    reslice_for_sync,
-    rows_partitioned,
     scatter_eligible,
-    strided_ids,
 )
 
 from tests.conftest import build_twitter_db, random_query_workload
@@ -124,33 +116,22 @@ def test_cardinalities_merge_is_elementwise_sum():
 
 
 # ----------------------------------------------------------------------
-# Shard partial scans == the full engine, contiguous and strided
+# Shard partial scans == the full engine
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("profile_name", sorted(PROFILES))
-@pytest.mark.parametrize("shard_by", ["rows", "rows-strided"])
 @pytest.mark.parametrize("n_shards", [2, 3])
-def test_partition_modes_merge_to_full_engine(profile_name, shard_by, n_shards):
+def test_partition_modes_merge_to_full_engine(profile_name, n_shards):
     database = _build_db(profile_name)
     workload = random_query_workload(database, seed=41, n=20)
-    engines = [
-        ShardEngine(spec)
-        for spec in build_shard_specs(database, n_shards, shard_by=shard_by)
-    ]
-    presorted = shard_by != "rows-strided"
+    engines = [ShardEngine(spec) for spec in build_shard_specs(database, n_shards)]
     checked = 0
     for query in workload:
         plan = database.explain(query, obey_hints=True)
         if not scatter_eligible(plan):
             continue
         result = database.execute(query)
-        entry = ShardEntry(query=query, plan=plan, mode=PARTIAL)
-        reports = [engine.execute([entry]).reports[0] for engine in engines]
-        for report in reports:
-            assert report.cards is not None
-            assert report.counters is None  # partial mode ships cards only
-        counters, row_ids, bins = merge_scatter(
-            database, plan, reports, presorted=presorted
-        )
+        reports = [engine.execute([plan]).reports[0] for engine in engines]
+        counters, row_ids, bins = merge_scatter(database, plan, reports)
         assert counters.as_dict() == result.counters.as_dict()
         if result.row_ids is None:
             assert row_ids is None
@@ -159,87 +140,3 @@ def test_partition_modes_merge_to_full_engine(profile_name, shard_by, n_shards):
         assert bins == result.bins
         checked += 1
     assert checked > 10
-
-
-def test_strided_sync_matches_after_append():
-    database = _build_db("deterministic")
-    queries = random_query_workload(database, seed=13, n=8, sample_table=None)
-    engines = [
-        ShardEngine(spec)
-        for spec in build_shard_specs(database, 3, shard_by="rows-strided")
-    ]
-    tweets = database.table("tweets")
-    take = {
-        column.name: tweets.column(column.name)[:20]
-        for column in tweets.schema.columns
-    }
-    database.append_rows("tweets", take)
-    indexed = tuple(sorted(database.indexes_for("tweets")))
-    slices = reslice_for_sync(database, "tweets", 3, "rows-strided")
-    for engine, fresh in zip(engines, slices):
-        engine.sync_table(fresh, indexed)
-    for query in queries:
-        plan = database.explain(query, obey_hints=True)
-        if not scatter_eligible(plan):
-            continue
-        result = database.execute(query)
-        entry = ShardEntry(query=query, plan=plan, mode=PARTIAL)
-        reports = [engine.execute([entry]).reports[0] for engine in engines]
-        counters, row_ids, bins = merge_scatter(
-            database, plan, reports, presorted=False
-        )
-        assert counters.as_dict() == result.counters.as_dict()
-        if result.row_ids is not None:
-            assert np.array_equal(row_ids, result.row_ids)
-        assert bins == result.bins
-
-
-# ----------------------------------------------------------------------
-# Strided partitioning properties
-# ----------------------------------------------------------------------
-def test_strided_ids_partition_the_row_space():
-    for n_rows in (0, 1, 7, 100):
-        for n_shards in (1, 2, 3, 8):
-            pieces = [strided_ids(n_rows, s, n_shards) for s in range(n_shards)]
-            sizes = [len(p) for p in pieces]
-            assert sum(sizes) == n_rows
-            assert max(sizes) - min(sizes) <= 1  # balanced to within one row
-            if n_rows:
-                combined = np.sort(np.concatenate(pieces))
-                assert np.array_equal(combined, np.arange(n_rows))
-
-
-def test_strided_specs_balance_time_ordered_prefix():
-    """The skew scenario strided mode exists for: recent-rows predicates.
-
-    ``created_at`` increases with row id, so a recent-time range hits a
-    contiguous suffix of the table — contiguous slicing concentrates all
-    its matches on the last shard while strided slicing spreads them
-    within one row of evenly.
-    """
-    database = _build_db("deterministic")
-    tweets = database.table("tweets")
-    suffix = max(1, tweets.n_rows // 5)
-    cut = float(np.sort(tweets.numeric("created_at"))[-suffix])
-    n_shards = 4
-
-    def matches_per_shard(shard_by: str) -> list[int]:
-        counts = []
-        for spec in build_shard_specs(database, n_shards, shard_by=shard_by):
-            part = next(t for t in spec.tables if t.name == "tweets")
-            counts.append(int((part.numeric("created_at") >= cut).sum()))
-        return counts
-
-    contiguous = matches_per_shard("rows")
-    strided = matches_per_shard("rows-strided")
-    total = sum(contiguous)
-    assert sum(strided) == total > 0
-    assert max(strided) - min(strided) <= 1
-    # Contiguous slicing piles the hot suffix onto the tail shards.
-    assert max(contiguous) > max(strided)
-
-
-def test_rows_partitioned_helper():
-    assert rows_partitioned("rows")
-    assert rows_partitioned("rows-strided")
-    assert not rows_partitioned("table")

@@ -18,10 +18,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.sharding import (
-    FULL,
-    PARTIAL,
     ShardEngine,
-    ShardEntry,
     build_shard_specs,
     merge_scatter,
     reslice_for_sync,
@@ -47,8 +44,7 @@ def _scatter_one(database, engines, query):
     """Scatter one query and return the merged (counters, ids, bins)."""
     plan = database.explain(query, obey_hints=True)
     assert scatter_eligible(plan)
-    entry = ShardEntry(query=query, plan=plan, mode=PARTIAL)
-    reports = [engine.execute([entry]).reports[0] for engine in engines]
+    reports = [engine.execute([plan]).reports[0] for engine in engines]
     return plan, merge_scatter(database, plan, reports)
 
 
@@ -65,10 +61,7 @@ def _assert_matches(result, merged):
 
 @pytest.mark.parametrize("n_shards", [2, 3, 5])
 def test_partial_scatter_matches_full_engine(shard_db, workload, n_shards):
-    engines = [
-        ShardEngine(spec)
-        for spec in build_shard_specs(shard_db, n_shards, shard_by="rows")
-    ]
+    engines = [ShardEngine(spec) for spec in build_shard_specs(shard_db, n_shards)]
     for query in workload:
         result = shard_db.execute(query)
         _plan, merged = _scatter_one(shard_db, engines, query)
@@ -77,17 +70,10 @@ def test_partial_scatter_matches_full_engine(shard_db, workload, n_shards):
 
 def test_partial_scatter_batched_entries_match(shard_db, workload):
     """A whole batch through each shard at once (the serving-layer shape)."""
-    engines = [
-        ShardEngine(spec)
-        for spec in build_shard_specs(shard_db, 3, shard_by="rows")
-    ]
+    engines = [ShardEngine(spec) for spec in build_shard_specs(shard_db, 3)]
     queries = workload[:12]
     plans = [shard_db.explain(query, obey_hints=True) for query in queries]
-    entries = [
-        ShardEntry(query=query, plan=plan, mode=PARTIAL)
-        for query, plan in zip(queries, plans)
-    ]
-    replies = [engine.execute(entries) for engine in engines]
+    replies = [engine.execute(plans) for engine in engines]
     for position, (query, plan) in enumerate(zip(queries, plans)):
         result = shard_db.execute(query)
         merged = merge_scatter(
@@ -99,28 +85,8 @@ def test_partial_scatter_batched_entries_match(shard_db, workload):
         assert reply.wall_s >= 0.0
 
 
-def test_table_mode_owner_executes_canonically(shard_db, workload):
-    specs = build_shard_specs(shard_db, 2, shard_by="table")
-    owners = {name: spec for spec in specs for name in spec.owned_tables}
-    assert set(owners) == set(shard_db.table_names)
-    engines = {spec.shard_id: ShardEngine(spec) for spec in specs}
-    for query in workload[:10]:
-        plan = shard_db.explain(query, obey_hints=True)
-        owner = owners[plan.scan.table]
-        entry = ShardEntry(query=query, plan=plan, mode=FULL)
-        report = engines[owner.shard_id].execute([entry]).reports[0]
-        result = shard_db.execute(query)
-        assert report.counters is not None
-        assert report.counters.as_dict() == result.counters.as_dict()
-        if result.row_ids is None:
-            assert np.size(report.row_ids) == 0 or report.row_ids is None
-        else:
-            assert np.array_equal(report.row_ids, result.row_ids)
-        assert report.bins == result.bins
-
-
 def test_shard_spec_is_pickle_safe(shard_db, workload):
-    specs = build_shard_specs(shard_db, 2, shard_by="rows")
+    specs = build_shard_specs(shard_db, 2)
     thawed = [pickle.loads(pickle.dumps(spec)) for spec in specs]
     engines = [ShardEngine(spec) for spec in thawed]
     for query in workload[:6]:
@@ -132,10 +98,7 @@ def test_shard_spec_is_pickle_safe(shard_db, workload):
 def test_sync_table_propagates_append():
     database = build_twitter_db(n_tweets=400, dataset_seed=5, engine_seed=1)
     queries = random_query_workload(database, seed=9, n=10, sample_table=None)
-    engines = [
-        ShardEngine(spec)
-        for spec in build_shard_specs(database, 3, shard_by="rows")
-    ]
+    engines = [ShardEngine(spec) for spec in build_shard_specs(database, 3)]
     # Warm both sides, then mutate the base table.
     for query in queries[:3]:
         result = database.execute(query)
@@ -188,17 +151,13 @@ def test_slice_table_maps_back_to_base_ids(shard_db):
 def test_limit_queries_ship_bounded_row_ids(shard_db, workload):
     """No shard ships more than ``limit`` rows — the router keeps at most
     that many, and shard concatenation is the canonical prefix order."""
-    engines = [
-        ShardEngine(spec)
-        for spec in build_shard_specs(shard_db, 2, shard_by="rows")
-    ]
+    engines = [ShardEngine(spec) for spec in build_shard_specs(shard_db, 2)]
     limited = [q for q in workload if q.limit is not None]
     assert limited, "workload should include LIMIT queries"
     for query in limited:
         result = shard_db.execute(query)
         plan = shard_db.explain(query, obey_hints=True)
-        entry = ShardEntry(query=query, plan=plan, mode=PARTIAL)
-        reports = [engine.execute([entry]).reports[0] for engine in engines]
+        reports = [engine.execute([plan]).reports[0] for engine in engines]
         for report in reports:
             assert report.row_ids is not None
             assert len(report.row_ids) <= plan.limit

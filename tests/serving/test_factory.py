@@ -132,6 +132,7 @@ class TestValidation:
             {"scheduler": "lifo"},
             {"admission": "panic"},
             {"backend": 42},
+            {"n_shards": 2, "shard_by": "table"},
         ],
     )
     def test_rejected_compositions(self, serving_maliva, overrides):

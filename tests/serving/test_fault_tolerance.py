@@ -229,8 +229,7 @@ def test_crash_during_coherence_sync_recovers(op):
 # ----------------------------------------------------------------------
 # Circuit breaker and rebalancing
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("shard_by", ["rows", "rows-strided", "table"])
-def test_flapping_shard_trips_breaker_and_rebalances(ft_twins, shard_by):
+def test_flapping_shard_trips_breaker_and_rebalances(ft_twins):
     single_maliva, sharded_maliva, stream = ft_twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
     plan = FaultPlan(
@@ -241,7 +240,6 @@ def test_flapping_shard_trips_breaker_and_rebalances(ft_twins, shard_by):
         translator=TWITTER_TRANSLATOR,
         execute=ScatterExecute(
             n_shards=3,
-            shard_by=shard_by,
             processes=False,
             max_respawns=2,
             respawn_backoff_s=0.0,
@@ -294,6 +292,47 @@ def test_whole_fleet_retired_serves_from_router(ft_twins):
         assert shards.n_retired == 2
         assert not sharded.execute._active_slots()
         assert not sharded.execute._closed
+
+
+@pytest.mark.parametrize("tier", ["sharded", "replicated"])
+def test_sync_with_whole_fleet_retired_is_not_counted(tier):
+    """A catalog change after every worker retired reaches no one: no sync
+    is counted, and the router alone serves the mutated table exactly."""
+    single_maliva = _build_maliva(n_tweets=500, dataset_seed=13, max_epochs=2)
+    fleet_maliva = _build_maliva(n_tweets=500, dataset_seed=13, max_epochs=2)
+    stream = build_session_stream(
+        single_maliva.database, n_sessions=3, n_steps=4, seed=17
+    )
+    single = single_maliva.service(translator=TWITTER_TRANSLATOR)
+    fleet_kwargs = dict(processes=False, max_respawns=0, respawn_backoff_s=0.0)
+    if tier == "sharded":
+        plan = FaultPlan([FaultSpec(op="execute", kind="crash", nth=1, repeat=True)])
+        stage = ScatterExecute(n_shards=2, fault_plan=plan, **fleet_kwargs)
+    else:
+        plan = FaultPlan([FaultSpec(op="serve", kind="crash", nth=1, repeat=True)])
+        stage = DispatchExecute(n_routers=2, fault_plan=plan, **fleet_kwargs)
+    service = MalivaService(fleet_maliva, translator=TWITTER_TRANSLATOR, execute=stage)
+    with service:
+        half = len(stream) // 2
+        for chunk in _chunks(stream[:half], 3):
+            _assert_outcomes_match(
+                single.answer_many(chunk), service.answer_many(chunk)
+            )
+        stats = service.stats.shards if tier == "sharded" else service.stats.routers
+        assert stats is not None
+        assert stats.n_retired == 2
+        syncs = stats.n_syncs
+        tweets = single_maliva.database.table("tweets")
+        take = {
+            column.name: tweets.column(column.name)[:20]
+            for column in tweets.schema.columns
+        }
+        single.append_rows("tweets", dict(take))
+        service.append_rows("tweets", dict(take))
+        assert stats.n_syncs == syncs
+        _assert_outcomes_match(
+            single.answer_many(stream[half:]), service.answer_many(stream[half:])
+        )
 
 
 # ----------------------------------------------------------------------

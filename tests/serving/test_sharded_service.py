@@ -2,7 +2,7 @@
 
 Twin engines are built from identical seeds: one serves through the plain
 :class:`MalivaService`, the other through a :class:`ScatterExecute` stage
-(rows and table modes, inline and real worker processes).  Every user-visible
+(inline and real worker processes).  Every user-visible
 outcome — viability, virtual times, result rows/bins, canonical work
 counters — must match exactly under the deterministic profile; that is the
 scatter/gather contract of DESIGN.md §4.3.
@@ -86,7 +86,7 @@ def test_rows_mode_matches_single_engine(twins, n_shards):
     sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        execute=ScatterExecute(n_shards=n_shards, shard_by="rows", processes=False),
+        execute=ScatterExecute(n_shards=n_shards, processes=False),
     )
     with sharded:
         _assert_outcomes_match(
@@ -107,24 +107,6 @@ def test_rows_mode_matches_single_engine(twins, n_shards):
                 assert window.wall_s >= 0.0
 
 
-def test_table_mode_matches_single_engine(twins):
-    single_maliva, sharded_maliva, stream = twins
-    single = single_maliva.service(translator=TWITTER_TRANSLATOR)
-    sharded = MalivaService(
-        sharded_maliva,
-        translator=TWITTER_TRANSLATOR,
-        execute=ScatterExecute(n_shards=2, shard_by="table", processes=False),
-    )
-    with sharded:
-        _assert_outcomes_match(
-            single.answer_many(stream), sharded.answer_many(stream)
-        )
-        shards = sharded.stats.shards
-        assert shards is not None
-        if not CHAOS:
-            assert shards.n_scattered == len(stream)
-
-
 def test_worker_processes_match_single_engine(twins):
     single_maliva, sharded_maliva, stream = twins
     short = stream[:12]
@@ -132,7 +114,7 @@ def test_worker_processes_match_single_engine(twins):
     sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        execute=ScatterExecute(n_shards=2, shard_by="rows", processes=True),
+        execute=ScatterExecute(n_shards=2, processes=True),
     )
     with sharded:
         _assert_outcomes_match(
@@ -149,7 +131,7 @@ def test_stream_serving_matches_batch(twins):
     sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        execute=ScatterExecute(n_shards=2, shard_by="rows", processes=False),
+        execute=ScatterExecute(n_shards=2, processes=False),
     )
     with sharded:
         batch_outcomes = sharded.answer_many(stream)
@@ -203,8 +185,7 @@ def _mutation_columns(database, n: int):
     }
 
 
-@pytest.mark.parametrize("shard_by", ["rows", "rows-strided", "table"])
-def test_append_rows_stays_coherent(shard_by):
+def test_append_rows_stays_coherent():
     single_maliva = _build_maliva(n_tweets=600, dataset_seed=3, max_epochs=2)
     sharded_maliva = _build_maliva(n_tweets=600, dataset_seed=3, max_epochs=2)
     stream = build_session_stream(
@@ -214,7 +195,7 @@ def test_append_rows_stays_coherent(shard_by):
     sharded = MalivaService(
         sharded_maliva,
         translator=TWITTER_TRANSLATOR,
-        execute=ScatterExecute(n_shards=3, shard_by=shard_by, processes=False),
+        execute=ScatterExecute(n_shards=3, processes=False),
     )
     with sharded:
         half = len(stream) // 2

@@ -140,8 +140,8 @@ class TestServe:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.shards == 1
-        assert args.shard_by == "rows"
-        assert args.inline_shards is False
+        assert args.routers == 1
+        assert args.inline is False
 
     def test_invalid_shards_rejected(self, capsys):
         assert main(["serve", "--shards", "0", "--no-save"]) == 2
@@ -159,14 +159,14 @@ class TestServe:
                 "3",
                 "--shards",
                 "2",
-                "--inline-shards",
+                "--inline",
                 "--save-dir",
                 str(tmp_path),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "2 rows-sharded workers" in out
+        assert "2 shard workers" in out
         assert "shard router:" in out
         assert "  match " in out and " entries" in out
         saved = json.loads((tmp_path / "serving_report.json").read_text())
