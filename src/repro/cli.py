@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "replicate the router tier across N full replica processes "
-            "with journaled failover and decision gossip (1 = off; "
+            "with journaled failover (1 = off; "
             "mutually exclusive with --shards > 1)"
         ),
     )
@@ -634,8 +634,6 @@ def _run_serve(args) -> int:
         print(
             f"router fleet:          {routers['n_routers']} replicas, "
             f"{routers['n_dispatched']} dispatched / {routers['n_local']} local, "
-            f"{routers['n_gossip_broadcast']} decisions gossiped "
-            f"({routers['n_gossip_hits']} mirror hits), "
             f"{routers['n_syncs']} syncs, "
             f"journal high-water {routers['journal_high_water']}"
         )
@@ -657,8 +655,7 @@ def _run_serve(args) -> int:
             print(
                 f"  router {router_id}: {window['n_requests']} requests in "
                 f"{window['n_batches']} batches, {window['wall_s']:.3f}s replica wall, "
-                f"{window['n_cached']} decision-cached "
-                f"({window['n_gossip_hits']} via gossip){supervision}{breaker}"
+                f"{window['n_cached']} decision-cached{supervision}{breaker}"
             )
     if args.admission != "off":
         snapshot = report.get("admission", {})

@@ -11,7 +11,7 @@ for the worker-fleet substrate both multi-process tiers run on
 (:mod:`repro.serving.fleet`: one transport, fault interpretation,
 deadline classes, supervised slots with warm respawn and a breaker) and
 the shard tier's recovery and admission control, and §4.7 for the
-replicated router tier (journaled failover, decision-cache gossip).
+replicated router tier (journaled failover; each replica plans alone).
 """
 
 from .admission import AdmissionController, AdmissionVerdict

@@ -4,7 +4,9 @@ Every recovery path of the two multi-process tiers — shard workers under
 :class:`~repro.serving.sharded.ScatterExecute`, router replicas under
 :class:`~repro.serving.replicated.DispatchExecute` — (worker death,
 hung replies, garbled payloads, crashes during coherence syncs) must be
-testable on demand, inline and in real worker processes.  A
+testable on demand, inline and in real worker processes.  A router
+replica talks only to the dispatcher, so its faultable ops are a served
+sub-batch, a catalog sync and a stats probe.  A
 :class:`FaultPlan` is the hook: the *router-side* channel
 (:mod:`repro.serving.fleet`) consults it once per worker op and ships the
 resulting action (crash / hang / garble) inside the op message, so the
@@ -43,7 +45,7 @@ KINDS = (CRASH, HANG, GARBLE)
 #: a spec can target either kind of process by op name (``shard_id`` then
 #: counts the router id for router ops).
 SHARD_OPS = ("execute", "sync", "cache_stats")
-ROUTER_OPS = ("serve", "gossip", "router_sync", "router_stats")
+ROUTER_OPS = ("serve", "router_sync", "router_stats")
 OPS = SHARD_OPS + ROUTER_OPS
 
 #: The junk payload a garbling worker ships in place of its real reply.

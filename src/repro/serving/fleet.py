@@ -42,7 +42,7 @@ retry).  The supervisor then:
 
 Deadline classes: request-path ops get ``rpc_deadline_ms`` plus a share of
 the batch's largest tau (:meth:`SupervisedFleet.call_deadline_s`);
-lifecycle and coherence ops — ``init``, syncs, gossip, stats probes — get
+lifecycle and coherence ops — ``init``, syncs, stats probes, resets — get
 the wide fixed :meth:`SupervisedFleet.setup_deadline_s`.  No receive is
 unbounded unless ``rpc_deadline_ms=None`` disables deadlines altogether.
 
@@ -437,7 +437,7 @@ class SupervisedFleet:
 
     def setup_deadline_s(self) -> float | None:
         """Generous deadline for lifecycle and coherence ops (spawns,
-        syncs, gossip, rebalances): these rebuild indexes and ship whole
+        syncs, stats probes, resets): these rebuild indexes and ship whole
         tables, so they get a wide fixed multiple of the RPC deadline
         rather than a tau-scaled one."""
         if self.rpc_deadline_ms is None:

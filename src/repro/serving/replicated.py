@@ -39,19 +39,18 @@ RNG streams.)
 **Supervision.**  Router slots live in a
 :class:`~repro.serving.fleet.SupervisedFleet`: deaths null the handle,
 warm respawns (rebuilt from the dispatcher's *live* catalog, collapsing
-every missed sync, then primed with the dispatcher's recent-decision
-gossip log) follow capped exponential backoff, and a flapping router
-exhausts ``max_respawns``, trips the circuit breaker, and is retired —
-its sessions rebalance to the survivors and the admission watermark
-shrinks by :meth:`~repro.serving.admission.AdmissionController.
-set_capacity_fraction` so shed/degrade verdicts track the smaller fleet.
+every missed sync, with an empty decision cache) follow capped
+exponential backoff, and a flapping router exhausts ``max_respawns``,
+trips the circuit breaker, and is retired — its sessions rebalance to
+the survivors and the admission watermark shrinks by
+:meth:`~repro.serving.admission.AdmissionController.set_capacity_fraction`
+so shed/degrade verdicts track the smaller fleet.
 
-**Gossip.**  Each serve reply carries the ``(query key, tau) → decision``
-pairs the replica freshly planned; the dispatcher broadcasts them to the
-other live routers, which hold them in a FIFO-capped mirror consulted on
-decision-cache misses — a repeat hitting *any* router is a cache hit.
-Mirrors are cleared wholesale on catalog invalidation, so gossip staleness
-is bounded by the sync broadcast.
+**Replicas plan alone.**  Each replica keeps its own decision cache and
+shares nothing with its siblings.  A decision depends only on the query,
+tau and the catalog, so a replica that has not seen a ``(query, tau)``
+replans it and reaches the same decision; sharing could save at most one
+plan per distinct pair per extra replica (DESIGN.md §4.7).
 
 **Admission.**  The dispatcher owns the (optional) controller, so queued
 virtual cost aggregates across every router and verdicts stay global —
@@ -73,6 +72,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -239,14 +239,10 @@ class RouterBatchReply:
 
     #: ``(seq, outcome, decision_cached)`` per request, submission order.
     outcomes: list[tuple[int, RequestOutcome, bool]]
-    #: Freshly planned ``((query key, tau), decision)`` pairs for gossip.
-    fresh: list[tuple[tuple, object]]
     #: Replica-side wall seconds spent serving the sub-batch.
     wall_s: float
     #: Requests answered from the replica's decision cache.
     n_cached: int
-    #: Decision-cache misses answered from the replica's gossip mirror.
-    gossip_hits: int
 
 
 def _serve_on(service: MalivaService, jobs) -> RouterBatchReply:
@@ -257,7 +253,6 @@ def _serve_on(service: MalivaService, jobs) -> RouterBatchReply:
         )
         for seq, query, tau_ms, session in jobs
     ]
-    hits_before = service.gossip_hits
     started = time.perf_counter()
     # A replica runs no admission, so this is answer_many — keeping hold of
     # the planned batch, whose flags say which decisions were cache hits.
@@ -270,10 +265,8 @@ def _serve_on(service: MalivaService, jobs) -> RouterBatchReply:
     ]
     return RouterBatchReply(
         outcomes=packed,
-        fresh=service.drain_fresh_decisions(),
         wall_s=wall_s,
         n_cached=sum(1 for _, _, cached in packed if cached),
-        gossip_hits=service.gossip_hits - hits_before,
     )
 
 
@@ -317,7 +310,6 @@ def router_ops() -> dict:
     return {
         "init": init,
         "serve": lambda jobs: _serve_on(service, jobs),
-        "gossip": lambda items: service.absorb_gossip(items),
         "router_sync": lambda payload: _apply_router_sync(service, *payload),
         "router_stats": lambda _: service.report(),
         "router_reset": lambda _: service.reset_stats(),
@@ -345,9 +337,6 @@ class RouterHandle(WorkerHandle):
         reply = self._reply("serve", deadline_s, RouterBatchReply)
         self._check_count("serve", len(reply.outcomes), expected)
         return reply
-
-    def gossip(self, items, deadline_s: float | None = None) -> None:
-        self._request("gossip", list(items), deadline_s)
 
     def router_sync(
         self, table, indexed_columns, stats, deadline_s: float | None = None
@@ -461,7 +450,6 @@ class DispatchExecute(ExecuteStage):
         deadline_tau_factor: float = 1.0,
         max_respawns: int = 3,
         respawn_backoff_s: float = 0.05,
-        gossip_decisions: bool = True,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if n_routers < 1:
@@ -482,10 +470,12 @@ class DispatchExecute(ExecuteStage):
         self._dispatch_inflight = False
         self._local_mode = False
         self._session_router: dict[str, int] = {}
+        #: Sessions currently assigned to each router id: ``_session_router``
+        #: counted by value, kept up to date on (re)assignment.
+        self._router_sessions: Counter[int] = Counter()
         self._anon_cursor = -1
         self._journal = RequestJournal()
         self.n_routers = n_routers
-        self.gossip_decisions = gossip_decisions
 
     def bind(self, service: MalivaService) -> "DispatchExecute":
         if service.quality_fn is not None:
@@ -570,16 +560,6 @@ class DispatchExecute(ExecuteStage):
         if routers is not None:
             for slot in respawned:
                 routers.record_respawn(slot.shard_id)
-        mirror = self.service._gossip_mirror
-        if respawned and mirror and self.gossip_decisions:
-            # Prime fresh replicas with recently gossiped decisions so they
-            # rejoin warm; their catalog is already current (the spec was
-            # captured off the live dispatcher engine).
-            items = list(mirror.items())
-            deadline_s = self._group.setup_deadline_s()
-            self._group.call_live(
-                lambda slot: slot.handle.gossip(items, deadline_s), respawned
-            )
         for slot in retired:
             if routers is not None:
                 routers.record_retired(slot.shard_id)
@@ -612,15 +592,15 @@ class DispatchExecute(ExecuteStage):
         assigned = self._session_router.get(session_id)
         if assigned in live_ids:
             return assigned
-        counts = {router_id: 0 for router_id in live_ids}
-        for router_id in self._session_router.values():
-            if router_id in counts:
-                counts[router_id] += 1
+        counts = self._router_sessions
         best = min(live_ids, key=lambda router_id: (counts[router_id], router_id))
         self._session_router[session_id] = best
-        if assigned is not None and self._router_stats is not None:
+        counts[best] += 1
+        if assigned is not None:
             # The session had a router and lost it (death or retirement).
-            self._router_stats.n_rebalances += 1
+            counts[assigned] -= 1
+            if self._router_stats is not None:
+                self._router_stats.n_rebalances += 1
         return best
 
     # ------------------------------------------------------------------
@@ -628,7 +608,7 @@ class DispatchExecute(ExecuteStage):
     # ------------------------------------------------------------------
     def wants_decisions(self) -> bool:
         """Local mode (an empty fleet) plans on the dispatcher, with its
-        own decision cache and gossip mirror; otherwise routers plan."""
+        own decision cache; otherwise routers plan."""
         if not self._dispatch_inflight:
             self._ensure_routers()
             self._local_mode = not self._group.live_slots()
@@ -699,7 +679,6 @@ class DispatchExecute(ExecuteStage):
         """Gather router replies, replay the unacknowledged, assemble."""
         routers = self._router_stats
         served: dict[int, tuple[RequestOutcome, bool]] = {}
-        fresh: dict[tuple, object] = {}
         for slot, reply in self._group.call_live(
             lambda slot: slot.handle.collect_serve(
                 state.deadline_s, expected=len(state.jobs[slot.shard_id])
@@ -709,14 +688,9 @@ class DispatchExecute(ExecuteStage):
             for seq, outcome, cached in reply.outcomes:
                 served[seq] = (outcome, cached)
                 self._journal.ack(seq)
-            fresh.update(reply.fresh)
             if routers is not None:
                 routers.record_serve(
-                    slot.shard_id,
-                    len(reply.outcomes),
-                    reply.wall_s,
-                    reply.n_cached,
-                    reply.gossip_hits,
+                    slot.shard_id, len(reply.outcomes), reply.wall_s, reply.n_cached
                 )
         # Failover: every journaled entry without an acknowledged outcome
         # replays — in sequence order — on a survivor, or locally.
@@ -728,13 +702,10 @@ class DispatchExecute(ExecuteStage):
         ]
         if orphans:
             orphans.sort(key=lambda entry: entry.seq)
-            replayed, replay_fresh = self._replay(orphans, state.deadline_s)
+            replayed = self._replay(orphans, state.deadline_s)
             served.update(replayed)
             for seq in replayed:
                 self._journal.ack(seq)
-            fresh.update(replay_fresh)
-        if fresh and self.gossip_decisions:
-            self._broadcast_gossip(list(fresh.items()))
         # Assemble in submission order; the replicas planned, so the
         # decision-cache flags are theirs.
         outcomes: list[RequestOutcome] = []
@@ -745,7 +716,7 @@ class DispatchExecute(ExecuteStage):
 
     def _replay(
         self, entries: list[JournalEntry], deadline_s: float | None
-    ) -> tuple[dict[int, tuple[RequestOutcome, bool]], list]:
+    ) -> dict[int, tuple[RequestOutcome, bool]]:
         """Replay journaled entries on a survivor (or the dispatcher).
 
         Survivors are tried in router-id order; each failed attempt marks
@@ -773,24 +744,13 @@ class DispatchExecute(ExecuteStage):
                 continue
             if routers is not None:
                 routers.record_serve(
-                    slot.shard_id,
-                    len(entries),
-                    reply.wall_s,
-                    reply.n_cached,
-                    reply.gossip_hits,
+                    slot.shard_id, len(entries), reply.wall_s, reply.n_cached
                 )
-            return (
-                {
-                    seq: (outcome, cached)
-                    for seq, outcome, cached in reply.outcomes
-                },
-                reply.fresh,
-            )
+            return {seq: (outcome, cached) for seq, outcome, cached in reply.outcomes}
         # Zero survivors: the dispatcher is the router of last resort.
-        # Planning goes through its own plan stage (decision cache plus
-        # gossip mirror) and execution through the local stage in the
-        # scheduler's order — the pipeline a replica runs, so outcomes are
-        # bit-identical to a healthy dispatch.
+        # Planning goes through its own plan stage and execution through
+        # the local stage in the scheduler's order — the pipeline a replica
+        # runs, so outcomes are bit-identical to a healthy dispatch.
         if routers is not None:
             routers.n_local += len(entries)
         service = self.service
@@ -815,29 +775,10 @@ class DispatchExecute(ExecuteStage):
                 shared_s=0.0,
             )
         )
-        return (
-            {
-                entry.seq: (outcome, cached)
-                for entry, outcome, cached in zip(entries, outcomes, cached_flags)
-            },
-            [],
-        )
-
-    def _broadcast_gossip(self, items: list[tuple[tuple, object]]) -> None:
-        """Ship freshly planned decisions to every live replica.
-
-        The dispatcher also absorbs them into its own gossip mirror: a
-        later local-mode batch (empty fleet) promotes them on a miss, and
-        the mirror doubles as the warm-start log a respawned router is
-        primed with.
-        """
-        self.service.absorb_gossip(items)
-        deadline_s = self._group.setup_deadline_s()
-        delivered = self._group.call_live(
-            lambda slot: slot.handle.gossip(items, deadline_s)
-        )
-        if delivered and self._router_stats is not None:
-            self._router_stats.n_gossip_broadcast += len(items)
+        return {
+            entry.seq: (outcome, cached)
+            for entry, outcome, cached in zip(entries, outcomes, cached_flags)
+        }
 
     # ------------------------------------------------------------------
     # Cross-replica coherence

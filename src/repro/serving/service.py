@@ -29,7 +29,9 @@ Maliva` facade and turns it from a one-shot answerer into a serving layer:
   database state (fixed q-network, memoized QTE inputs), so repeated
   (query, deadline) pairs reuse the recorded
   :class:`~repro.core.rewriter.RewriteDecision` — including its virtual
-  ``planning_ms``, which the user still experiences in full;
+  ``planning_ms``, which the user still experiences in full.  The cache
+  belongs to this service alone: router replicas each keep their own and
+  replan what they have not seen (DESIGN.md §4.7);
 * **observability** — :meth:`report` bundles wall-clock throughput, virtual
   latency percentiles, and the hit rates of every cache in the stack.
 
@@ -44,7 +46,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from collections import OrderedDict
 from typing import Iterable, Iterator, Sequence
 
 from ..core.middleware import Maliva, RequestOutcome
@@ -170,12 +171,6 @@ class LocalExecute(ExecuteStage):
 class MalivaService:
     """Concurrent-dashboard serving layer over a trained Maliva middleware."""
 
-    #: FIFO bound on the gossip mirror and the fresh-decision outbox: a
-    #: replicated router fleet (DESIGN.md §4.7) exchanges recently planned
-    #: ``(query key, tau) -> decision`` pairs between replicas, and neither
-    #: side may grow without bound when nobody drains it.
-    GOSSIP_CAPACITY = 2048
-
     def __init__(
         self,
         maliva: Maliva,
@@ -205,15 +200,6 @@ class MalivaService:
         self.quality_fn = quality_fn
         self.stream_batch_size = stream_batch_size
         self._decision_cache = InstrumentedCache("decision", capacity=decision_cache_size)
-        # Gossip seam (used by the replicated router tier): decisions
-        # received from sibling replicas wait here until a matching
-        # decision-cache miss promotes them, and decisions freshly planned
-        # locally queue in the outbox until the dispatcher drains them.
-        self._gossip_mirror: OrderedDict[tuple, object] = OrderedDict()
-        self._fresh_decisions: OrderedDict[tuple, object] = OrderedDict()
-        #: Decision-cache misses answered from the gossip mirror (monotonic;
-        #: the replicated dispatcher reads deltas around each serve call).
-        self.gossip_hits = 0
         self.stats = ServiceStats()
         # Engine caches are shared with offline work (training warmed them);
         # reports cover only the window since construction / reset_stats().
@@ -462,18 +448,6 @@ class MalivaService:
         for index, (query, tau_ms) in enumerate(resolved):
             key = (query.key(), tau_ms)
             decision = self._decision_cache.get(key)
-            if decision is None:
-                # A sibling replica may have planned this exact (query,
-                # tau) already and gossiped the decision here; planning is
-                # deterministic, so promoting it is bit-identical to
-                # replanning — and counts as a cache hit, which is the
-                # gossip contract: a repeat hitting *any* router is a hit.
-                decision = self._gossip_mirror.pop(key, None)
-                if decision is not None:
-                    self._decision_cache.put(
-                        key, decision, tags=self._decision_tags(query)
-                    )
-                    self.gossip_hits += 1
             if decision is not None:
                 decisions[index] = decision
                 cached_flags[index] = True
@@ -491,10 +465,6 @@ class MalivaService:
                 self._decision_cache.put(
                     key, decision, tags=self._decision_tags(query)
                 )
-                self._fresh_decisions[key] = decision
-                self._fresh_decisions.move_to_end(key)
-                while len(self._fresh_decisions) > self.GOSSIP_CAPACITY:
-                    self._fresh_decisions.popitem(last=False)
                 for index in group:
                     decisions[index] = decision
                     # Later duplicates would have been cache hits sequentially.
@@ -571,35 +541,6 @@ class MalivaService:
             yield request, next(results)
 
     # ------------------------------------------------------------------
-    # Decision gossip (replicated router coherence — DESIGN.md §4.7)
-    # ------------------------------------------------------------------
-    def absorb_gossip(self, items: Sequence[tuple[tuple, object]]) -> None:
-        """Install ``((query key, tau), decision)`` pairs from a sibling.
-
-        Pairs land in a FIFO-capped mirror consulted only on decision-cache
-        misses; a mirror hit promotes the pair into the decision cache with
-        its tags.  The mirror is cleared wholesale on any catalog
-        invalidation — gossip carries no tag metadata, and staleness must
-        never outlive the data it was planned against.
-        """
-        for key, decision in items:
-            self._gossip_mirror[key] = decision
-            self._gossip_mirror.move_to_end(key)
-        while len(self._gossip_mirror) > self.GOSSIP_CAPACITY:
-            self._gossip_mirror.popitem(last=False)
-
-    def drain_fresh_decisions(self) -> list[tuple[tuple, object]]:
-        """Hand over (and clear) decisions planned since the last drain.
-
-        The replicated dispatcher calls this after every serve reply and
-        broadcasts the pairs to the other live replicas.  The outbox is
-        FIFO-capped, so an undrained standalone service stays bounded.
-        """
-        fresh = list(self._fresh_decisions.items())
-        self._fresh_decisions = OrderedDict()
-        return fresh
-
-    # ------------------------------------------------------------------
     # Mutation and observability
     # ------------------------------------------------------------------
     def append_rows(self, table_name: str, columns) -> None:
@@ -610,20 +551,14 @@ class MalivaService:
         """Engine hook: evict the table's cached decisions by tag.
 
         QTE memos self-invalidate through their own hook (see
-        :class:`repro.qte.sampling.SamplingQTE`).  Gossip state is dropped
-        wholesale: mirrored pairs carry no tags, and a decision planned
-        against pre-mutation data must never be promoted afterwards.
+        :class:`repro.qte.sampling.SamplingQTE`).
         """
         self._decision_cache.invalidate_tag(table_name)
-        self._gossip_mirror.clear()
-        self._fresh_decisions.clear()
         self.execute.table_invalidated(table_name)
 
     def invalidate(self) -> None:
         """Manually drop the decision cache and the QTE's memos entirely."""
         self._decision_cache.clear()
-        self._gossip_mirror.clear()
-        self._fresh_decisions.clear()
         self.maliva.qte.invalidate()
 
     def reset_stats(self) -> None:

@@ -145,11 +145,8 @@ class RouterWindow:
     n_requests: int = 0
     #: Replica-side wall seconds spent serving (excludes transport).
     wall_s: float = 0.0
-    #: Requests answered from the replica's decision cache (includes
-    #: gossip-mirror promotions).
+    #: Requests answered from the replica's decision cache.
     n_cached: int = 0
-    #: Decision-cache misses the replica answered from its gossip mirror.
-    n_gossip_hits: int = 0
     #: Times this replica's process died (timeout/EOF/garbled/error reply).
     n_deaths: int = 0
     #: Successful warm respawns of this replica.
@@ -167,7 +164,6 @@ class RouterWindow:
             "n_requests": self.n_requests,
             "wall_s": self.wall_s,
             "n_cached": self.n_cached,
-            "n_gossip_hits": self.n_gossip_hits,
             "n_deaths": self.n_deaths,
             "n_respawns": self.n_respawns,
             "breaker_open": self.breaker_open,
@@ -197,10 +193,6 @@ class RouterStats:
     n_retired: int = 0
     #: Session reassignments after a death or breaker retirement.
     n_rebalances: int = 0
-    #: Fresh (query key, tau) -> decision pairs broadcast between routers.
-    n_gossip_broadcast: int = 0
-    #: Gossip-mirror hits reported by the fleet.
-    n_gossip_hits: int = 0
     #: Catalog syncs broadcast to keep replica engines coherent (only
     #: those that reached at least one live replica).
     n_syncs: int = 0
@@ -208,12 +200,7 @@ class RouterStats:
     journal_high_water: int = 0
 
     def record_serve(
-        self,
-        router_id: int,
-        n_requests: int,
-        wall_s: float,
-        n_cached: int = 0,
-        n_gossip_hits: int = 0,
+        self, router_id: int, n_requests: int, wall_s: float, n_cached: int = 0
     ) -> None:
         """Fold one router replica's serve reply in."""
         window = self.per_router.setdefault(router_id, RouterWindow())
@@ -221,8 +208,6 @@ class RouterStats:
         window.n_requests += n_requests
         window.wall_s += wall_s
         window.n_cached += n_cached
-        window.n_gossip_hits += n_gossip_hits
-        self.n_gossip_hits += n_gossip_hits
 
     def record_death(self, router_id: int, reason: str | None) -> None:
         self.n_router_deaths += 1
@@ -257,9 +242,12 @@ class RouterStats:
             "n_respawns": self.n_respawns,
             "n_retired": self.n_retired,
             "n_rebalances": self.n_rebalances,
-            "n_gossip_broadcast": self.n_gossip_broadcast,
-            "n_gossip_hits": self.n_gossip_hits,
             "n_syncs": self.n_syncs,
+            # perfbench/driver.py still reads these two keys by name.
+            # Replicas share no decisions, so they are constants; they go
+            # when perfbench stops reading them, like the shard ones.
+            "n_gossip_broadcast": 0,
+            "n_gossip_hits": 0,
             "journal_high_water": self.journal_high_water,
             "per_router": {
                 str(router_id): window.to_dict()

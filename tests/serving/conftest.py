@@ -36,8 +36,8 @@ def _chaos_faults(monkeypatch):
     """Chaos pass: with ``REPRO_CHAOS_SEED`` set, every fleet stage built
     by these suites — directly or through ``build_service`` — gets a seeded
     random fault plan unless the test supplied its own: crashes and garbled
-    replies on execute ops for shard workers, on serve/gossip ops for
-    router replicas (exercising journal replay and gossip re-broadcast).
+    replies on execute ops for shard workers, on serve ops for router
+    replicas (exercising journal replay).
 
     The equivalence assertions must keep passing — recovery is supposed to
     be invisible in outcomes — while strict routing-counter assertions are
@@ -64,7 +64,7 @@ def _chaos_faults(monkeypatch):
         monkeypatch.setattr(stage, "__init__", chaotic_init)
 
     patch(ScatterExecute)
-    patch(DispatchExecute, ops=("serve", "gossip"))
+    patch(DispatchExecute, ops=("serve",))
     yield
 
 

@@ -1,12 +1,12 @@
-"""Replicated router tier: journaled failover, gossip, bit-identity.
+"""Replicated router tier: journaled failover, session routing, bit-identity.
 
 The contract (DESIGN.md §4.7): N full router replicas behind a thin
 dispatcher answer exactly like the single-engine service — and keep
 doing so when a router process is killed mid-stream.  Every admitted
 request is journaled before dispatch, so a death loses zero requests:
 unacknowledged entries replay on a survivor (or the dispatcher itself)
-bit-identically.  Freshly planned decisions gossip between replicas, so
-a repeat hitting *any* router is a cache hit.
+bit-identically.  Replicas share no decisions: each plans what it has
+not seen itself.
 
 Every scenario runs a healthy single-engine twin alongside the
 replicated service and asserts bit-identity via the same helper the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.serving import (
     MalivaService,
     SessionAffinityScheduler,
 )
-from repro.serving.faults import FaultPlan, FaultSpec
+from repro.serving.faults import FaultPlan, FaultSpec, WorkerFault
 from repro.viz import TWITTER_TRANSLATOR
 
 from tests.conftest import build_session_stream
@@ -306,54 +307,97 @@ def test_killed_router_async_stream_loses_zero_requests(
 
 
 # ----------------------------------------------------------------------
-# Decision-cache gossip
+# Replicas plan alone
 # ----------------------------------------------------------------------
-def test_gossiped_decisions_hit_any_router(repl_twins):
-    """A query planned on one router is a cache hit on *every* router:
-    fresh decisions gossip to the rest of the fleet after each batch."""
-    _, repl_maliva, stream = repl_twins
-    repl = _replicated(repl_maliva, n_routers=2, processes=False)
-    with repl:
-        # Session A binds to router 0 and plans its queries fresh there.
-        first = [
-            dataclasses.replace(request, session_id="gossip-a")
-            for request in stream[:6]
-        ]
-        repl.answer_many(first)
-        routers = repl.stats.routers
-        assert routers is not None
-        if not CHAOS:
-            assert routers.n_gossip_broadcast > 0
-        # Session B (same payloads) binds to the *other* router; its
-        # decision-cache misses are answered from the gossip mirror.
-        second = [
-            dataclasses.replace(request, session_id="gossip-b")
-            for request in stream[:6]
-        ]
-        repl.answer_many(second)
-        if not CHAOS:
-            assert routers.n_gossip_hits > 0
-        tail = repl.stats.records[-len(second):]
-        assert all(record.decision_cached for record in tail)
-
-
-def test_gossip_disabled_is_still_bit_identical(repl_twins):
+def test_replicas_plan_alone_and_receive_only_serve_ops(repl_twins):
+    """The dispatcher sends a healthy fleet one ``serve`` per target
+    router per batch and nothing else, and a replica that has not seen a
+    query replans it — to the same outcome the single engine gives."""
     single_maliva, repl_maliva, stream = repl_twins
     single = single_maliva.service(translator=TWITTER_TRANSLATOR)
+    # An empty plan injects nothing but counts every op the fleet is sent.
+    plan = FaultPlan([])
+    repl = _replicated(repl_maliva, n_routers=2, processes=False, fault_plan=plan)
+    sessions = repl.execute._session_router
+
+    def serve(batch):
+        before = dict(plan._counts)
+        outcomes = repl.answer_many(batch)
+        sent = {
+            key: count - before.get(key, 0)
+            for key, count in plan._counts.items()
+            if count != before.get(key, 0)
+        }
+        targets = {sessions[request.effective_session()] for request in batch}
+        assert sent == {(router_id, "serve"): 1 for router_id in targets}
+        return outcomes
+
+    with repl:
+        first = [
+            dataclasses.replace(request, session_id="replica-a")
+            for request in stream[:6]
+        ]
+        second = [
+            dataclasses.replace(request, session_id="replica-b")
+            for request in stream[:6]
+        ]
+        _assert_outcomes_match(single.answer_many(first), serve(first))
+        # Session B sends A's payloads and lands on the other router, which
+        # has never seen them: it plans them itself.
+        _assert_outcomes_match(single.answer_many(second), serve(second))
+        assert sessions["replica-a"] != sessions["replica-b"]
+        tail = repl.stats.records[-len(second):]
+        assert not any(record.decision_cached for record in tail)
+        for chunk in _chunks(stream, 5):
+            _assert_outcomes_match(single.answer_many(chunk), serve(chunk))
+        assert {op for _, op in plan._counts} == {"serve"}
+
+
+def test_session_counts_match_a_recount_through_death_and_retirement(repl_twins):
+    """``_route`` keeps per-router session counts instead of recounting
+    every session it has routed; each choice equals the recount's."""
+    _, repl_maliva, _ = repl_twins
     repl = _replicated(
-        repl_maliva, n_routers=2, processes=False, gossip_decisions=False
+        repl_maliva,
+        n_routers=2,
+        processes=False,
+        max_respawns=1,
+        fault_plan=FaultPlan([]),
     )
     with repl:
-        _assert_outcomes_match(
-            single.answer_many(stream), repl.answer_many(stream)
-        )
-        _assert_outcomes_match(
-            single.answer_many(stream), repl.answer_many(stream)
-        )
+        stage = repl.execute
+        group = stage._group
+
+        def route(session_id):
+            live_ids = [slot.shard_id for slot in group.live_slots()]
+            assigned = stage._session_router.get(session_id)
+            expected = assigned
+            if assigned not in live_ids:
+                recount = Counter(stage._session_router.values())
+                expected = min(live_ids, key=lambda r: (recount[r], r))
+            assert stage._route(session_id) == expected
+            assert +stage._router_sessions == Counter(stage._session_router.values())
+
+        for index in range(10):
+            route(f"s{index}")
+        group.record_death(group.slots[1], WorkerFault("killed"))
+        for index in range(10, 14):
+            route(f"s{index}")
+        route("s1")  # was on router 1: rebalances
+        stage._ensure_routers()  # respawns router 1 (budget 1)
+        for index in range(14, 20):
+            route(f"s{index}")
+        assert Counter(stage._session_router.values()) == {0: 10, 1: 10}
+        group.record_death(group.slots[1], WorkerFault("killed"))
+        stage._ensure_routers()  # budget spent: retired
+        assert group.slots[1].retired
+        for index in range(20):
+            route(f"s{index}")
         routers = repl.stats.routers
         assert routers is not None
-        assert routers.n_gossip_broadcast == 0
-        assert routers.n_gossip_hits == 0
+        assert Counter(stage._session_router.values()) == {0: 20}
+        assert routers.n_rebalances == 11
+        assert routers.n_retired == 1
 
 
 # ----------------------------------------------------------------------

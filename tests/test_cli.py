@@ -172,3 +172,43 @@ class TestServe:
         saved = json.loads((tmp_path / "serving_report.json").read_text())
         assert saved["warm"]["shards"]["n_shards"] == 2
         assert saved["warm"]["shards"]["n_scattered"] >= 1
+
+    def test_serve_replicated_tiny(self, capsys, tmp_path):
+        code = main(
+            [
+                "serve",
+                "--scale",
+                "tiny",
+                "--sessions",
+                "3",
+                "--steps",
+                "3",
+                "--routers",
+                "2",
+                "--inline",
+                "--save-dir",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "2 replicated routers" in out
+        # The fleet summary is dispatch, syncs and the journal — no line
+        # about decisions shared between replicas.
+        lines = out.splitlines()
+        start = lines.index(
+            "router fleet:          2 replicas, 9 dispatched / 0 local, "
+            "0 syncs, journal high-water 9"
+        )
+        per_router = lines[start + 1 : start + 3]
+        assert [line[:10] for line in per_router] == ["  router 0", "  router 1"]
+        assert all(line.endswith(" decision-cached") for line in per_router)
+        saved = json.loads((tmp_path / "serving_report.json").read_text())
+        routers = saved["warm"]["routers"]
+        assert routers["n_routers"] == 2
+        assert routers["n_dispatched"] == 9
+        assert routers["n_local"] == 0
+        assert routers["n_router_deaths"] == 0
+        assert sum(w["n_requests"] for w in routers["per_router"].values()) == 9
+        # The warm pass repeats the cold pass, so every replica's cache hits.
+        assert sum(w["n_cached"] for w in routers["per_router"].values()) == 9
