@@ -225,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="use_async",
         action="store_true",
         help=(
-            "serve through the async pipelined tier: plan micro-batch N+1 "
-            "while batch N executes, bit-identically (--batch-size sets "
-            "the chunk; default: the service's stream batch size)"
+            "serve through the async front end (session queues over the "
+            "same pipeline), bit-identically (--batch-size sets the chunk; "
+            "default: the service's stream batch size)"
         ),
     )
     serve.add_argument(
@@ -534,7 +534,7 @@ def _run_serve(args) -> int:
 
     if args.use_async:
         chunk = args.batch_size or service.stream_batch_size
-        batching = f"async pipelined micro-batches of {chunk}"
+        batching = f"async micro-batches of {chunk}"
     elif args.batch_size is None:
         batching = "whole batch"
     else:
@@ -594,12 +594,6 @@ def _run_serve(args) -> int:
             f"{backend_report['wall_ms_total']:.0f} ms engine wall "
             f"({backend_report['n_bin_queries']} aggregates, "
             f"{backend_report['rows_returned']} rows returned)"
-        )
-    if args.use_async:
-        print(
-            f"async overlap:         {warm['n_overlapped_batches']} batches "
-            f"overlapped, {warm['overlap_plan_s']:.3f}s planning hidden "
-            f"behind execution"
         )
     shards = warm.get("shards")
     if shards:

@@ -1,25 +1,13 @@
-"""The async pipelined serving tier: plan chunk N+1 while chunk N executes.
+"""The async front end: session queues over the synchronous pipeline.
 
 :class:`AsyncMalivaService` is a cooperative (single-threaded asyncio)
 facade over a :class:`~repro.serving.service.MalivaService`, whatever
-execute stage it runs.  It adds two things the synchronous tier cannot
-express, without changing a single outcome:
-
-* **plan/execute overlap.**  The staged pipeline's seams
-  (``_plan_batch`` / ``_execute_begin`` / ``_execute_wait`` /
-  ``_execute_finish``, the last three forwarding to the stage's
-  ``begin`` / ``wait`` / ``finish``) let the resolve/schedule/plan stages
-  of micro-batch N+1 run while batch N's execute stage is in flight.  A
-  fleet stage's ``begin`` submits the batch, so worker *processes* crunch
-  while the router plans; the local and backend stages do their work
-  inside ``finish`` — after the next batch's plan — which is a pure
-  deterministic reorder.  Either way the reorder is
-  outcome-commutative: planning consumes no engine randomness (the hint
-  draw and profile effects happen in the execute stage), so decisions,
-  virtual times, rows/bins, and work counters are **bit-identical** to
-  the synchronous path.  Only observability can shift: ``plan_cached``
-  flags and per-request engine-cache deltas depend on cache warmth order,
-  exactly as documented for the scatter stage.
+execute stage it runs.  Every micro-batch goes through the wrapped
+service's own pipeline — ``answer_many`` / ``_stream_chunk``, one
+``ExecuteStage.run`` call each — so outcomes, virtual times and request
+records are **bit-identical** to the synchronous stream with the same
+chunking (DESIGN.md §4.6).  What the facade adds is the front of the
+pipeline:
 
 * **bounded session queues with backpressure.**  :meth:`submit` enqueues
   one request on its session's queue and returns an awaitable outcome; a
@@ -28,21 +16,22 @@ express, without changing a single outcome:
   virtual cost to the :class:`~repro.serving.admission.
   AdmissionController` via ``enqueue``/``dequeue``, so shed and degrade
   verdicts see the backlog — queued plus in-flight work — not just the
-  work already dispatched.  The batcher drains the queues *fairly*:
-  micro-batches assemble round-robin across waiting sessions (see
-  :meth:`AsyncMalivaService._take_fair_chunk`), so one bursty session
-  cannot starve a light session's requests behind its backlog.  Because
-  admission observes queue pressure the
-  synchronous tier never generates, verdicts under load legitimately
-  differ from a synchronous replay; the bit-identity contract is defined
-  over admission-off (or identically-admitted) traffic.
+  work already dispatched.  Because admission observes queue pressure
+  the synchronous tier never generates, verdicts under load
+  legitimately differ from a synchronous replay; the bit-identity
+  contract is defined over admission-off (or identically-admitted)
+  traffic.
+* **a fair drain.**  One batcher task assembles micro-batches round-robin
+  across waiting sessions (see :meth:`AsyncMalivaService.
+  _take_fair_chunk`), so one bursty session cannot starve a light
+  session's requests behind its backlog.  A chunk that raises fails only
+  its own requests' futures; the batcher goes on to the next chunk.
 
-**Stream pairing contract.**  :meth:`answer_stream` yields
-``(request, outcome)`` pairs aligned positionally over admitted requests
-— a shed mid-chunk never shifts later requests onto the wrong outcome —
-and with ``shed_markers=True`` shed requests surface in arrival order as
-``(request, ServiceOverloadError)`` pairs (the same contract as the
-synchronous ``MalivaService.answer_stream``).
+:meth:`answer_stream` holds the pipeline lock for the whole stream, so the
+batcher cannot split it, and keeps the synchronous pairing contract:
+``(request, outcome)`` pairs aligned positionally over admitted requests,
+with ``shed_markers=True`` surfacing shed requests in arrival order as
+``(request, ServiceOverloadError)`` pairs.
 
 The facade does not own the wrapped service: :meth:`close` quiesces the
 batcher task but leaves the service (and its stage's fleet) running for
@@ -52,7 +41,6 @@ the owner to close.
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import OrderedDict, deque
 from typing import AsyncIterator, Iterable, Sequence
 
@@ -102,7 +90,7 @@ async def _chunked(
 
 
 class AsyncMalivaService:
-    """Pipelined async facade over a MalivaService (any execute stage)."""
+    """Async front end over a MalivaService (any execute stage)."""
 
     def __init__(
         self,
@@ -157,83 +145,6 @@ class AsyncMalivaService:
         self._service.reset_stats()
 
     # ------------------------------------------------------------------
-    # The pipelined core
-    # ------------------------------------------------------------------
-    def _admit(self, chunk: Sequence[VizRequest]):
-        """Admission for one chunk; returns (admitted, charges, degraded,
-        shed-position → error)."""
-        service = self._service
-        service._last_shed = []
-        service._shed_indexes = []
-        if service.admission is None:
-            return list(chunk), [], [], {}
-        admitted, charges, degraded = service._admit_batch(chunk)
-        shed_at = {
-            position: error
-            for position, (_, error) in zip(
-                service._shed_indexes, service._last_shed
-            )
-        }
-        return admitted, charges, degraded, shed_at
-
-    async def _finish(self, chunk, shed_at, planned, charges, degraded):
-        """Await and collect one in-flight batch; settle its admission."""
-        service = self._service
-        await service._execute_wait(planned)
-        try:
-            outcomes = service._execute_finish(planned)
-        finally:
-            if service.admission is not None:
-                for cost in charges:
-                    service.admission.release(cost)
-        if service.admission is not None:
-            for outcome, was_degraded in zip(outcomes, degraded):
-                service.admission.observe(
-                    outcome.planning_ms + outcome.execution_ms,
-                    degraded=was_degraded,
-                )
-        return chunk, outcomes, shed_at
-
-    async def _pipelined(self, chunks: AsyncIterator[list[VizRequest]]):
-        """Admit → plan each chunk, overlapped with the previous chunk's
-        execute stage; yields ``(chunk, outcomes, shed_at)`` per chunk."""
-        service = self._service
-        inflight = None
-        try:
-            async for chunk in chunks:
-                admitted, charges, degraded, shed_at = self._admit(chunk)
-                plan_started = time.perf_counter()
-                planned = service._plan_batch(admitted)
-                overlap_s = time.perf_counter() - plan_started
-                if inflight is not None:
-                    # This chunk's resolve/schedule/plan ran while the
-                    # previous chunk's execute stage was in flight.
-                    service.stats.record_overlap(overlap_s)
-                    finished, inflight = inflight, None
-                    yield await self._finish(*finished)
-                if planned is None:
-                    # Every request in the chunk was shed (or it was empty).
-                    yield chunk, [], shed_at
-                    continue
-                service._execute_begin(planned)
-                inflight = (chunk, shed_at, planned, charges, degraded)
-            if inflight is not None:
-                finished, inflight = inflight, None
-                yield await self._finish(*finished)
-        finally:
-            if inflight is not None:
-                # Consumer abandoned the stream mid-overlap: collect the
-                # in-flight batch synchronously so the wrapped service's
-                # pipes and admission ledger stay consistent.
-                _chunk, _shed, planned, charges, _degraded = inflight
-                try:
-                    service._execute_finish(planned)
-                finally:
-                    if service.admission is not None:
-                        for cost in charges:
-                            service.admission.release(cost)
-
-    # ------------------------------------------------------------------
     # Streaming / batch serving
     # ------------------------------------------------------------------
     async def answer_stream(
@@ -243,12 +154,10 @@ class AsyncMalivaService:
         *,
         shed_markers: bool = False,
     ) -> AsyncIterator[tuple[VizRequest, RequestOutcome | ServiceOverloadError]]:
-        """Serve a stream with plan(N+1) overlapped onto execute(N).
-
-        Chunking, scheduling, planning, and the positional pairing
-        contract match the synchronous ``answer_stream`` exactly; with
-        admission off the yielded outcomes are bit-identical to it.
-        """
+        """Serve a sync or async stream chunk by chunk; each chunk is one
+        pass of the synchronous pipeline, so chunking, scheduling,
+        planning, admission and the pairing contract are exactly the
+        synchronous ``answer_stream``'s."""
         size = (
             self._service.stream_batch_size
             if stream_batch_size is None
@@ -257,41 +166,21 @@ class AsyncMalivaService:
         if size < 1:
             raise QueryError("stream_batch_size must be at least 1")
         async with self._pipeline_lock:
-            async for chunk, outcomes, shed_at in self._pipelined(
-                _chunked(requests, size)
-            ):
-                results = iter(outcomes)
-                for position, request in enumerate(chunk):
-                    error = shed_at.get(position)
-                    if error is not None:
-                        if shed_markers:
-                            yield request, error
-                        continue
-                    yield request, next(results)
+            async for chunk in _chunked(requests, size):
+                for pair in self._service._stream_chunk(chunk, shed_markers):
+                    yield pair
 
     async def answer_many(
         self, requests: Sequence[VizRequest]
     ) -> list[RequestOutcome]:
-        """Serve one batch (a single pipeline chunk, like the sync tier)."""
-        requests = list(requests)
-        if not requests:
-            self._service._last_shed = []
-            self._service._shed_indexes = []
-            return []
-        outcomes: list[RequestOutcome] = []
-        async for _, outcome in self.answer_stream(
-            requests, stream_batch_size=len(requests)
-        ):
-            outcomes.append(outcome)
-        return outcomes
+        """Serve one batch (a single pipeline pass, like the sync tier)."""
+        async with self._pipeline_lock:
+            return self._service.answer_many(requests)
 
     async def answer_one(self, request: VizRequest) -> RequestOutcome:
         """Serve a single request, raising its overload error if shed."""
-        outcomes = await self.answer_many([request])
-        if not outcomes:
-            _, error = self._service._last_shed[-1]
-            raise error
-        return outcomes[0]
+        async with self._pipeline_lock:
+            return self._service.answer_one(request)
 
     # ------------------------------------------------------------------
     # Session queues: submit / backpressure / batcher
@@ -390,51 +279,25 @@ class AsyncMalivaService:
             self._dequeued(item)
         return items
 
-    async def _queued_chunks(self, item_chunks: deque) -> AsyncIterator[list]:
-        """Pop arrival-queue chunks for the pipeline, dequeuing each item."""
-        while self._arrivals:
-            items = self._take_fair_chunk()
-            item_chunks.append(items)
-            yield [item.request for item in items]
-            # Let fresh submissions land before deciding whether another
-            # chunk exists — the pipeline overlaps its plan stage with
-            # this chunk's execute stage.
-            await asyncio.sleep(0)
-
-    def _resolve(self, items: list[_QueuedRequest], outcomes, shed_at) -> None:
-        """Settle one chunk's futures from its outcomes / shed errors."""
-        results = iter(outcomes)
-        for position, item in enumerate(items):
-            error = shed_at.get(position)
+    def _settle(self, items: list[_QueuedRequest], results: list) -> None:
+        """Settle one chunk's futures, by position, from its outcomes or
+        errors (a shed request's overload error, or the chunk's failure)."""
+        for item, result in zip(items, results):
             self._unresolved -= 1
             if item.future.done():  # abandoned by its submitter
-                if error is None:
-                    next(results, None)
                 continue
-            if error is not None:
-                item.future.set_exception(error)
+            if isinstance(result, Exception):
+                item.future.set_exception(result)
             else:
-                item.future.set_result(next(results))
-
-    def _fail_items(self, items: list[_QueuedRequest], error: Exception) -> None:
-        for item in items:
-            self._unresolved -= 1
-            if not item.future.done():
-                item.future.set_exception(error)
-
-    def _fail_pending(self, error: Exception) -> None:
-        while self._arrivals:
-            item = self._arrivals.popleft()
-            self._dequeued(item)
-            self._fail_items([item], error)
+                item.future.set_result(result)
 
     async def _drain_queues(self) -> None:
-        """The batcher task: feed queued chunks through the pipeline.
+        """The batcher task: serve queued requests one fair chunk at a time.
 
-        A failure settles the affected futures with the error and keeps
-        the batcher alive for later traffic — the exception always reaches
-        a submitter through its future, never dies unretrieved in the
-        task.
+        A chunk that raises settles its own futures with the error — the
+        way a synchronous ``answer_many`` raises for its whole batch — and
+        the batcher serves the next chunk: the exception always reaches a
+        submitter through its future, never dies unretrieved in the task.
         """
         while True:
             if not self._arrivals:
@@ -445,17 +308,19 @@ class AsyncMalivaService:
                     continue
                 await self._arrival_event.wait()
                 continue
-            item_chunks: deque = deque()
-            try:
-                async with self._pipeline_lock:
-                    async for _chunk, outcomes, shed_at in self._pipelined(
-                        self._queued_chunks(item_chunks)
-                    ):
-                        self._resolve(item_chunks.popleft(), outcomes, shed_at)
-            except Exception as error:  # noqa: BLE001 - settle, keep serving
-                while item_chunks:
-                    self._fail_items(item_chunks.popleft(), error)
-                self._fail_pending(error)
+            async with self._pipeline_lock:
+                items = self._take_fair_chunk()
+                chunk = [item.request for item in items]
+                try:
+                    pairs = list(
+                        self._service._stream_chunk(chunk, shed_markers=True)
+                    )
+                except Exception as error:  # noqa: BLE001 - settle, keep serving
+                    self._settle(items, [error] * len(items))
+                else:
+                    self._settle(items, [result for _, result in pairs])
+            # Let fresh submissions land before the next chunk is assembled.
+            await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     # Quiescence and lifecycle
@@ -466,7 +331,7 @@ class AsyncMalivaService:
             await asyncio.sleep(0.001)
 
     async def append_rows(self, table_name: str, columns) -> None:
-        """Quiesce the pipeline, then mutate (syncs cannot overlap a batch)."""
+        """Serve everything already submitted, then mutate."""
         await self.drain()
         self._service.append_rows(table_name, columns)
 

@@ -41,7 +41,7 @@ class BackendExecute(ExecuteStage):
             )
         return super().bind(service)
 
-    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+    def run(self, planned: _PlannedBatch) -> list[RequestOutcome]:
         maliva = self.service.maliva
         outcomes: list = [None] * len(planned.order)
         for index in planned.order:

@@ -152,8 +152,10 @@ def build_service(maliva: "Maliva", config: ServiceConfig | None = None, **overr
 
     Returns a :class:`MalivaService` over the configured execute stage;
     with ``use_async`` set, the service comes wrapped in a single-use
-    :class:`AsyncMalivaService` (drive it inside one ``async with`` block —
-    its ``service`` property reaches the inner stack for reports).
+    :class:`AsyncMalivaService` front end — session queues and a fair
+    drain over the same pipeline, one execute call per micro-batch.  Drive
+    it inside one ``async with`` block; its ``service`` property reaches
+    the inner stack for reports.
     """
     config = replace(config or ServiceConfig(), **overrides)
     service = MalivaService(

@@ -56,7 +56,6 @@ why the counting lives router-side).
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import time
 import traceback
@@ -193,17 +192,6 @@ class ProcessChannel(WorkerChannel):
         except Exception as error:  # noqa: BLE001 - any transport failure
             raise WorkerFault(f"{self.label}: receive failed: {error}") from error
 
-    def reply_ready(self) -> bool:
-        """Non-blocking probe: has the worker's next message arrived?
-
-        Transport errors report ready — the subsequent ``recv`` surfaces
-        them as a :class:`WorkerFault` for the supervisor.
-        """
-        try:
-            return bool(self.conn.poll(0))
-        except (OSError, ValueError, EOFError):
-            return True
-
     def close(self, graceful: bool = True) -> None:
         """Stop the worker, escalating terminate → kill, and free the pipe.
 
@@ -257,9 +245,6 @@ class InlineChannel(WorkerChannel):
             raise WorkerFault(f"{self.label}: injected crash")
         return _reply_to(self._ops, op, payload, fault)
 
-    def reply_ready(self) -> bool:
-        return True
-
     def close(self, graceful: bool = True) -> None:
         self._pending.clear()
 
@@ -305,9 +290,6 @@ class WorkerHandle:
                 f"{self._channel.label}: expected {expected} {op} results, "
                 f"got {got}"
             )
-
-    def reply_ready(self) -> bool:
-        return self._channel.reply_ready()
 
     def close(self, graceful: bool = True) -> None:
         self._channel.close(graceful)
@@ -536,18 +518,3 @@ class SupervisedFleet:
         except Exception:  # noqa: BLE001
             pass
 
-
-async def wait_replies(slots, deadline_s: float | None) -> None:
-    """Poll the slots' channels without blocking the event loop.
-
-    Returns once every live worker's reply has arrived — or once the reply
-    deadline passes, letting the synchronous collect path surface the
-    timeout through the supervisor.
-    """
-    deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
-    while any(
-        slot.handle is not None and not slot.handle.reply_ready() for slot in slots
-    ):
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            return
-        await asyncio.sleep(0.0005)

@@ -62,10 +62,9 @@ to every live replica; dead slots skip it — their respawn rebuilds from
 the live catalog and cannot go stale.
 
 ``processes=False`` drives the same replicas inline — bit-identical,
-for tests and single-core hosts.  The async tier composes for free:
-``begin`` ships the sub-batches and ``finish`` gathers them, so an
-``AsyncMalivaService`` over the dispatcher overlaps its resolve/schedule
-of the next batch with in-flight router serving.
+for tests and single-core hosts.  The async front end composes as it does
+with any stage: each of its micro-batches is one :meth:`DispatchExecute.
+run` call, which ships the sub-batches and gathers them.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ from ..db.table import Table
 from ..errors import QueryError
 from ..qte import AccurateQTE, SamplingQTE
 from .faults import FaultPlan, WorkerFault
-from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle, wait_replies
+from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle
 from .requests import VizRequest
 from .service import ExecuteStage, LocalExecute, MalivaService, _PlannedBatch
 from .stats import RouterStats
@@ -416,20 +415,6 @@ class RequestJournal:
         return self._next_seq
 
 
-class _ReplicatedInflight:
-    """Dispatch bookkeeping between execute begin and finish."""
-
-    __slots__ = ("jobs", "submitted", "deadline_s", "seqs")
-
-    def __init__(self) -> None:
-        #: router id -> journal entries dispatched there (-1: unrouted).
-        self.jobs: dict[int, list[JournalEntry]] = {}
-        self.submitted: list[int] = []
-        self.deadline_s: float | None = None
-        #: Journal sequence numbers, by batch position.
-        self.seqs: list[int] = []
-
-
 # ----------------------------------------------------------------------
 # The dispatcher
 # ----------------------------------------------------------------------
@@ -467,7 +452,6 @@ class DispatchExecute(ExecuteStage):
             respawn_backoff_s=respawn_backoff_s,
         )
         self._closed = False
-        self._dispatch_inflight = False
         self._local_mode = False
         self._session_router: dict[str, int] = {}
         #: Sessions currently assigned to each router id: ``_session_router``
@@ -513,7 +497,7 @@ class DispatchExecute(ExecuteStage):
 
     def reset_stats(self) -> None:
         self.service.stats.routers = RouterStats(n_routers=self.n_routers)
-        if self._closed or self._dispatch_inflight:
+        if self._closed:
             return
         deadline_s = self._group.setup_deadline_s()
         self._group.call_live(lambda slot: slot.handle.reset_stats(deadline_s))
@@ -534,9 +518,7 @@ class DispatchExecute(ExecuteStage):
                 ),
             }
         }
-        # Replica report probes share the duplex pipes with in-flight serve
-        # replies; skip them mid-batch rather than desync the protocol.
-        if not self._closed and not self._dispatch_inflight:
+        if not self._closed:
             deadline_s = self._group.setup_deadline_s()
             report["router_replicas"] = {
                 str(slot.shard_id): replica_report
@@ -609,24 +591,21 @@ class DispatchExecute(ExecuteStage):
     def wants_decisions(self) -> bool:
         """Local mode (an empty fleet) plans on the dispatcher, with its
         own decision cache; otherwise routers plan."""
-        if not self._dispatch_inflight:
-            self._ensure_routers()
-            self._local_mode = not self._group.live_slots()
+        self._ensure_routers()
+        self._local_mode = not self._group.live_slots()
         return self._local_mode
 
-    def begin(self, planned: _PlannedBatch) -> _ReplicatedInflight | None:
-        """Journal the batch, then ship session-affine sub-batches."""
+    def run(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        """Journal the batch, ship session-affine sub-batches, gather."""
         if self._local_mode:
             if self._router_stats is not None:
                 self._router_stats.n_local += len(planned.requests)
-            return None
-        if self._dispatch_inflight:
-            raise QueryError(
-                "replicated service already has a serve batch in flight"
-            )
+            return self._local.run(planned)
         if self._closed:
             raise QueryError("replicated service is closed")
-        state = _ReplicatedInflight()
+        # router id -> journal entries dispatched there (-1: unrouted).
+        jobs: dict[int, list[JournalEntry]] = {}
+        seqs: list[int] = []
         max_tau = 0.0
         for index, request in enumerate(planned.requests):
             query, tau_ms = planned.resolved[index]
@@ -636,54 +615,43 @@ class DispatchExecute(ExecuteStage):
             # Journal *before* dispatch: the entry is the replay record if
             # the router dies before acknowledging this request.
             entry = self._journal.record(session_id, query, tau_ms, router_id)
-            state.jobs.setdefault(router_id, []).append(entry)
-            state.seqs.append(entry.seq)
-        state.deadline_s = self._group.call_deadline_s(max_tau)
+            jobs.setdefault(router_id, []).append(entry)
+            seqs.append(entry.seq)
+        deadline_s = self._group.call_deadline_s(max_tau)
         routers = self._router_stats
         if routers is not None:
             routers.n_dispatched += len(planned.requests)
             routers.record_journal_depth(self._journal.depth)
-        # Entries routed to -1 found no live router; they take the replay
-        # path, as do those whose router dies at (or after) submit.
-        submitted = self._group.call_live(
-            lambda slot: slot.handle.submit_serve(state.jobs[slot.shard_id]),
-            [self._group.slots[r] for r in sorted(state.jobs) if r >= 0],
-        )
-        state.submitted = [slot.shard_id for slot, _ in submitted]
-        self._dispatch_inflight = True
-        return state
-
-    async def wait(self, state: _ReplicatedInflight | None) -> None:
-        if state is None:
-            await self._local.wait(state)
-            return
-        await wait_replies(
-            [self._group.slots[router_id] for router_id in state.submitted],
-            state.deadline_s,
-        )
-
-    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
-        if planned.state is None:
-            return self._local.finish(planned)
-        try:
-            return self._gather(planned, planned.state)
-        finally:
-            self._dispatch_inflight = False
+        served = self._gather(jobs, deadline_s)
+        # Assemble in submission order; the replicas planned, so the
+        # decision-cache flags are theirs.
+        outcomes: list[RequestOutcome] = []
+        for index, seq in enumerate(seqs):
+            outcome, planned.cached_flags[index] = served[seq]
+            outcomes.append(outcome)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Gather, failover
     # ------------------------------------------------------------------
     def _gather(
-        self, planned: _PlannedBatch, state: _ReplicatedInflight
-    ) -> list[RequestOutcome]:
-        """Gather router replies, replay the unacknowledged, assemble."""
+        self, jobs: dict[int, list[JournalEntry]], deadline_s: float | None
+    ) -> dict[int, tuple[RequestOutcome, bool]]:
+        """Ship each router its sub-batch, gather the replies, and replay
+        the unacknowledged; returns ``seq -> (outcome, cached)``."""
         routers = self._router_stats
+        # Entries routed to -1 found no live router; they take the replay
+        # path, as do those whose router dies at (or after) submit.
+        submitted = self._group.call_live(
+            lambda slot: slot.handle.submit_serve(jobs[slot.shard_id]),
+            [self._group.slots[r] for r in sorted(jobs) if r >= 0],
+        )
         served: dict[int, tuple[RequestOutcome, bool]] = {}
         for slot, reply in self._group.call_live(
             lambda slot: slot.handle.collect_serve(
-                state.deadline_s, expected=len(state.jobs[slot.shard_id])
+                deadline_s, expected=len(jobs[slot.shard_id])
             ),
-            [self._group.slots[router_id] for router_id in state.submitted],
+            [slot for slot, _ in submitted],
         ):
             for seq, outcome, cached in reply.outcomes:
                 served[seq] = (outcome, cached)
@@ -696,23 +664,17 @@ class DispatchExecute(ExecuteStage):
         # replays — in sequence order — on a survivor, or locally.
         orphans = [
             entry
-            for entries in state.jobs.values()
+            for entries in jobs.values()
             for entry in entries
             if entry.seq not in served
         ]
         if orphans:
             orphans.sort(key=lambda entry: entry.seq)
-            replayed = self._replay(orphans, state.deadline_s)
+            replayed = self._replay(orphans, deadline_s)
             served.update(replayed)
             for seq in replayed:
                 self._journal.ack(seq)
-        # Assemble in submission order; the replicas planned, so the
-        # decision-cache flags are theirs.
-        outcomes: list[RequestOutcome] = []
-        for index, seq in enumerate(state.seqs):
-            outcome, planned.cached_flags[index] = served[seq]
-            outcomes.append(outcome)
-        return outcomes
+        return served
 
     def _replay(
         self, entries: list[JournalEntry], deadline_s: float | None
@@ -765,7 +727,7 @@ class DispatchExecute(ExecuteStage):
         ]
         resolved = [(entry.query, entry.tau_ms) for entry in entries]
         decisions, cached_flags = service._plan_stage(resolved)
-        outcomes = self._local.finish(
+        outcomes = self._local.run(
             _PlannedBatch(
                 requests,
                 resolved,
@@ -784,16 +746,6 @@ class DispatchExecute(ExecuteStage):
     # Cross-replica coherence
     # ------------------------------------------------------------------
     def table_invalidated(self, table_name: str) -> None:
-        if self._dispatch_inflight:
-            # The dispatcher's own caches are already evicted, but a sync
-            # broadcast would interleave with in-flight serve replies on
-            # the router pipes.  The async tier quiesces via drain() before
-            # mutating; anything else is a caller bug.
-            raise QueryError(
-                f"table {table_name!r} mutated while a replicated serve "
-                f"batch is in flight; drain the async service before "
-                f"mutating"
-            )
         if self._closed:
             return
         database = self.service.maliva.database

@@ -43,7 +43,6 @@ identity ``tests/serving/test_service.py`` pins down.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import time
 from typing import Iterable, Iterator, Sequence
@@ -62,13 +61,8 @@ from .stats import RequestRecord, ServiceStats
 
 @dataclasses.dataclass
 class _PlannedBatch:
-    """One micro-batch captured at the end of the plan stage.
-
-    Everything an :class:`ExecuteStage` needs, bundled so the async tier
-    can hold a planned batch while the previous one executes.  ``state``
-    is whatever the stage's ``begin`` returned (its in-flight bookkeeping)
-    and ``execute_s`` the wall time ``begin`` took.
-    """
+    """One micro-batch captured at the end of the plan stage: everything
+    an :class:`ExecuteStage` needs to run it."""
 
     requests: list[VizRequest]
     resolved: list[tuple[SelectQuery, float]]
@@ -76,8 +70,6 @@ class _PlannedBatch:
     decisions: list[object | None]
     cached_flags: list[bool]
     shared_s: float
-    state: object | None = None
-    execute_s: float = 0.0
 
 
 class ExecuteStage:
@@ -104,22 +96,8 @@ class ExecuteStage:
         itself) says no."""
         return True
 
-    def begin(self, planned: _PlannedBatch) -> object | None:
-        """Start executing; the return value is kept as ``planned.state``.
-
-        A stage with remote workers submits here so they crunch while the
-        async tier plans the next batch; one without returns ``None`` and
-        does its work in :meth:`finish` — a pure reorder, since planning
-        is commutative with execution (DESIGN.md §4.6).
-        """
-        return None
-
-    async def wait(self, state: object | None) -> None:
-        """Await until :meth:`finish` would not block meaningfully."""
-        await asyncio.sleep(0)
-
-    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
-        """Complete the batch; outcomes in *submission* order.  A stage
+    def run(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        """Execute the batch; outcomes in *submission* order.  A stage
         that did not let the service plan also fills
         ``planned.cached_flags``."""
         raise NotImplementedError
@@ -148,7 +126,7 @@ class LocalExecute(ExecuteStage):
     would reorder.
     """
 
-    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+    def run(self, planned: _PlannedBatch) -> list[RequestOutcome]:
         service = self.service
         order = planned.order
         queries = [planned.resolved[index][0] for index in order]
@@ -343,13 +321,8 @@ class MalivaService:
         return [] if planned is None else self._execute(planned)
 
     def _plan_batch(self, requests: Sequence[VizRequest]) -> _PlannedBatch | None:
-        """Run the resolve → schedule → plan stages for one micro-batch.
-
-        Returns everything the execute stage needs, so the async tier can
-        plan batch N+1 while batch N's execute stage is still in flight —
-        planning consumes no engine randomness, so the reorder is
-        outcome-commutative (see DESIGN.md §4.6).
-        """
+        """Run the resolve → schedule → plan stages for one micro-batch and
+        return everything the execute stage needs."""
         if not requests:
             return None
         plan_here = self.execute.wants_decisions()
@@ -382,35 +355,17 @@ class MalivaService:
             shared_s=shared_s,
         )
 
-    # ------------------------------------------------------------------
-    # The execute stage (the async tier overlaps across begin / finish)
-    # ------------------------------------------------------------------
     def _execute(self, planned: _PlannedBatch) -> list[RequestOutcome]:
-        self._execute_begin(planned)
-        return self._execute_finish(planned)
-
-    def _execute_begin(self, planned: _PlannedBatch) -> None:
-        """Hand a planned batch to the stage; its workers (if any) crunch
-        until :meth:`_execute_finish` while the caller plans the next."""
-        started = time.perf_counter()
-        planned.state = self.execute.begin(planned)
-        planned.execute_s = time.perf_counter() - started
-
-    async def _execute_wait(self, planned: _PlannedBatch) -> None:
-        await self.execute.wait(planned.state)
-
-    def _execute_finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
-        """Collect the stage's outcomes; record every request and the stage.
+        """Run the execute stage; record every request and time the stage.
 
         The only place requests are recorded and the execute stage is
-        timed, whatever the stage.  The stage's wall time — its ``begin``
-        plus its ``finish``, not the gap the async tier plans in — is
-        charged evenly across the batch: attribution inside a fused,
-        scattered or dispatched batch is meaningless, and ``wall_s`` is
-        only ever summed (``ServiceStats.wall_seconds``).
+        timed, whatever the stage.  The stage's wall time is charged
+        evenly across the batch: attribution inside a fused, scattered or
+        dispatched batch is meaningless, and ``wall_s`` is only ever
+        summed (``ServiceStats.wall_seconds``).
         """
-        started = time.perf_counter() - planned.execute_s
-        outcomes = self.execute.finish(planned)
+        started = time.perf_counter()
+        outcomes = self.execute.run(planned)
         wall_s = (time.perf_counter() - started) / len(outcomes) + planned.shared_s
         for index in planned.order:
             request, outcome = planned.requests[index], outcomes[index]

@@ -65,7 +65,7 @@ from ..db.sharding import (
 )
 from ..errors import QueryError
 from .faults import FaultPlan
-from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle, wait_replies
+from .fleet import SupervisedFleet, SupervisedSlot, WorkerHandle
 from .service import ExecuteStage, LocalExecute, MalivaService, _PlannedBatch
 from .stats import ShardStats
 
@@ -115,26 +115,6 @@ class ShardHandle(WorkerHandle):
         return self._request("cache_stats", None, deadline_s, CacheStatsReport)
 
 
-class _ShardedInflight:
-    """Classification + scatter bookkeeping between execute begin/finish.
-
-    Splitting the stage at the scatter submit lets the async tier plan the
-    next batch while the workers crunch this one.
-    """
-
-    __slots__ = (
-        "jobs",
-        "plans",
-        "scatter_positions",
-        "n_fallback",
-        "blocking_shard",
-        "n_recovered",
-        "scatter_ids",
-        "submitted",
-        "deadline_s",
-    )
-
-
 class ScatterExecute(ExecuteStage):
     """Scatter/gather execution over N supervised shard engines."""
 
@@ -165,10 +145,6 @@ class ScatterExecute(ExecuteStage):
         )
         self._slots: list[SupervisedSlot] = self._fleet.slots
         self._closed = False
-        #: True between begin and finish: the worker pipes carry in-flight
-        #: execute replies, so no other op may use them until the batch is
-        #: collected.
-        self._execute_inflight = False
         self.n_shards = n_shards
 
     def bind(self, service: MalivaService) -> "ScatterExecute":
@@ -210,10 +186,7 @@ class ScatterExecute(ExecuteStage):
         self._fleet.close()
 
     def report(self) -> dict:
-        # Worker cache probes share the duplex pipes with in-flight execute
-        # replies; skip them mid-batch (the async tier may report between
-        # overlapped chunks) rather than desync the protocol.
-        if self._closed or self._execute_inflight:
+        if self._closed:
             return {}
         deadline_s = self._fleet.call_deadline_s()
         return {
@@ -284,16 +257,6 @@ class ScatterExecute(ExecuteStage):
     # Cross-shard coherence
     # ------------------------------------------------------------------
     def table_invalidated(self, table_name: str) -> None:
-        if self._execute_inflight:
-            # The router's decision cache is already evicted, but a sync
-            # broadcast would interleave with in-flight execute replies on
-            # the worker pipes.  The async tier quiesces via drain() before
-            # mutating; anything else is a caller bug.
-            raise QueryError(
-                f"table {table_name!r} mutated while a sharded execute "
-                f"batch is in flight; drain the async service before "
-                f"mutating"
-            )
         database = self.service.maliva.database
         if self._closed or not database.has_table(table_name):
             return
@@ -304,30 +267,21 @@ class ScatterExecute(ExecuteStage):
     # ------------------------------------------------------------------
     # The scattered execute stage
     # ------------------------------------------------------------------
-    def begin(self, planned: _PlannedBatch) -> _ShardedInflight | None:
-        """Classify and scatter-submit the batch, then return.
+    def run(self, planned: _PlannedBatch) -> list[RequestOutcome]:
+        """Classify the batch, scatter it, and assemble the outcomes.
 
-        Shard processes crunch the submitted plans while the caller (the
-        async tier) plans the next micro-batch on the router;
-        :meth:`finish` collects and assembles.  Between the two calls the
-        worker pipes are reserved for execute replies
-        (``_execute_inflight``).  Quality-scored batches return no state:
-        scoring interleaves extra engine work per request, so they execute
-        on the local stage inside finish.
+        Quality-scored batches execute on the local stage instead: scoring
+        interleaves extra engine work per request.
         """
         if self._closed:
             raise QueryError("sharded service is closed")
         if self.service.quality_fn is not None:
-            return None
-        if self._execute_inflight:
-            raise QueryError(
-                "sharded service already has an execute batch in flight"
-            )
+            return self._local.run(planned)
         resolved = planned.resolved
         order = planned.order
         decisions = planned.decisions
         database = self.service.maliva.database
-        state = _ShardedInflight()
+        shard_stats = self._shard_stats
         self._ensure_workers()
 
         active = self._active_slots()
@@ -365,74 +319,20 @@ class ScatterExecute(ExecuteStage):
             else:
                 n_recovered += 1
 
-        state.jobs = jobs
-        state.plans = plans
-        state.scatter_positions = scatter_positions
-        state.n_fallback = n_fallback
-        state.blocking_shard = blocking_shard
-        state.n_recovered = n_recovered
-        state.scatter_ids = [slot.shard_id for slot in scatter_slots]
-        state.deadline_s = self._fleet.call_deadline_s(
+        deadline_s = self._fleet.call_deadline_s(
             max((resolved[i][1] for i in order), default=None)
         )
-        # Scatter: every slot gets the same plan list, submitted before any
-        # reply is collected, so the workers run concurrently while the
-        # router plans the next batch or handles fallbacks.  A failed
-        # submit marks its slot dead and the sweep continues; finish
-        # recovers what goes unreported.
-        state.submitted = [
-            slot
-            for slot, _ in self._fleet.call_live(
-                lambda slot: slot.handle.submit_execute(plans),
-                scatter_slots if plans else [],
-            )
-        ]
-        self._execute_inflight = True
-        return state
-
-    async def wait(self, state: _ShardedInflight | None) -> None:
-        """Poll the submitted workers' pipes without blocking the loop
-        (:func:`~repro.serving.fleet.wait_replies`)."""
-        if state is None:
-            await self._local.wait(state)
-        else:
-            await wait_replies(state.submitted, state.deadline_s)
-
-    def finish(self, planned: _PlannedBatch) -> list[RequestOutcome]:
-        """Drain the scatter and assemble the outcomes."""
-        if planned.state is None:
-            return self._local.finish(planned)
-        try:
-            return self._gather(planned.state)
-        finally:
-            self._execute_inflight = False
-
-    def _gather(self, state: _ShardedInflight) -> list[RequestOutcome]:
-        database = self.service.maliva.database
-        shard_stats = self._shard_stats
-        scatter_positions = state.scatter_positions
-        scatter_ids = state.scatter_ids
-        # Gather.  call_live drains every submitted shard even after one
-        # failed — an uncollected reply would desync the pipe protocol for
-        # whatever batch comes next — so the reports map may come back
-        # incomplete.
-        reports: dict[int, list] = {}
-        for slot, reply in self._fleet.call_live(
-            lambda slot: slot.handle.collect(state.deadline_s, len(state.plans)),
-            state.submitted,
-        ):
-            reports[slot.shard_id] = reply.reports
-            if shard_stats is not None:
-                shard_stats.record_shard(slot.shard_id, reply)
+        reports = self._scatter(plans, scatter_slots if plans else [], deadline_s)
 
         # Assemble outcomes in scheduled order.  A scattered plan is
         # shard-served only if *every* scatter shard reported it; anything
         # less — and every fallback or recovered request — executes on the
         # router, bit-identically.
-        outcomes: list = [None] * len(state.jobs)
+        scatter_ids = [slot.shard_id for slot in scatter_slots]
+        outcomes: list = [None] * len(jobs)
         mid_recovered: dict[int, int] = {}
         n_shard_served = 0
-        for index, query, tau, decision, plan, obeyed, was_planned in state.jobs:
+        for index, query, tau, decision, plan, obeyed, was_planned in jobs:
             position = scatter_positions.get(index)
             if position is not None and all(
                 len(reports.get(sid, [])) > position for sid in scatter_ids
@@ -469,10 +369,41 @@ class ScatterExecute(ExecuteStage):
 
         if shard_stats is not None:
             shard_stats.n_scattered += n_shard_served
-            shard_stats.n_fallback += state.n_fallback
-            if state.n_recovered:
-                shard_stats.record_recovered(state.blocking_shard, state.n_recovered)
+            shard_stats.n_fallback += n_fallback
+            if n_recovered:
+                shard_stats.record_recovered(blocking_shard, n_recovered)
             for shard_id, count in mid_recovered.items():
                 shard_stats.record_recovered(shard_id, count)
 
         return outcomes
+
+    def _scatter(
+        self,
+        plans: list[PhysicalPlan],
+        slots: list[SupervisedSlot],
+        deadline_s: float | None,
+    ) -> dict[int, list]:
+        """Send every slot the same plan list, then collect the reports.
+
+        Every submit goes out before any reply is collected, so the
+        workers run concurrently.  A failed submit or collect marks its
+        slot dead and the sweep continues — ``call_live`` drains every
+        submitted shard even after one failed, since an uncollected reply
+        would desync the pipe for the next batch — so the reports map
+        (shard id → per-plan reports) may come back incomplete; the
+        caller recovers what goes unreported.
+        """
+        submitted = [
+            slot
+            for slot, _ in self._fleet.call_live(
+                lambda slot: slot.handle.submit_execute(plans), slots
+            )
+        ]
+        reports: dict[int, list] = {}
+        for slot, reply in self._fleet.call_live(
+            lambda slot: slot.handle.collect(deadline_s, len(plans)), submitted
+        ):
+            reports[slot.shard_id] = reply.reports
+            if self._shard_stats is not None:
+                self._shard_stats.record_shard(slot.shard_id, reply)
+        return reports

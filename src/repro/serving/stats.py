@@ -301,11 +301,6 @@ class ServiceStats:
     n_shed: int = 0
     #: Requests admitted with an overload-degraded ``tau_ms``.
     n_tau_degraded: int = 0
-    #: Micro-batches whose plan stage ran while a previous batch's execute
-    #: stage was still in flight (async pipelined serving only).
-    n_overlapped_batches: int = 0
-    #: Wall seconds of admission+plan work overlapped with execution.
-    overlap_plan_s: float = 0.0
     #: Peak depth of the async tier's bounded session queues.
     queue_peak_depth: int = 0
     #: ``submit()`` calls that had to wait for queue space (backpressure).
@@ -313,11 +308,6 @@ class ServiceStats:
 
     def record_shed(self) -> None:
         self.n_shed += 1
-
-    def record_overlap(self, seconds: float) -> None:
-        """Count one plan stage that overlapped an in-flight execute."""
-        self.n_overlapped_batches += 1
-        self.overlap_plan_s += seconds
 
     def record_queue_depth(self, depth: int) -> None:
         """Track the async tier's peak bounded-queue depth."""
@@ -395,8 +385,11 @@ class ServiceStats:
             "decision_cache_hits": self.decision_cache_hits,
             "n_shed": self.n_shed,
             "n_tau_degraded": self.n_tau_degraded,
-            "n_overlapped_batches": self.n_overlapped_batches,
-            "overlap_plan_s": self.overlap_plan_s,
+            # perfbench/driver.py still reads these two keys by name.  The
+            # async tier runs one micro-batch at a time, so nothing overlaps
+            # and they are constants; they go with the shard and router ones.
+            "n_overlapped_batches": 0,
+            "overlap_plan_s": 0.0,
             "queue_peak_depth": self.queue_peak_depth,
             "n_backpressure_waits": self.n_backpressure_waits,
             "stage_seconds": dict(self.stage_seconds),

@@ -21,7 +21,7 @@ class SequentialExecute(ExecuteStage):
     """The reference the batched local stage is pinned against: one
     ``Maliva.finish`` per request, in scheduled order."""
 
-    def finish(self, planned):
+    def run(self, planned):
         outcomes = [None] * len(planned.order)
         for index in planned.order:
             query, tau_ms = planned.resolved[index]

@@ -1,15 +1,13 @@
-"""Async pipelined tier: bit-identical twins, queues, and backpressure.
+"""Async front end: bit-identical twins, queues, and backpressure.
 
-The async tier (DESIGN.md §4.6) overlaps plan(chunk N+1) with
-execute(chunk N).  Planning consumes no engine randomness — the
-hint-obey draw and profile effects happen in the execute stage — so the
-overlap is outcome-commutative and the async path must answer
-bit-identically to the synchronous one on the same stream with the same
-chunking.  These tests pin that twin contract for single-engine and
-sharded deployments under both schedulers (and, via the chaos fixture,
-under ``REPRO_CHAOS_SEED`` fault plans), plus the session-queue
-``submit()`` path: bounded depth, backpressure waits, and queued virtual
-cost feeding admission.
+The async tier (DESIGN.md §4.6) runs every micro-batch through the
+wrapped service's synchronous pipeline, so it must answer bit-identically
+to the synchronous stream with the same chunking.  These tests pin that
+twin contract for single-engine and sharded deployments under both
+schedulers (and, via the chaos fixture, under ``REPRO_CHAOS_SEED`` fault
+plans), plus the session-queue ``submit()`` path: bounded depth,
+backpressure waits, queued virtual cost feeding admission, the fair
+drain, and a failing chunk failing only its own requests.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from repro.serving import (
     MalivaService,
     ScatterExecute,
     SessionAffinityScheduler,
+    VizRequest,
 )
 from repro.viz import TWITTER_TRANSLATOR
 
@@ -83,7 +82,7 @@ def _assert_record_twins(sync_stats, async_stats):
 
 @pytest.mark.parametrize("scheduler_name", ["affinity", "fifo"])
 def test_async_single_engine_matches_sync(async_twins, scheduler_name):
-    """Overlapped planning answers bit-identically to the sync stream,
+    """The async stream answers bit-identically to the sync stream,
     chunk for chunk, under either scheduling policy."""
     sync_maliva, async_maliva, stream = async_twins
     sync_service = MalivaService(
@@ -104,16 +103,11 @@ def test_async_single_engine_matches_sync(async_twins, scheduler_name):
         [o for _, o in sync_pairs], [o for _, o in async_pairs]
     )
     _assert_record_twins(sync_service.stats, async_backend.stats)
-    # The sync path never overlaps; the async tier overlapped every chunk
-    # after the first.
-    assert sync_service.stats.n_overlapped_batches == 0
-    assert async_backend.stats.n_overlapped_batches > 0
-    assert async_backend.stats.overlap_plan_s >= 0.0
 
 
 def test_async_sharded_matches_sync_sharded(async_twins):
-    """The overlap seam on the sharded router (scatter the batch, plan the
-    next one while workers crunch) stays bit-identical to sync serving."""
+    """Async serving over the scatter stage stays bit-identical to sync
+    serving over it."""
     sync_maliva, async_maliva, stream = async_twins
     sync_service = MalivaService(
         sync_maliva,
@@ -134,15 +128,11 @@ def test_async_sharded_matches_sync_sharded(async_twins):
             [o for _, o in sync_pairs], [o for _, o in async_pairs]
         )
         _assert_record_twins(sync_service.stats, async_backend.stats)
-        # Later chunks were planned while the previous chunk's scatter was
-        # in flight.
-        assert async_backend.stats.n_overlapped_batches > 0
-        assert sync_service.stats.n_overlapped_batches == 0
 
 
 def test_async_sharded_matches_sync_with_processes(async_twins):
-    """Same twin contract with real worker processes: the router plans
-    while workers crunch, and replies are collected bit-identically."""
+    """Same twin contract with real worker processes: replies are
+    collected bit-identically."""
     sync_maliva, async_maliva, stream = async_twins
     short = stream[:10]
     sync_service = MalivaService(
@@ -166,7 +156,7 @@ def test_async_sharded_matches_sync_with_processes(async_twins):
 
 
 def test_async_answer_many_matches_sync(async_twins):
-    """``answer_many`` is one chunk: no overlap, same batch semantics."""
+    """``answer_many`` is one chunk: same batch semantics."""
     sync_maliva, async_maliva, stream = async_twins
     chunk = stream[:6]
     sync_service = MalivaService(sync_maliva, translator=TWITTER_TRANSLATOR)
@@ -177,7 +167,6 @@ def test_async_answer_many_matches_sync(async_twins):
             return await tier.answer_many(chunk)
 
     _assert_outcomes_match(sync_service.answer_many(chunk), asyncio.run(scenario()))
-    assert async_backend.stats.n_overlapped_batches == 0
 
 
 def test_submit_backpressure_and_queue_admission(async_twins):
@@ -310,6 +299,35 @@ def test_fair_drain_prevents_session_starvation(async_twins):
     # Regression: the FIFO drain served "light" dead last (position 12);
     # the fair drain folds it into the first micro-batch.
     assert positions and positions[0] < service.stream_batch_size
+
+
+def test_failing_chunk_fails_only_its_own_requests(async_twins):
+    """A chunk that raises settles its own futures with the error, like
+    sync ``answer_many`` raising for its batch; the batcher then serves
+    the queued requests behind it."""
+    _, maliva, stream = async_twins
+    service = MalivaService(
+        maliva, translator=TWITTER_TRANSLATOR, stream_batch_size=4
+    )
+    good = [
+        dataclasses.replace(request, session_id="good") for request in stream[:12]
+    ]
+    bad = VizRequest(payload=42, session_id="bad")
+
+    async def scenario():
+        async with AsyncMalivaService(service) as tier:
+            # Every request enqueues before the batcher runs, so the first
+            # fair chunk is the bad request plus three good ones.
+            return await asyncio.gather(
+                tier.submit(bad),
+                *(tier.submit(request) for request in good),
+                return_exceptions=True,
+            )
+
+    results = asyncio.run(scenario())
+    assert all(isinstance(result, QueryError) for result in results[:4])
+    assert all(result.result is not None for result in results[4:])
+    assert len(service.stats.records) == 9
 
 
 def test_reset_stats_clears_async_window_counters(async_twins):

@@ -19,24 +19,16 @@ from tests.serving.test_sharded_service import _build_maliva, _mutation_columns
 
 
 class RecordingExecute(LocalExecute):
-    """The local stage, logging ``(hook, batch number)`` per call."""
+    """The local stage, logging each hook call and the batches it ran."""
 
     def __init__(self) -> None:
         self.events: list[tuple[str, object]] = []
-        self._batches: dict[int, int] = {}
+        self.batches: list[list] = []
 
-    def begin(self, planned):
-        batch = self._batches.setdefault(id(planned), len(self._batches))
-        self.events.append(("begin", batch))
-        return batch
-
-    async def wait(self, state):
-        self.events.append(("wait", state))
-        await super().wait(state)
-
-    def finish(self, planned):
-        self.events.append(("finish", planned.state))
-        return super().finish(planned)
+    def run(self, planned):
+        self.events.append(("run", len(self.batches)))
+        self.batches.append(list(planned.requests))
+        return super().run(planned)
 
     def table_invalidated(self, table_name):
         self.events.append(("table_invalidated", table_name))
@@ -65,23 +57,16 @@ def test_stage_hooks_run_once_per_micro_batch_in_order(tier):
             served = asyncio.run(scenario())
         assert [request for request, _ in served] == stream
         assert len(service.stats.records) == len(stream)
-        n_batches = -(-len(stream) // 5)
         assert service.stats.stage_seconds["execute"] > 0.0
 
-        # begin -> [wait ->] finish, exactly once per micro-batch; only the
-        # async tier awaits.
-        expected = ["begin", "finish"]
-        if tier == "async":
-            expected.insert(1, "wait")
-        for batch in range(n_batches):
-            assert [hook for hook, arg in stage.events if arg == batch] == expected
-        # The overlap never runs ahead of the stage: batch N+1 begins only
-        # once batch N-1 has finished.
-        at = {event: position for position, event in enumerate(stage.events)}
-        for batch in range(2, n_batches):
-            assert at[("begin", batch)] > at[("finish", batch - 2)]
+        # One run per micro-batch, each over its own chunk, in stream order.
+        n_batches = -(-len(stream) // 5)
+        assert stage.events == [("run", batch) for batch in range(n_batches)]
+        assert stage.batches == [
+            stream[start : start + 5] for start in range(0, len(stream), 5)
+        ]
 
         stage.events.clear()
         service.append_rows("tweets", _mutation_columns(maliva.database, 10))
         assert stage.events == [("table_invalidated", "tweets")]
-    assert stage.events[1:] == [("close", None)]
+    assert stage.events == [("table_invalidated", "tweets"), ("close", None)]

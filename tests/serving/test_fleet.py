@@ -9,7 +9,6 @@ bounded spawns) are pinned independently of the two tiers built on them.
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 import pytest
@@ -17,7 +16,7 @@ import pytest
 from repro.errors import QueryError
 from repro.serving import fleet as fleet_module
 from repro.serving.faults import FaultPlan, FaultSpec, WorkerFault, WorkerTimeout
-from repro.serving.fleet import SupervisedFleet, WorkerHandle, wait_replies
+from repro.serving.fleet import SupervisedFleet, WorkerHandle
 
 
 def toy_ops() -> dict:
@@ -212,7 +211,7 @@ def test_wedged_respawn_backs_off_then_retires(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Supervision: backoff, breaker, call_live, wait_replies
+# Supervision: backoff, breaker, call_live
 # ----------------------------------------------------------------------
 def test_backoff_doubles_to_the_cap_and_resets():
     deaths = []
@@ -270,19 +269,6 @@ def test_call_live_records_deaths_and_keeps_the_reason():
     assert dead.last_fault == "toy worker 1: injected crash"
     # Dead slots in an explicit list are skipped, not called.
     assert fleet.call_live(lambda slot: slot.shard_id, [dead]) == []
-    fleet.close()
-
-
-def test_wait_replies_returns_at_the_deadline():
-    fleet = _fleet(True, faults=[FaultSpec(op="execute", kind="hang")])
-    fleet.spawn()
-    handle = fleet.slots[0].handle
-    handle._channel.send("execute", "x")
-    started = time.monotonic()
-    asyncio.run(wait_replies(fleet.slots, 0.2))
-    assert 0.2 <= time.monotonic() - started < 5.0
-    assert not handle.reply_ready()
-    handle.close(graceful=False)  # the worker is asleep; do not wait on it
     fleet.close()
 
 

@@ -264,7 +264,7 @@ def test_killed_router_process_loses_zero_requests(repl_twins, scheduler_name):
 def test_killed_router_async_stream_loses_zero_requests(
     repl_twins, scheduler_name
 ):
-    """The same kill -9, mid-*async*-stream: the pipelined tier's chunk
+    """The same kill -9, mid-*async*-stream: the async front end's chunk
     completes through journal replay, bit-identical to the sync twin."""
     single_maliva, repl_maliva, stream = repl_twins
     single = single_maliva.service(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import clear_setup_cache
 
 
 class TestParser:
@@ -212,3 +213,22 @@ class TestServe:
         assert sum(w["n_requests"] for w in routers["per_router"].values()) == 9
         # The warm pass repeats the cold pass, so every replica's cache hits.
         assert sum(w["n_cached"] for w in routers["per_router"].values()) == 9
+
+    def test_serve_async_tiny(self, capsys, tmp_path):
+        def serve(*extra):
+            # A fresh setup each time: the cached one carries the engine
+            # profile's RNG state on from the previous run in this process.
+            clear_setup_cache()
+            save_dir = tmp_path / ("async" if extra else "sync")
+            argv = ["serve", "--scale", "tiny", "--sessions", "3", "--steps", "3"]
+            argv += ["--batch-size", "4", *extra, "--save-dir", str(save_dir)]
+            assert main(argv) == 0
+            saved = json.loads((save_dir / "serving_report.json").read_text())
+            return capsys.readouterr().out, saved["warm"]
+
+        async_out, async_warm = serve("--async")
+        _, sync_warm = serve()
+        assert "async micro-batches of 4" in async_out
+        assert "async overlap" not in async_out
+        for key in ("n_requests", "n_viable", "decision_cache_hits"):
+            assert async_warm[key] == sync_warm[key]
