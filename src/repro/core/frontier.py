@@ -192,10 +192,10 @@ class LockstepFrontier:
         active row — the estimations :meth:`transition` is about to run.
 
         Rows with no uncollected probes are included with an empty probe
-        list: estimators that resolve a true execution time per estimate
-        (the accurate QTE, and its sharded RPC proxy) need every row of
-        the wave, not just the ones with selectivity work.  Flattening the
-        probes in row order reproduces :meth:`gather_probes` exactly.
+        list: an estimator that resolves a true execution time per estimate
+        (the accurate QTE) needs every row of the wave, not just the ones
+        with selectivity work.  Flattening the probes in row order
+        reproduces :meth:`gather_probes` exactly.
         """
         missing = self.required[active, actions] & ~self.collected[active]
         rows = active.tolist()

@@ -29,6 +29,12 @@ the sequential path would have computed them on a miss.  Profile effects
 through the same ``Database._apply_profile_effects``, so even the RNG stream
 is consumed identically.
 
+The sharing half is reusable on its own: :meth:`BatchExecutor.precompute`
+fills the batch's probes for a list of plans and :attr:`BatchExecutor.access`
+serves them through the replayed protocol.  ``execute`` is one caller; the
+shard worker (:class:`~repro.db.sharding.ShardEngine`) is the other — it
+scans its slice through the same ``access`` and bins the rows itself.
+
 When the engine profile can ignore hints (``hint_ignore_prob > 0`` with
 hinted queries), the obey/noise RNG draws interleave per request; the
 executor then falls back to a fully in-order pipeline that keeps all the
@@ -200,7 +206,8 @@ class BatchExecutor:
     def __init__(self, database: "Database") -> None:
         self._db = database
         self._stats = BatchSharingStats()
-        self._access = _BatchAccess(database, self._stats)
+        #: The batch's engine access; the shard worker scans through it too.
+        self.access = _BatchAccess(database, self._stats)
         self._scan_memo: dict[tuple, tuple[dict[str, float], np.ndarray]] = {}
         self._bin_memo: dict[tuple, dict[int, float]] = {}
         self._bins_served: set[tuple] = set()
@@ -225,7 +232,7 @@ class BatchExecutor:
             self._stats.fused = True
             for item in pending:
                 self._plan_one(item)
-            self._precompute_probes(pending)
+            self.precompute([item.plan for item in pending])
             for item in pending:
                 self._scan_one(item)
             self._fused_bins(pending)
@@ -274,7 +281,7 @@ class BatchExecutor:
             self._stats.shared_scans += 1
         else:
             counters, result_ids, _cards = db._executor.scan_rows(
-                plan, access=self._access
+                plan, access=self.access
             )
             memo = (counters.as_dict(), result_ids)
             self._scan_memo[item.scan_key] = memo
@@ -294,12 +301,12 @@ class BatchExecutor:
         scan = plan.scan
         if not scan.is_full_scan:
             for path in scan.access:
-                self._access.index_lookup(scan.table, path.predicate)
+                self.access.index_lookup(scan.table, path.predicate)
         for predicate in scan.residual:
-            self._access.match_rowset(scan.table, predicate)
+            self.access.match_rowset(scan.table, predicate)
         if plan.join is not None:
             for predicate in plan.join.inner_predicates:
-                self._access.match_rowset(plan.join.inner_table, predicate)
+                self.access.match_rowset(plan.join.inner_table, predicate)
 
     def _fused_bins(self, pending: list[_Pending]) -> None:
         """One histogram sweep per (table, bin grid) over distinct row sets."""
@@ -391,8 +398,8 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # Fused precompute
     # ------------------------------------------------------------------
-    def _precompute_probes(self, pending: list[_Pending]) -> None:
-        """Compute every index probe / predicate row set the batch will miss
+    def precompute(self, plans: Sequence[PhysicalPlan]) -> None:
+        """Compute every index probe / predicate row set the plans will miss
         on, one vectorized sweep per (table, column) group.
 
         Presence checks use :meth:`InstrumentedCache.peek` so the
@@ -402,14 +409,7 @@ class BatchExecutor:
         db = self._db
         need_lookups: dict[tuple, tuple[str, object]] = {}
         need_matches: dict[tuple, tuple[str, object]] = {}
-        seen_scans: set[tuple] = set()
-        for item in pending:
-            plan = item.plan
-            assert plan is not None and item.scan_key is not None
-            if item.scan_key in seen_scans:
-                continue
-            seen_scans.add(item.scan_key)
-            scan = plan.scan
+        for scan, join in dict.fromkeys((plan.scan, plan.join) for plan in plans):
             if not scan.is_full_scan:
                 for path in scan.access:
                     key = (scan.table, path.predicate.key())
@@ -419,11 +419,11 @@ class BatchExecutor:
                 key = (scan.table, predicate.key())
                 if key not in need_matches and db._match_cache.peek(key) is None:
                     need_matches[key] = (scan.table, predicate)
-            if plan.join is not None:
-                for predicate in plan.join.inner_predicates:
-                    key = (plan.join.inner_table, predicate.key())
+            if join is not None:
+                for predicate in join.inner_predicates:
+                    key = (join.inner_table, predicate.key())
                     if key not in need_matches and db._match_cache.peek(key) is None:
-                        need_matches[key] = (plan.join.inner_table, predicate)
+                        need_matches[key] = (join.inner_table, predicate)
 
         # One fused sweep per (table, column) index answers both the lookup
         # needs and the index-backed match needs, each distinct probe once:
@@ -437,7 +437,7 @@ class BatchExecutor:
         for key, (table_name, predicate) in need_matches.items():
             index = db.index(table_name, predicate.column)
             if index is None or not index.supports(predicate):
-                self._access.match_values[key] = predicate.matching_rowset(
+                self.access.match_values[key] = predicate.matching_rowset(
                     db.table(table_name)
                 )
                 self._stats.n_matches_computed += 1
@@ -453,14 +453,14 @@ class BatchExecutor:
             probes.update(zip(predicates, lookups))
             self._stats.n_probe_sweeps += 1
         for key in need_lookups:
-            self._access.lookup_values[key] = probes[key]
+            self.access.lookup_values[key] = probes[key]
             self._stats.n_probes_computed += 1
         for key in probed_matches:
             lookup = probes.get(key)
             if lookup is None:
                 lookup = db._lookup_cache.peek(key)
             n_rows = db.table(key[0]).n_rows
-            self._access.match_values[key] = RowSet.from_ids(
+            self.access.match_values[key] = RowSet.from_ids(
                 lookup.row_ids, n_rows
             ).with_mask()
             self._stats.n_matches_computed += 1

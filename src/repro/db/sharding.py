@@ -13,8 +13,10 @@ This module owns the engine-level halves of that design:
   :func:`reslice_for_sync` — slice the router's live catalog for a first
   spawn, a respawn at the current fleet arity, or a coherence sync;
 * :class:`ShardEngine` — the worker-side executor: scans its slice for a
-  batch of canonical plans, with fused index probes and fused BIN_ID
-  histogram sweeps, and reports compact :class:`ShardQueryReport`s;
+  batch of canonical plans through the engine's one batch kernel
+  (:class:`~repro.db.batch_executor.BatchExecutor`'s ``precompute`` and
+  ``access``), adds fused raw-integer BIN_ID histogram sweeps, and reports
+  compact :class:`ShardQueryReport`s;
 * :func:`merge_scatter` — the router-side gather: reconstructs the
   *canonical single-engine* work counters, result rows, and bins from the
   per-shard reports.
@@ -59,13 +61,12 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SchemaError
+from .batch_executor import BatchExecutor
 from .binning import bin_counts, bin_counts_many
 from .cost_model import CostModel, WorkCounters
 from .database import Database, SimProfile
-from .executor import EngineAccess, ScanCardinalities, charge_scan
-from .indexes import IndexLookup
-from .plans import PhysicalPlan
-from .rowset import RowSet
+from .executor import ScanCardinalities, charge_scan
+from .plans import PhysicalPlan, ScanPlan
 from .table import Table
 
 
@@ -210,36 +211,9 @@ class ShardBatchReply:
     wall_s: float
 
 
-class _SharedScanAccess(EngineAccess):
-    """Engine access over a batch's pre-materialized path match sets.
-
-    The shard engine computes every distinct access-path match once per
-    batch (fused ``lookup_batch`` sweeps); this provider hands those shared
-    ``(rowset, entries_scanned)`` pairs to the one scan kernel
-    (``Executor.scan_rows``), so the kernel runs unchanged over shard data
-    while the batch still pays each probe once.  Residual predicates fall
-    through to the shard database's (pre-warmed) match cache.
-    """
-
-    def __init__(
-        self,
-        database: Database,
-        shared: dict[tuple[str, tuple], tuple[RowSet, int]],
-    ) -> None:
-        super().__init__(database)
-        self._shared = shared
-
-    def index_lookup(self, table_name: str, predicate) -> IndexLookup:
-        rowset, entries = self._shared[(table_name, predicate.key())]
-        return IndexLookup(row_ids=rowset.ids, entries_scanned=entries)
-
-    def access_rowset(self, table_name: str, predicate, lookup) -> RowSet:
-        rowset, _entries = self._shared[(table_name, predicate.key())]
-        return rowset
-
-
 class ShardEngine:
-    """Worker-side engine: executes scattered batches against shard data."""
+    """Worker-side engine: executes scattered batches against shard data
+    through a per-batch :class:`~repro.db.batch_executor.BatchExecutor`."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
@@ -247,44 +221,36 @@ class ShardEngine:
 
     # ------------------------------------------------------------------
     def execute(self, plans: Sequence[PhysicalPlan]) -> ShardBatchReply:
-        """Scan this shard's slice for a batch of canonical joinless plans,
-        fusing shared probes/sweeps across them."""
+        """Scan this shard's slice for a batch of canonical joinless plans.
+
+        Each distinct scan runs once, through the batch's shared probes,
+        with the LIMIT deferred to the gather; physical counters charge
+        the work actually performed.
+        """
         started = time.perf_counter()
         database = self.database
         before = database._cache_counts()
+        batch = BatchExecutor(database)
+        batch.precompute(plans)
         physical = WorkCounters()
-        self._warm_match_rowsets(plans)
-        access = _SharedScanAccess(database, self._shared_path_rowsets(plans))
-        executor = database._executor
-        reports: list[ShardQueryReport] = []
+        scanned: dict[ScanPlan, tuple] = {}
         scans = []
-        # Plans sharing a scan pipeline (same table, access paths,
-        # residuals — serving streams repeat them heavily) compute it
-        # once; physical counters charge the work actually performed.
-        # The scan itself is the engine's one kernel, run over the
-        # shared path match sets with the LIMIT deferred to the gather.
-        scan_memo: dict[tuple, tuple] = {}
         for plan in plans:
             assert plan.join is None, "scattered plans must be joinless"
-            scan = plan.scan
-            memo_key = (
-                scan.table,
-                tuple(path.predicate.key() for path in scan.access),
-                tuple(predicate.key() for predicate in scan.residual),
-            )
-            cached_scan = scan_memo.get(memo_key)
-            if cached_scan is None:
-                cached_scan = executor.scan_rows(plan, access=access, apply_limit=False)
-                scan_memo[memo_key] = cached_scan
-                physical = physical + cached_scan[0]
-            report, local_ids = self._report_for(plan, cached_scan)
-            reports.append(report)
+            scan = scanned.get(plan.scan)
+            if scan is None:
+                scan = database._executor.scan_rows(
+                    plan, access=batch.access, apply_limit=False
+                )
+                scanned[plan.scan] = scan
+                physical = physical + scan[0]
+            report, local_ids = self._report_for(plan, scan)
             scans.append((plan, report, local_ids))
         self._fused_partial_bins(scans)
 
         hits, misses = database._cache_delta(before)
         return ShardBatchReply(
-            reports=reports,
+            reports=[report for _plan, report, _ids in scans],
             physical_counters=physical,
             cache_hits=hits,
             cache_misses=misses,
@@ -313,90 +279,10 @@ class ShardEngine:
         return self.database.cache_stats()
 
     # ------------------------------------------------------------------
-    def _warm_match_rowsets(self, plans: Sequence[PhysicalPlan]) -> None:
-        """Pre-fill the match cache for the batch's residual predicates.
-
-        ``match_rowset`` answers an index-supported predicate through a
-        per-predicate ``Index.lookup`` — a python cell walk for the grid
-        index.  Computing the batch's distinct residual matches in one
-        ``lookup_batch`` sweep per (table, column) first (identical values,
-        same RowSet construction) turns the per-plan scan loop's misses
-        into hits.
-        """
-        database = self.database
-        needed: dict[tuple[str, str], dict[tuple, object]] = {}
-        for plan in plans:
-            table_name = plan.scan.table
-            for predicate in plan.scan.residual:
-                index = database.index(table_name, predicate.column)
-                if index is None or not index.supports(predicate):
-                    continue
-                key = (table_name, predicate.key())
-                if database._match_cache.peek(key) is not None:
-                    continue
-                group = needed.setdefault((table_name, predicate.column), {})
-                group.setdefault(predicate.key(), predicate)
-        for (table_name, column), predicates in needed.items():
-            index = database.index(table_name, column)
-            assert index is not None
-            n_rows = database.table(table_name).n_rows
-            lookups = index.lookup_batch(list(predicates.values()))
-            for pred_key, lookup in zip(predicates, lookups):
-                database._cache_match(
-                    (table_name, pred_key), RowSet.from_ids(lookup.row_ids, n_rows)
-                )
-
-    def _shared_path_rowsets(
-        self, plans: Sequence[PhysicalPlan]
-    ) -> dict[tuple[str, tuple], tuple[RowSet, int]]:
-        """Materialize each distinct access-path match set once per batch.
-
-        Misses are computed in one vectorized ``lookup_batch`` sweep per
-        (table, column); the instrumented lookup cache keeps serving warm
-        repeats across batches.  Bitmaps are materialized for the batch so
-        per-plan intersections take the O(rows) strategy.  Values are
-        ``(rowset, entries_scanned)`` — the shard-physical entry count the
-        slice's own index geometry implies.
-        """
-        database = self.database
-        needed: dict[tuple[str, str], dict[tuple, object]] = {}
-        for plan in plans:
-            table_name = plan.scan.table
-            for path in plan.scan.access:
-                group = needed.setdefault((table_name, path.predicate.column), {})
-                group.setdefault(path.predicate.key(), path.predicate)
-
-        shared: dict[tuple[str, tuple], tuple[RowSet, int]] = {}
-        for (table_name, column), predicates in needed.items():
-            n_rows = database.table(table_name).n_rows
-            missing = []
-            for pred_key, predicate in predicates.items():
-                cached = database._lookup_cache.get((table_name, pred_key))
-                if cached is not None:
-                    shared[(table_name, pred_key)] = (
-                        RowSet.from_ids(cached.row_ids, n_rows).with_mask(),
-                        int(cached.entries_scanned),
-                    )
-                else:
-                    missing.append((pred_key, predicate))
-            if missing:
-                index = database.index(table_name, column)
-                assert index is not None, f"no index on {table_name}.{column}"
-                lookups = index.lookup_batch([p for _, p in missing])
-                for (pred_key, _), lookup in zip(missing, lookups):
-                    database._lookup_cache.put(
-                        (table_name, pred_key), lookup, tags=[table_name]
-                    )
-                    shared[(table_name, pred_key)] = (
-                        RowSet.from_ids(lookup.row_ids, n_rows).with_mask(),
-                        int(lookup.entries_scanned),
-                    )
-        return shared
-
     def _report_for(
         self, plan: PhysicalPlan, scanned: tuple
     ) -> tuple[ShardQueryReport, np.ndarray]:
-        """Wrap one (possibly memo-shared) kernel scan as this plan's report."""
+        """Wrap one (possibly shared) kernel scan as this plan's report."""
         _counters, local_ids, cards = scanned
         table = self.database.table(plan.scan.table)
         ship_ids = plan.group_by is None or plan.limit is not None

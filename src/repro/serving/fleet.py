@@ -161,9 +161,9 @@ class WorkerChannel:
 class ProcessChannel(WorkerChannel):
     """A worker process driven over a duplex pipe."""
 
-    def __init__(self, label, worker_id, fault_plan, make_ops, start_method=None):
+    def __init__(self, label, worker_id, fault_plan, make_ops):
         super().__init__(label, worker_id, fault_plan)
-        context = multiprocessing.get_context(start_method)
+        context = multiprocessing.get_context()
         self.conn, worker_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=serve_worker,
@@ -358,7 +358,6 @@ class SupervisedFleet:
         kind: str,
         on_death,
         processes: bool = True,
-        start_method: str | None = None,
         fault_plan: FaultPlan | None = None,
         rpc_deadline_ms: float | None = 10_000.0,
         deadline_tau_factor: float = 1.0,
@@ -377,7 +376,6 @@ class SupervisedFleet:
         self._on_death = on_death
         self.kind = kind
         self.processes = processes
-        self._start_method = start_method
         self._fault_plan = fault_plan
         self.rpc_deadline_ms = rpc_deadline_ms
         self.deadline_tau_factor = deadline_tau_factor
@@ -389,9 +387,7 @@ class SupervisedFleet:
     def open_channel(self, worker_id: int, make_ops) -> WorkerChannel:
         label = f"{self.kind} worker {worker_id}"
         if self.processes:
-            return ProcessChannel(
-                label, worker_id, self._fault_plan, make_ops, self._start_method
-            )
+            return ProcessChannel(label, worker_id, self._fault_plan, make_ops)
         return InlineChannel(label, worker_id, self._fault_plan, make_ops)
 
     def spawn(self) -> None:

@@ -69,20 +69,67 @@ def test_partial_scatter_matches_full_engine(shard_db, workload, n_shards):
 
 
 def test_partial_scatter_batched_entries_match(shard_db, workload):
-    """A whole batch through each shard at once (the serving-layer shape)."""
+    """A whole batch through each shard at once (the serving-layer shape),
+    sent cold and then again with every shard's caches warm."""
     engines = [ShardEngine(spec) for spec in build_shard_specs(shard_db, 3)]
     queries = workload[:12]
     plans = [shard_db.explain(query, obey_hints=True) for query in queries]
-    replies = [engine.execute(plans) for engine in engines]
+    results = [shard_db.execute(query) for query in queries]
+    for _pass in ("cold", "warm"):
+        replies = [engine.execute(plans) for engine in engines]
+        for position, (result, plan) in enumerate(zip(results, plans)):
+            merged = merge_scatter(
+                shard_db, plan, [reply.reports[position] for reply in replies]
+            )
+            _assert_matches(result, merged)
+        for reply in replies:
+            assert reply.physical_counters.total_ops() > 0
+            assert reply.wall_s >= 0.0
+    assert all(reply.cache_hits > 0 for reply in replies)
+
+
+def test_shard_batch_sweeps_each_index_once(shard_db, workload):
+    """A cold batch probes each shard index in one sweep, even when a column
+    is an access path in one plan and a residual predicate in another."""
+    engine = ShardEngine(build_shard_specs(shard_db, 2)[0])
+    sweeps: dict[tuple[str, str], int] = {}
+
+    def counted(key, lookup_batch):
+        def wrapper(predicates):
+            sweeps[key] = sweeps.get(key, 0) + 1
+            return lookup_batch(predicates)
+
+        return wrapper
+
+    for table_name in engine.database.table_names:
+        for column, index in engine.database.indexes_for(table_name).items():
+            key = (table_name, column)
+            index.lookup_batch = counted(key, index.lookup_batch)
+
+    queries = workload[:12]
+    plans = [shard_db.explain(query, obey_hints=True) for query in queries]
+    access_columns = {
+        (plan.scan.table, path.predicate.column)
+        for plan in plans
+        for path in plan.scan.access
+    }
+    residual_columns = {
+        (plan.scan.table, predicate.column)
+        for plan in plans
+        for predicate in plan.scan.residual
+    }
+    overlapping = {("tweets", c) for c in ("text", "created_at", "coordinates")}
+    assert overlapping <= access_columns & residual_columns
+
+    reply = engine.execute(plans)
+    assert overlapping <= sweeps.keys()
+    assert set(sweeps.values()) == {1}, sweeps
+    others = ShardEngine(build_shard_specs(shard_db, 2)[1]).execute(plans)
     for position, (query, plan) in enumerate(zip(queries, plans)):
-        result = shard_db.execute(query)
         merged = merge_scatter(
-            shard_db, plan, [reply.reports[position] for reply in replies]
+            shard_db, plan, [reply.reports[position], others.reports[position]]
         )
-        _assert_matches(result, merged)
-    for reply in replies:
-        assert reply.physical_counters.total_ops() > 0
-        assert reply.wall_s >= 0.0
+        _assert_matches(shard_db.execute(query), merged)
 
 
 def test_shard_spec_is_pickle_safe(shard_db, workload):

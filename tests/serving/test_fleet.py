@@ -56,7 +56,6 @@ def _fleet(processes, *, n=1, build=None, faults=(), deaths=None, **knobs):
         kind="toy",
         on_death=(deaths if deaths is not None else []).append,
         processes=processes,
-        start_method="fork" if processes else None,
         fault_plan=FaultPlan(list(faults)),
         **knobs,
     )
