@@ -1,10 +1,12 @@
 """Figure 16: VQP across time budgets (0.25s / 0.75s / 1.0s).
-Benchmarks one MDP environment step (QTE call + state transition)."""
+Benchmarks one MDP step (QTE call + state transition) on a one-query
+frontier."""
 
+import numpy as np
 import pytest
 from _bench_utils import SCALE, SEED, bench_rounds, emit
 
-from repro.core import RewriteEpisode
+from repro.core.frontier import LockstepFrontier
 from repro.experiments import (
     accurate_qte,
     render_metric_table,
@@ -25,10 +27,15 @@ def test_fig16_budget_vqp(benchmark, tau_ms):
     query = setup.split.evaluation[0]
 
     def one_step():
-        episode = RewriteEpisode(
-            setup.database, qte, setup.space, query, tau_ms
+        frontier = LockstepFrontier(
+            space=setup.space,
+            qte=qte,
+            queries=[query],
+            taus=[tau_ms],
+            rewritten=[setup.space.build_all(query, setup.database)],
+            tau_norm=tau_ms,
         )
-        episode.step(3)
+        frontier.transition(np.arange(1), np.array([3]))
 
     benchmark.pedantic(one_step, rounds=bench_rounds(), iterations=1)
     assert result.metadata["tau_ms"] == tau_ms

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from _bench_utils import SCALE, SEED, bench_rounds, emit
 
-from repro.core import MDPState, QNetwork
+from repro.core import QNetwork
+from repro.core.frontier import state_size
 from repro.experiments import render_metric_table, run_fig17
 
 
@@ -15,11 +16,11 @@ def test_fig17_budget_aqrt(benchmark, tau_ms):
     emit(render_metric_table(result, "aqrt_ms"))
 
     n_options = result.metadata["n_options"]
-    network = QNetwork(MDPState.vector_size(n_options), n_options, seed=1)
-    state = np.random.default_rng(2).random(
-        MDPState.vector_size(n_options)
+    network = QNetwork(state_size(n_options), n_options, seed=1)
+    states = np.random.default_rng(2).random(
+        (1, state_size(n_options))
     ).astype(np.float32)
     benchmark.pedantic(
-        lambda: network.q_values(state), rounds=bench_rounds(), iterations=10
+        lambda: network.predict_rows(states), rounds=bench_rounds(), iterations=10
     )
     assert result.rows

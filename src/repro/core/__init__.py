@@ -1,7 +1,6 @@
 """Maliva's core: the MDP model, training, and online rewriting."""
 
 from .agent import MalivaAgent
-from .environment import Decision, RewriteEpisode, StepResult
 from .middleware import Maliva, RequestOutcome
 from .options import RewriteOption, RewriteOptionSpace
 from .persistence import load_agent, save_agent
@@ -15,19 +14,16 @@ from .reward import (
     RewardFunction,
 )
 from .rewriter import MDPQueryRewriter, RewriteDecision
-from .state import MDPState
 from .trainer import DQNTrainer, TrainingConfig, TrainingHistory, train_validated
 
 __all__ = [
     "AdamParams",
     "DQNTrainer",
-    "Decision",
     "EfficiencyReward",
     "EpisodeOutcome",
     "Maliva",
     "MalivaAgent",
     "MDPQueryRewriter",
-    "MDPState",
     "QNetwork",
     "QualityAwareReward",
     "ReplayMemory",
@@ -35,10 +31,8 @@ __all__ = [
     "RequestOutcome",
     "RewardFunction",
     "RewriteDecision",
-    "RewriteEpisode",
     "RewriteOption",
     "RewriteOptionSpace",
-    "StepResult",
     "Transition",
     "TrainingConfig",
     "TrainingHistory",

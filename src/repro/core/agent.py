@@ -1,21 +1,20 @@
 """The trained MDP agent: a policy over rewrite options.
 
-Action selection goes through :meth:`QNetwork.predict_rows`, whose per-row
-results are independent of the batch size, so :meth:`MalivaAgent.choose_batch`
-(one network call for a whole request frontier) selects bit-identical actions
-to per-request :meth:`MalivaAgent.best_action` calls.
+The agent is the q-network plus the option space and budget it was trained
+for.  Acting on it happens on the frontier
+(:class:`~repro.core.frontier.LockstepFrontier`): its stacked state matrix
+goes through :meth:`QNetwork.predict_rows`, whose per-row results are
+independent of the batch size, and a masked argmax picks each request's
+highest-q unexplored option — so a request's actions do not depend on how
+many others share its frontier.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from ..errors import TrainingError
+from .frontier import state_size
 from .options import RewriteOptionSpace
 from .qnetwork import QNetwork
-from .state import MDPState
 
 
 class MalivaAgent:
@@ -24,7 +23,7 @@ class MalivaAgent:
     def __init__(
         self, network: QNetwork, space: RewriteOptionSpace, tau_ms: float
     ) -> None:
-        expected = MDPState.vector_size(len(space))
+        expected = state_size(len(space))
         if network.input_dim != expected:
             raise TrainingError(
                 f"network input dim {network.input_dim} does not match "
@@ -38,84 +37,6 @@ class MalivaAgent:
         self.network = network
         self.space = space
         self.tau_ms = tau_ms
-
-    def q_values(self, state: MDPState) -> np.ndarray:
-        return self.network.predict_rows(state.vector(self.tau_ms))[0]
-
-    def q_matrix(self, states: Sequence[MDPState]) -> np.ndarray:
-        """Q-values for a frontier of states in one network call.
-
-        Row ``i`` is bit-identical to ``q_values(states[i])`` (row-stable
-        kernel + element-wise state stacking), which is what makes lockstep
-        planning reproduce sequential decisions exactly.
-        """
-        return self.network.predict_rows(
-            MDPState.stack_vectors(states, self.tau_ms)
-        )
-
-    def best_action(
-        self,
-        state: MDPState,
-        remaining: np.ndarray,
-        vector: np.ndarray | None = None,
-    ) -> int:
-        """Highest-q unexplored option (Algorithm 2 line 5).
-
-        ``vector`` optionally supplies the state's already-encoded network
-        input (callers that hold it — the trainer reuses each step's
-        next-state vector); the encoding is deterministic, so passing it is
-        purely a recomputation saving.
-        """
-        if not len(remaining):
-            raise TrainingError("no remaining options to choose from")
-        q = (
-            self.q_values(state)
-            if vector is None
-            else self.network.predict_rows(vector)[0]
-        )
-        return int(remaining[int(np.argmax(q[remaining]))])
-
-    def choose_batch(
-        self,
-        states: Sequence[MDPState],
-        remainings: Sequence[np.ndarray] | None = None,
-        q: np.ndarray | None = None,
-    ) -> list[int]:
-        """Greedy action per state, one q-network call for the whole batch.
-
-        Equivalent to ``[best_action(s, r) for s, r in zip(states,
-        remainings)]`` but with a single forward pass per MDP depth instead
-        of one per request.  Callers that already hold this frontier's
-        q-matrix (the lockstep trainer, which also needs the stacked state
-        vectors for replay transitions) pass it via ``q``.
-        """
-        if not states:
-            return []
-        if remainings is None:
-            remainings = [state.remaining() for state in states]
-        if q is None:
-            q = self.q_matrix(states)
-        actions: list[int] = []
-        for row, remaining in zip(q, remainings):
-            if not len(remaining):
-                raise TrainingError("no remaining options to choose from")
-            actions.append(int(remaining[int(np.argmax(row[remaining]))]))
-        return actions
-
-    def epsilon_greedy_action(
-        self,
-        state: MDPState,
-        remaining: np.ndarray,
-        epsilon: float,
-        rng: np.random.Generator,
-        vector: np.ndarray | None = None,
-    ) -> int:
-        """Exploration policy of Algorithm 1 (lines 10-15)."""
-        if not len(remaining):
-            raise TrainingError("no remaining options to choose from")
-        if rng.random() < epsilon:
-            return int(rng.choice(remaining))
-        return self.best_action(state, remaining, vector=vector)
 
     def save(self, path: str) -> None:
         self.network.save(path)

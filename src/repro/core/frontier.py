@@ -1,39 +1,47 @@
-"""Vectorized lockstep frontier: many MDP episodes as stacked matrices.
+"""The MDP kernel: episodes of Section 4.1 as stacked matrices.
 
-The same machinery drives two batch-native stages:
+A :class:`LockstepFrontier` holds the state ``s = (E, C, T)`` of a batch of
+requests, one matrix row per request — ``elapsed`` (E), ``costs`` (C),
+``times`` (T), ``explored`` — and is the only place the MDP steps.  Two
+stages compose it:
 
-* the **batch planner** (:meth:`repro.core.rewriter.MDPQueryRewriter.
-  rewrite_batch`) plans a whole request frontier greedily, and
-* the **wave-mode trainer** (:meth:`repro.core.trainer.DQNTrainer.
-  run_episodes_lockstep`) runs a whole epoch's episodes as epsilon-greedy
-  waves, recording replay transitions from the same matrices.
+* the **planner** (:meth:`repro.core.rewriter.MDPQueryRewriter.
+  rewrite_batch`) runs Algorithm 2 greedily over a whole request frontier;
+  a single request's :meth:`~repro.core.rewriter.MDPQueryRewriter.plan` is
+  a one-query frontier;
+* the **trainer** (:meth:`repro.core.trainer.DQNTrainer.
+  run_episodes_lockstep`) runs Algorithm 1's epsilon-greedy episodes as
+  waves, recording replay transitions from the same matrices; a sequential
+  episode (:meth:`~repro.core.trainer.DQNTrainer.run_episode`) is a
+  one-query frontier.
 
-Per-request state lives in matrix rows — ``elapsed`` (E), ``costs`` (C),
-``times`` (T), ``explored`` — and every per-step transition except the QTE
-estimate itself runs as one numpy operation over the active frontier:
+Every per-step transition except the QTE estimate itself runs as one numpy
+operation over the active frontier:
 
 * action scoring: one row-stable q-network pass over
   :meth:`state_matrix` + masked argmax (:meth:`greedy_actions`);
 * selectivity collection: one fused :meth:`~repro.qte.QueryTimeEstimator.
   collect_batch` pass over the frontier's uncollected probes
   (:meth:`gather_probes`);
-* sibling re-pricing: ``overhead + unit × missing`` counted through a
-  boolean (request, option, column) required-attribute tensor
-  (:meth:`transition`);
-* termination: vectorized viable/timeout/exhausted checks with a masked
-  argmin for the fallback decision (:meth:`termination`).
+* the transition (:meth:`transition`): E advances by the estimate's actual
+  cost Ĉ_i, T_i is filled, and every unexplored option's C_j is re-priced
+  as ``overhead + unit × missing`` through a boolean (request, option,
+  column) required-attribute tensor — the paper's "estimating RQ1 changes
+  the costs for estimating RQ5 and RQ7" effect (Figure 7);
+* termination (:meth:`termination`): the last estimate is potentially
+  viable (E + T(a) ≤ tau), the budget is exhausted (E ≥ tau), or no
+  options remain; the latter two decide the fastest estimated option
+  (masked argmin).
 
-Every element-wise operation mirrors the scalar arithmetic of
-:class:`~repro.core.environment.RewriteEpisode` exactly, so decisions and
-virtual times are bit-identical to sequential planning — the property
-``tests/serving/test_pipeline_equivalence.py`` pins down.  Requires a QTE
-with a declared unit-cost :meth:`~repro.qte.QueryTimeEstimator.
-cost_structure`; callers fall back to per-request episodes otherwise.
+Rows never interact and every kernel is row-stable, so a row's decisions
+and virtual times do not depend on which other requests share its frontier
+— the property ``tests/core/test_frontier_reference.py`` pins against the
+frozen object episode in ``tests/core/_reference.py``.  The estimator must
+declare its unit-cost :meth:`~repro.qte.QueryTimeEstimator.cost_structure`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,57 +49,20 @@ import numpy as np
 from ..db import SelectQuery
 from ..qte import QueryTimeEstimator, SelectivityCache
 from .options import RewriteOptionSpace
-from .state import TIME_CLIP_BUDGETS
+
+#: Estimated times are clipped at this many budgets in the network input,
+#: so a catastrophically slow RQ does not saturate the features.
+TIME_CLIP_BUDGETS = 5.0
+
+#: Where a request's planning resumes: the elapsed planning time and the
+#: selectivities already collected (stage two of the two-stage rewriter
+#: starts where stage one stopped, Figure 11).
+StartState = tuple[float, SelectivityCache]
 
 
-@dataclass
-class FrontierLayout:
-    """The workload-only frontier tensors: reusable across epochs.
-
-    Columns, per-column predicates, and the required-attribute tensor
-    depend only on ``(queries, rewritten)`` — not on any per-episode state
-    — so a trainer replaying the same workload every epoch builds them
-    once and hands the layout to each epoch's :class:`LockstepFrontier`.
-    The tensor is read-only to the frontier (``collected`` is per-frontier
-    state), which is what makes the sharing safe.
-    """
-
-    columns: list[list[str]]
-    predicate_of: list[dict[str, object]]
-    required: np.ndarray
-
-    @staticmethod
-    def build(
-        queries: Sequence[SelectQuery],
-        rewritten: Sequence[list[SelectQuery]],
-        n_options: int,
-    ) -> "FrontierLayout":
-        columns_per: list[list[str]] = []
-        predicate_of: list[dict[str, object]] = []
-        for query in queries:
-            columns: list[str] = []
-            by_column: dict[str, object] = {}
-            for predicate in query.predicates:
-                if predicate.column not in by_column:
-                    columns.append(predicate.column)
-                by_column[predicate.column] = predicate
-            columns_per.append(columns)
-            predicate_of.append(by_column)
-        k = len(queries)
-        m = max((len(cols) for cols in columns_per), default=0)
-        required = np.zeros((k, n_options, max(m, 1)), dtype=bool)
-        for i, rqs in enumerate(rewritten):
-            col_index = {c: ci for ci, c in enumerate(columns_per[i])}
-            for j, rq in enumerate(rqs):
-                if rq.hints is None:
-                    continue
-                for column in rq.hints.index_on:
-                    ci = col_index.get(column)
-                    if ci is not None:
-                        required[i, j, ci] = True
-        return FrontierLayout(
-            columns=columns_per, predicate_of=predicate_of, required=required
-        )
+def state_size(n_options: int) -> int:
+    """Network input width: the encoding ``[E, C_1..C_n, T_1..T_n]``."""
+    return 1 + 2 * n_options
 
 
 class LockstepFrontier:
@@ -105,41 +76,66 @@ class LockstepFrontier:
         taus: Sequence[float],
         rewritten: Sequence[list[SelectQuery]],
         tau_norm: float,
-        layout: FrontierLayout | None = None,
+        starts: Sequence[StartState | None] | None = None,
+        update_sibling_costs: bool = True,
     ) -> None:
-        structure = qte.cost_structure()
-        if structure is None:
-            raise ValueError("LockstepFrontier needs a unit-cost QTE")
         self.space = space
         self.qte = qte
-        self.unit_cost_ms, self.overhead_ms = structure
+        self.unit_cost_ms, self.overhead_ms = qte.cost_structure()
         #: Budget the q-network's state encoding normalizes against (the
         #: agent's training budget; per-request deadlines live in ``taus``).
         self.tau_norm = tau_norm
+        #: Ablation switch: when False, the estimation costs C_j of
+        #: unexplored options are NOT re-priced after each step — the agent
+        #: loses the paper's Figure 7 shared-selectivity signal.
+        self.update_sibling_costs = update_sibling_costs
 
         k = len(queries)
         n = len(space)
         self.queries = list(queries)
         self.taus = np.asarray(taus, dtype=np.float64)
         self.rewritten = list(rewritten)
-        self.caches = [SelectivityCache() for _ in range(k)]
 
         # Per-request local column indexing (first-occurrence order) and the
         # required-attribute tensor R[i, j, c]: does option j of request i
-        # need the selectivity of local column c?  Workload-only, so a
-        # caller may pass a prebuilt (epoch-carried) layout.
-        if layout is None:
-            layout = FrontierLayout.build(queries, self.rewritten, n)
-        self.columns = layout.columns
-        self.predicate_of = layout.predicate_of
-        self.required = layout.required
-        self.collected = np.zeros((k, self.required.shape[2]), dtype=bool)
+        # need the selectivity of local column c?
+        self.columns: list[list[str]] = []
+        self.predicate_of: list[dict[str, object]] = []
+        for query in self.queries:
+            columns: list[str] = []
+            by_column: dict[str, object] = {}
+            for predicate in query.predicates:
+                if predicate.column not in by_column:
+                    columns.append(predicate.column)
+                by_column[predicate.column] = predicate
+            self.columns.append(columns)
+            self.predicate_of.append(by_column)
+        m = max((len(columns) for columns in self.columns), default=0)
+        self.required = np.zeros((k, n, max(m, 1)), dtype=bool)
+        for i, rqs in enumerate(self.rewritten):
+            col_index = {c: ci for ci, c in enumerate(self.columns[i])}
+            for j, rq in enumerate(rqs):
+                if rq.hints is None:
+                    continue
+                for column in rq.hints.index_on:
+                    ci = col_index.get(column)
+                    if ci is not None:
+                        self.required[i, j, ci] = True
+
+        # The paper's initial state (0, C_1..C_n, 0..0), or a start state's
+        # elapsed time and (copied) selectivity cache.
         self.elapsed = np.zeros(k, dtype=np.float64)
-        # Initial estimation costs against the empty per-request caches:
-        # C0_ij = overhead + unit × |required attributes of option j|.
-        self.costs = self.overhead_ms + self.unit_cost_ms * self.required.sum(
-            axis=2
-        ).astype(np.float64)
+        self.caches = [SelectivityCache() for _ in range(k)]
+        self.collected = np.zeros((k, self.required.shape[2]), dtype=bool)
+        for i, start in enumerate(starts or ()):
+            if start is None:
+                continue
+            self.elapsed[i], cache = start
+            for attribute, selectivity in cache.collected.items():
+                self.caches[i].put(attribute, selectivity)
+            for ci, column in enumerate(self.columns[i]):
+                self.collected[i, ci] = cache.has(column)
+        self.costs = self._priced(np.arange(k))
         self.times = np.zeros((k, n), dtype=np.float64)
         self.explored = np.zeros((k, n), dtype=bool)
         self.n_explored = np.zeros(k, dtype=np.int64)
@@ -151,10 +147,10 @@ class LockstepFrontier:
     # Per-wave steps (composed by the planner and the trainer)
     # ------------------------------------------------------------------
     def state_matrix(self, active: np.ndarray) -> np.ndarray:
-        """Stacked network inputs, bit-identical to per-state ``vector()``."""
+        """Network inputs ``[E, C_1..C_n, T_1..T_n] / tau``, clipped."""
         n = self.times.shape[1]
         tau_norm = self.tau_norm
-        out = np.empty((len(active), 1 + 2 * n), dtype=np.float64)
+        out = np.empty((len(active), state_size(n)), dtype=np.float64)
         out[:, 0] = np.minimum(self.elapsed[active] / tau_norm, TIME_CLIP_BUDGETS)
         out[:, 1 : 1 + n] = self.costs[active]
         out[:, 1 + n :] = self.times[active]
@@ -222,18 +218,15 @@ class LockstepFrontier:
         )
         self.elapsed[active] += step_costs
         self.times[active, actions] = [o.estimated_ms for o in outcomes]
+        # The actual cost replaces the prediction for the explored option.
         self.costs[active, actions] = step_costs
         self.explored[active, actions] = True
         self.collected[active] |= self.required[active, actions]
         self.n_explored[active] += 1
-        counts = (
-            self.required[active] & ~self.collected[active][:, None, :]
-        ).sum(axis=2)
-        self.costs[active] = np.where(
-            self.explored[active],
-            self.costs[active],
-            self.overhead_ms + self.unit_cost_ms * counts,
-        )
+        if self.update_sibling_costs:
+            self.costs[active] = np.where(
+                self.explored[active], self.costs[active], self._priced(active)
+            )
 
     def termination(
         self, active: np.ndarray, actions: np.ndarray
@@ -250,3 +243,9 @@ class LockstepFrontier:
             axis=1
         )
         return viable, timeout, exhausted, fallback
+
+    def _priced(self, rows: np.ndarray) -> np.ndarray:
+        """``overhead + unit × |uncollected required attributes|`` for every
+        option of ``rows`` against their current caches."""
+        counts = (self.required[rows] & ~self.collected[rows][:, None, :]).sum(axis=2)
+        return self.overhead_ms + self.unit_cost_ms * counts.astype(np.float64)

@@ -136,7 +136,7 @@ class Maliva:
 
         One q-network forward pass per MDP depth and one fused selectivity
         pass per depth serve the whole batch; see
-        :meth:`MDPQueryRewriter.plan_batch`.
+        :meth:`MDPQueryRewriter.rewrite_batch`.
         """
         return self.rewriter.rewrite_batch(queries, tau_ms)
 

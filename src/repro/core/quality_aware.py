@@ -21,12 +21,12 @@ from typing import Sequence
 
 from ..db import Database, SelectQuery
 from ..errors import TrainingError
-from ..qte import QueryTimeEstimator, SelectivityCache
+from ..qte import QueryTimeEstimator
 from ..viz.quality import JaccardQuality, QualityFunction, evaluate_quality
-from .environment import RewriteEpisode
+from .frontier import StartState
 from .middleware import Maliva, RequestOutcome
 from .options import RewriteOptionSpace
-from .rewriter import MDPQueryRewriter
+from .rewriter import MDPQueryRewriter, RewriteDecision
 from .reward import EfficiencyReward, QualityAwareReward
 from .trainer import DQNTrainer, TrainingConfig, TrainingHistory
 
@@ -109,34 +109,12 @@ class TwoStageRewriter:
         # Collect stage-two training starts by replaying stage one greedily.
         rewriter = MDPQueryRewriter(self.stage_one.agent, self.database, self.qte)
         stage_two_queries: list[SelectQuery] = []
-        starts: dict[tuple, tuple[float, dict[str, float]]] = {}
+        starts: dict[tuple, StartState] = {}
         for query in train_queries:
-            decision, episode = rewriter.plan(query)
-            needs_stage_two = (
-                decision.reason == "exhausted"
-                and episode.state.elapsed_ms < self.tau_ms
-            )
-            if needs_stage_two:
+            start = self._stage_two_start(rewriter, query)[1]
+            if start is not None:
                 stage_two_queries.append(query)
-                starts[query.key()] = (
-                    episode.state.elapsed_ms,
-                    episode.cache.collected,
-                )
-
-        def stage_two_episode(query: SelectQuery) -> RewriteEpisode:
-            elapsed, collected = starts[query.key()]
-            cache = SelectivityCache()
-            for attribute, selectivity in collected.items():
-                cache.put(attribute, selectivity)
-            return RewriteEpisode(
-                self.database,
-                self.qte,
-                self.approx_space,
-                query,
-                self.tau_ms,
-                start_elapsed_ms=elapsed,
-                cache=cache,
-            )
+                starts[query.key()] = start
 
         trainer = DQNTrainer(
             self.database,
@@ -145,7 +123,7 @@ class TwoStageRewriter:
             self.tau_ms,
             reward=self._stage_two_reward,
             config=self.config,
-            episode_factory=stage_two_episode,
+            starts=starts,
         )
         if stage_two_queries:
             history_two = trainer.train(stage_two_queries)
@@ -167,18 +145,13 @@ class TwoStageRewriter:
         if self._stage_two_trainer is None:
             raise TrainingError("TwoStageRewriter.train() must be called first")
         rewriter = MDPQueryRewriter(self.stage_one.agent, self.database, self.qte)
-        decision, episode = rewriter.plan(query)
-
-        if decision.reason == "exhausted" and episode.state.elapsed_ms < self.tau_ms:
+        decision, start = self._stage_two_start(rewriter, query)
+        if start is not None:
             stage_two = MDPQueryRewriter(
                 self._stage_two_trainer.agent, self.database, self.qte
             )
-            decision, episode = stage_two.plan(
-                query,
-                start_elapsed_ms=episode.state.elapsed_ms,
-                cache=episode.cache,
-            )
-            planning_ms = episode.state.elapsed_ms
+            decision, frontier = stage_two.plan(query, start=start)
+            planning_ms = float(frontier.elapsed[0])
         else:
             planning_ms = decision.planning_ms
 
@@ -198,3 +171,14 @@ class TwoStageRewriter:
             tau_ms=self.tau_ms,
             quality=quality,
         )
+
+    def _stage_two_start(
+        self, rewriter: MDPQueryRewriter, query: SelectQuery
+    ) -> tuple[RewriteDecision, StartState | None]:
+        """Plan stage one; return its decision and, when it exhausted the
+        exact options with budget left, the state stage two starts from."""
+        decision, frontier = rewriter.plan(query)
+        elapsed = float(frontier.elapsed[0])
+        if decision.reason == "exhausted" and elapsed < self.tau_ms:
+            return decision, (elapsed, frontier.caches[0])
+        return decision, None

@@ -6,18 +6,24 @@ its time (paying the cost on the virtual clock), and stops as soon as one of
 the termination conditions fires.  The decided rewritten query and the
 planning time spent finding it are returned to the middleware.
 
-:meth:`MDPQueryRewriter.plan_batch` runs the same algorithm for many
-requests in lockstep: every request still walks its own MDP episode, but
-the per-step work is batched across the active frontier — one q-network
+:meth:`MDPQueryRewriter.rewrite_batch` runs the algorithm for many
+requests in lockstep over one :class:`~repro.core.frontier.LockstepFrontier`
+— the one MDP kernel — and :meth:`MDPQueryRewriter.plan` is the same run
+over a one-query frontier.  Every request still walks its own episode, but
+the per-step work is batched across the active frontier: one q-network
 forward pass per MDP depth (instead of one per request per step) and one
 fused selectivity-collection pass per depth (instead of one sample count
-per probe).  Each request's state only ever sees its own episode, and the
-batched kernels are row-stable, so decisions and virtual planning times are
-bit-identical to per-request :meth:`MDPQueryRewriter.plan` calls.
+per probe).  Rows never interact and the batched kernels are row-stable, so
+decisions and virtual planning times are bit-identical to per-request
+:meth:`MDPQueryRewriter.rewrite` calls.
+
+Every planning call resolves its budgets through one check: a budget that
+is not a positive finite number raises :class:`~repro.errors.QueryError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,10 +32,9 @@ import numpy as np
 from ..db import Database, SelectQuery
 from ..db.caches import CacheStats, InstrumentedCache
 from ..errors import QueryError
-from ..qte import QueryTimeEstimator, SelectivityCache
+from ..qte import QueryTimeEstimator
 from .agent import MalivaAgent
-from .environment import RewriteEpisode
-from .frontier import LockstepFrontier
+from .frontier import LockstepFrontier, StartState
 
 
 @dataclass(frozen=True)
@@ -93,46 +98,22 @@ class MDPQueryRewriter:
     def plan(
         self,
         query: SelectQuery,
-        start_elapsed_ms: float = 0.0,
-        cache: SelectivityCache | None = None,
         tau_ms: float | None = None,
-    ) -> tuple[RewriteDecision, RewriteEpisode]:
-        """Run the planning loop; returns the decision and the episode.
+        start: StartState | None = None,
+    ) -> tuple[RewriteDecision, LockstepFrontier]:
+        """Algorithm 2 for one request: a one-query frontier run.
 
-        The episode is exposed so callers (the two-stage rewriter) can chain
-        a second planning phase that inherits elapsed time and collected
-        selectivities.  ``tau_ms`` overrides the agent's training budget for
-        this request only — the serving layer uses it for per-request
-        deadlines; the agent's value estimates stay normalized to its
-        training budget.
+        Returns the decision and the finished frontier, whose row 0 holds
+        the request's end state (``elapsed[0]``, ``caches[0]``) so a caller
+        — the two-stage rewriter — can chain a second planning phase from
+        it via ``start``; the decision's ``planning_ms`` excludes the
+        inherited elapsed time.  ``tau_ms`` overrides the agent's training
+        budget for this request only; the agent's value estimates stay
+        normalized to its training budget.
         """
-        episode = RewriteEpisode(
-            self.database,
-            self.qte,
-            self.agent.space,
-            query,
-            self.agent.tau_ms if tau_ms is None else tau_ms,
-            start_elapsed_ms=start_elapsed_ms,
-            cache=cache,
-            rewritten_queries=self.candidate_queries(query),
-        )
-        n_explored = 0
-        while True:
-            action = self.agent.best_action(episode.state, episode.remaining())
-            step = episode.step(action)
-            n_explored += 1
-            if step.decision is None:
-                continue
-            option_index = step.decision.option_index
-            decision = RewriteDecision(
-                rewritten=episode.rewritten(option_index),
-                option_index=option_index,
-                option_label=self.agent.space.option(option_index).label(),
-                planning_ms=episode.state.elapsed_ms - start_elapsed_ms,
-                reason=step.decision.reason,
-                n_explored=n_explored,
-            )
-            return decision, episode
+        frontier = self._frontier([query], self._resolve_taus(1, tau_ms), [start])
+        [decision] = self._run(frontier, 0.0 if start is None else start[0])
+        return decision, frontier
 
     def rewrite(
         self, query: SelectQuery, tau_ms: float | None = None
@@ -156,62 +137,53 @@ class MDPQueryRewriter:
         ``None``.  Decisions are positionally aligned with ``queries`` and
         bit-identical to per-request :meth:`rewrite` calls (the lockstep
         invariant; see the module docstring).
-
-        Requires a QTE with a declared
-        :meth:`~repro.qte.QueryTimeEstimator.cost_structure`; other
-        estimators fall back to per-request planning.
         """
         taus = self._resolve_taus(len(queries), tau_ms)
         if not queries:
             return []
-        if self.qte.cost_structure() is None:
-            return [self.plan(q, tau_ms=t)[0] for q, t in zip(queries, taus)]
-        return _LockstepFrontier(self, queries, taus).run()
+        return self._run(self._frontier(queries, taus))
 
     def _resolve_taus(
         self, n: int, tau_ms: float | Sequence[float | None] | None
     ) -> list[float]:
+        """Per-request budgets; every planning call passes through here."""
         if tau_ms is None:
             return [self.agent.tau_ms] * n
         if isinstance(tau_ms, (int, float)):
-            return [float(tau_ms)] * n
-        taus = [self.agent.tau_ms if tau is None else float(tau) for tau in tau_ms]
+            taus = [float(tau_ms)] * n
+        else:
+            taus = [self.agent.tau_ms if tau is None else float(tau) for tau in tau_ms]
         if len(taus) != n:
             raise QueryError(
                 f"got {len(taus)} budgets for {n} queries in a planning batch"
             )
+        for tau in taus:
+            if not (math.isfinite(tau) and tau > 0):
+                raise QueryError(f"time budget must be positive and finite, got {tau}")
         return taus
 
-
-class _LockstepFrontier:
-    """Greedy batch planner over the shared :class:`LockstepFrontier`.
-
-    The vectorized episode math (stacked E/C/T/explored matrices, fused
-    probe collection, sibling re-pricing, termination) lives in
-    :mod:`repro.core.frontier`, shared with the wave-mode trainer; this
-    wrapper composes it into Algorithm 2 — one row-stable q-network pass
-    per MDP depth, decisions bit-identical to sequential planning (the
-    property ``tests/serving/test_pipeline_equivalence.py`` pins down).
-    """
-
-    def __init__(
+    def _frontier(
         self,
-        rewriter: MDPQueryRewriter,
         queries: Sequence[SelectQuery],
         taus: Sequence[float],
-    ) -> None:
-        self.agent = rewriter.agent
-        self.frontier = LockstepFrontier(
+        starts: Sequence[StartState | None] | None = None,
+    ) -> LockstepFrontier:
+        return LockstepFrontier(
             space=self.agent.space,
-            qte=rewriter.qte,
+            qte=self.qte,
             queries=queries,
             taus=taus,
-            rewritten=[rewriter.candidate_queries(query) for query in queries],
+            rewritten=[self.candidate_queries(query) for query in queries],
             tau_norm=self.agent.tau_ms,
+            starts=starts,
         )
 
-    def run(self) -> list[RewriteDecision]:
-        frontier = self.frontier
+    def _run(
+        self, frontier: LockstepFrontier, start_ms: float = 0.0
+    ) -> list[RewriteDecision]:
+        """Greedy Algorithm 2 over a frontier: one row-stable q-network pass
+        and one fused collection pass per MDP depth.  ``start_ms`` is the
+        elapsed time a chained planning phase inherited."""
         decisions: list[RewriteDecision | None] = [None] * len(frontier)
         active = np.arange(len(frontier))
         while len(active):
@@ -220,9 +192,7 @@ class _LockstepFrontier:
             actions = frontier.greedy_actions(active, q)
 
             # -- collect: one fused pass over the frontier's wave ---------
-            frontier.qte.collect_wave(
-                frontier.gather_probe_waves(active, actions)
-            )
+            self.qte.collect_wave(frontier.gather_probe_waves(active, actions))
 
             # -- estimate + transition, vectorized across the frontier ----
             frontier.transition(active, actions)
@@ -244,7 +214,7 @@ class _LockstepFrontier:
                     rewritten=frontier.rewritten[index][option],
                     option_index=option,
                     option_label=self.agent.space.option(option).label(),
-                    planning_ms=float(frontier.elapsed[index]),
+                    planning_ms=float(frontier.elapsed[index]) - start_ms,
                     reason=reason,
                     n_explored=int(frontier.n_explored[index]),
                 )

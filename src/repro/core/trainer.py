@@ -8,26 +8,32 @@ replaying random batches against a periodically synchronized target network
 accumulated reward of an epoch stops improving by more than ~1% (the paper's
 convergence criterion) or when ``max_epochs`` is reached.
 
+Episodes step on the one MDP kernel,
+:class:`~repro.core.frontier.LockstepFrontier`.  A sequential episode
+(:meth:`DQNTrainer.run_episode`, the default ``lockstep=False`` mode) is a
+one-query frontier; ``TrainingConfig(lockstep=True)`` is the throughput
+mode, where an epoch's episodes advance together in waves — one row-stable
+q-network pass per MDP depth for the whole epoch, one fused
+selectivity-collection pass per wave, and each wave's terminal queries
+executed through the batch executor
+(:meth:`~repro.db.database.Database.execute_batch`, bit-identical per-query
+results).  Step semantics are the same in both modes; only the
+exploration-RNG consumption order and the placement of gradient updates
+differ, so the two training *trajectories* legitimately differ.  What an
+episode starts from is a frontier input too: per-query start states (stage
+two of the two-stage rewriter) and the sibling-repricing switch (the
+Figure 7 ablation).
+
 The learning hot path is tensorized end to end: the replay memory is a
 preallocated ring buffer sampled as stacked arrays
 (:meth:`~repro.core.replay.ReplayMemory.sample_arrays`), Bellman targets are
 computed over those arrays directly, and the q-network applies one
-vectorized flat-buffer Adam step per update.  Sequential-mode trajectories
-(the default, ``lockstep=False``) are **bit-identical** to the pre-tensor
-per-object implementation — same RNG draw order, same epoch rewards, same
-convergence epoch, same replay contents, same weights — the contract
-``tests/core/test_trainer_determinism.py`` pins against a pinned reference
+vectorized flat-buffer Adam step per update.  Sequential trajectories are
+**bit-identical** to the pre-tensor per-object implementation — same RNG
+draw order, same epoch rewards, same convergence epoch, same replay
+contents, same weights — the contract
+``tests/core/test_trainer_determinism.py`` pins against a frozen reference
 trainer (see DESIGN.md §7).
-
-``TrainingConfig(lockstep=True)`` is the throughput mode: an epoch's
-episodes advance in waves over the shared
-:class:`~repro.core.frontier.LockstepFrontier` — one row-stable q-network
-pass per MDP depth for the whole epoch, one fused selectivity-collection
-pass per wave, and each wave's terminal queries executed through the batch
-executor (:meth:`~repro.db.database.Database.execute_batch`, bit-identical
-per-query results).  Step semantics match sequential episodes exactly; only
-the exploration-RNG consumption order and the placement of gradient updates
-differ, so the training *trajectory* legitimately changes.
 
 ``train_validated`` implements the paper's hold-out validation protocol:
 train several candidate agents and keep the one with the best viable-query
@@ -41,9 +47,10 @@ per-query episodes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Generator, Sequence
+from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,13 +58,11 @@ from ..db import Database, SelectQuery
 from ..errors import TrainingError
 from ..qte import QueryTimeEstimator
 from .agent import MalivaAgent
-from .environment import RewriteEpisode
-from .frontier import FrontierLayout, LockstepFrontier
+from .frontier import LockstepFrontier, StartState, state_size
 from .options import RewriteOptionSpace
 from .qnetwork import AdamParams, QNetwork
 from .replay import ReplayMemory, Transition
 from .reward import EfficiencyReward, EpisodeOutcome, RewardFunction
-from .state import MDPState
 
 
 @dataclass(frozen=True)
@@ -142,22 +147,27 @@ class DQNTrainer:
         tau_ms: float,
         reward: RewardFunction | None = None,
         config: TrainingConfig | None = None,
-        episode_factory: Callable[[SelectQuery], RewriteEpisode] | None = None,
+        starts: Mapping[tuple, StartState] | None = None,
+        update_sibling_costs: bool = True,
     ) -> None:
+        if not (math.isfinite(tau_ms) and tau_ms > 0):
+            raise TrainingError(
+                f"time budget must be positive and finite, got {tau_ms}"
+            )
         self.database = database
         self.qte = qte
         self.space = space
         self.tau_ms = tau_ms
         self.reward = reward or EfficiencyReward()
         self.config = config or TrainingConfig()
-        #: Custom episode factories (ablations, the two-stage rewriter)
-        #: carry semantics the matrix frontier cannot express; wave mode
-        #: falls back to per-object episodes for them.
-        self._custom_episodes = episode_factory is not None
-        self._episode_factory = episode_factory or self._default_episode
+        #: Per-query start states keyed by ``query.key()`` (stage two of
+        #: the two-stage rewriter); None starts every episode fresh.
+        self.starts = starts
+        #: The frontier's sibling-repricing switch (the Figure 7 ablation).
+        self.update_sibling_costs = update_sibling_costs
         self._rng = np.random.default_rng(self.config.seed)
 
-        input_dim = MDPState.vector_size(len(space))
+        input_dim = state_size(len(space))
         self.network = QNetwork(
             input_dim,
             len(space),
@@ -168,21 +178,13 @@ class DQNTrainer:
         self.memory = ReplayMemory(self.config.replay_capacity)
         self.agent = MalivaAgent(self.network, space, tau_ms)
         self._episodes_since_sync = 0
-        # Candidate-RQ memo for the wave-mode frontier (build_all is
-        # deterministic, so caching it across epochs changes nothing).
+        # Candidate-RQ memo for the frontier (build_all is deterministic,
+        # so caching it across epochs changes nothing).
         self._rq_memo: dict[object, list[SelectQuery]] = {}
-        # Workload-keyed frontier layout: the required-attribute tensors
-        # depend only on (queries, candidates), so every epoch replaying
-        # the same workload reuses one build.
-        self._layout_memo: dict[tuple, FrontierLayout] = {}
         database.add_invalidation_hook(self._on_table_invalidated)
-
-    def _default_episode(self, query: SelectQuery) -> RewriteEpisode:
-        return RewriteEpisode(self.database, self.qte, self.space, query, self.tau_ms)
 
     def _on_table_invalidated(self, table_name: str) -> None:
         self._rq_memo.clear()
-        self._layout_memo.clear()
 
     def _candidates(self, query: SelectQuery) -> list[SelectQuery]:
         key = query.key()
@@ -231,59 +233,16 @@ class DQNTrainer:
     def run_episode(
         self, query: SelectQuery, epsilon: float, learn: bool = True
     ) -> tuple[float, bool]:
-        """One training episode; returns (final reward, viability)."""
-        episode = self._episode_factory(query)
-        final_reward = 0.0
-        viable = False
-        # The encoded state is reused as both this step's network input and
-        # the stored transition state, and each step's next-state vector
-        # carries over as the following step's state vector — the state
-        # object does not mutate in between, so the values are identical to
-        # re-encoding (which the pre-tensor trainer did three times per
-        # step).
-        state_vec = episode.state.vector(self.tau_ms)
-        while True:
-            remaining = episode.remaining()
-            action = self.agent.epsilon_greedy_action(
-                episode.state, remaining, epsilon, self._rng, vector=state_vec
-            )
-            step = episode.step(action)
-            next_vec = episode.state.vector(self.tau_ms)
-            next_mask = ~episode.state.explored
+        """One training episode — a one-query lockstep frontier; returns
+        (final reward, viability).
 
-            if step.decision is None:
-                self.memory.push_values(
-                    state_vec,
-                    action,
-                    self.reward.intermediate_reward(),
-                    next_vec,
-                    next_mask,
-                    False,
-                )
-                state_vec = next_vec
-                continue
-
-            # Terminal: run the decided rewritten query and compute Eq. 1/2.
-            rewritten = episode.rewritten(step.decision.option_index)
-            result = self.database.execute(rewritten)
-            outcome = EpisodeOutcome(
-                tau_ms=self.tau_ms,
-                elapsed_ms=episode.state.elapsed_ms,
-                execution_ms=result.execution_ms,
-                original_query=query,
-                rewritten_query=rewritten,
-                rewritten_result=result,
-            )
-            final_reward = self.reward.final_reward(outcome)
-            viable = outcome.viable
-            self.memory.push_values(
-                state_vec, action, final_reward, next_vec, next_mask, True
-            )
-            break
-
-        if learn:
-            self._learn()
-        return final_reward, viable
+        Per step it draws one ``random()`` and, when exploring, one
+        ``choice``, then learns once after the terminal step: the draw
+        order of a per-object episode loop, so sequential training replays
+        it bit for bit.
+        """
+        total_reward, viable = self.run_episodes_lockstep([query], epsilon, learn)
+        return total_reward, bool(viable)
 
     def run_episodes_lockstep(
         self, queries: Sequence[SelectQuery], epsilon: float, learn: bool = True
@@ -321,22 +280,19 @@ class DQNTrainer:
         :meth:`run_episodes_lockstep` loop or the fused multi-candidate
         trainer — decides how widely to fuse the collection pass.
         """
-        if self._custom_episodes or self.qte.cost_structure() is None:
-            return (yield from self._object_waves(queries, epsilon, learn))
-        rewritten = [self._candidates(query) for query in queries]
-        layout_key = tuple(query.key() for query in queries)
-        layout = self._layout_memo.get(layout_key)
-        if layout is None:
-            layout = FrontierLayout.build(queries, rewritten, len(self.space))
-            self._layout_memo[layout_key] = layout
         frontier = LockstepFrontier(
             space=self.space,
             qte=self.qte,
             queries=queries,
             taus=[self.tau_ms] * len(queries),
-            rewritten=rewritten,
+            rewritten=[self._candidates(query) for query in queries],
             tau_norm=self.tau_ms,
-            layout=layout,
+            starts=(
+                None
+                if self.starts is None
+                else [self.starts[query.key()] for query in queries]
+            ),
+            update_sibling_costs=self.update_sibling_costs,
         )
         total_reward = 0.0
         viable_count = 0
@@ -419,74 +375,6 @@ class DQNTrainer:
                     self._learn()
             active = active[~finished]
             matrix = next_matrix[~finished]
-        return total_reward, viable_count
-
-    def _object_waves(
-        self, queries: list[SelectQuery], epsilon: float, learn: bool
-    ) -> Generator[list, None, tuple[float, int]]:
-        """Wave loop over :class:`RewriteEpisode` objects — the fallback for
-        custom episode factories (ablations, the two-stage rewriter) and
-        estimators without a unit-cost structure.  Same wave semantics as
-        the matrix path, minus the vectorized transitions."""
-        episodes = [self._episode_factory(query) for query in queries]
-        total_reward = 0.0
-        viable_count = 0
-        active = list(range(len(episodes)))
-        while active:
-            states = [episodes[i].state for i in active]
-            matrix = MDPState.stack_vectors(states, self.tau_ms)
-            remainings = [episodes[i].remaining() for i in active]
-            greedy = self.agent.choose_batch(
-                states, remainings, q=self.network.predict_rows(matrix)
-            )
-            actions: list[int] = []
-            for position, index in enumerate(active):
-                if self._rng.random() < epsilon:
-                    actions.append(int(self._rng.choice(remainings[position])))
-                else:
-                    actions.append(greedy[position])
-            yield [
-                probe
-                for index, action in zip(active, actions)
-                for probe in episodes[index].probes_for(action)
-            ]
-
-            still_active: list[int] = []
-            for position, (index, action) in enumerate(zip(active, actions)):
-                episode = episodes[index]
-                step = episode.step(action)
-                next_vec = episode.state.vector(self.tau_ms)
-                next_mask = ~episode.state.explored
-                if step.decision is None:
-                    self.memory.push_values(
-                        matrix[position],
-                        action,
-                        self.reward.intermediate_reward(),
-                        next_vec,
-                        next_mask,
-                        False,
-                    )
-                    still_active.append(index)
-                    continue
-                rewritten = episode.rewritten(step.decision.option_index)
-                result = self.database.execute(rewritten)
-                outcome = EpisodeOutcome(
-                    tau_ms=self.tau_ms,
-                    elapsed_ms=episode.state.elapsed_ms,
-                    execution_ms=result.execution_ms,
-                    original_query=queries[index],
-                    rewritten_query=rewritten,
-                    rewritten_result=result,
-                )
-                final_reward = self.reward.final_reward(outcome)
-                total_reward += final_reward
-                viable_count += int(outcome.viable)
-                self.memory.push_values(
-                    matrix[position], action, final_reward, next_vec, next_mask, True
-                )
-                if learn:
-                    self._learn()
-            active = still_active
         return total_reward, viable_count
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core import DQNTrainer, RewriteEpisode, TrainingConfig
+from ..core import DQNTrainer, TrainingConfig
 from ..db import SelectQuery
 from ..qte import AccurateQTE
 from .config import ExperimentScale, get_scale
@@ -84,24 +84,13 @@ def _make_trainer(
         seed=seed,
         epsilon_start=epsilon_start,
     )
-
-    def episode_factory(query: SelectQuery) -> RewriteEpisode:
-        return RewriteEpisode(
-            setup.database,
-            qte,
-            setup.space,
-            query,
-            setup.tau_ms,
-            update_sibling_costs=update_sibling_costs,
-        )
-
     return DQNTrainer(
         setup.database,
         qte,
         setup.space,
         setup.tau_ms,
         config=config,
-        episode_factory=episode_factory,
+        update_sibling_costs=update_sibling_costs,
     )
 
 

@@ -98,35 +98,26 @@ class QueryTimeEstimator(ABC):
         both the estimate and the actual cost incurred.
         """
 
-    def cost_structure(self) -> tuple[float, float] | None:
-        """``(unit_cost_ms, overhead_ms)`` if this estimator's cost is
-        ``overhead + unit × |uncollected required attributes|``, else None.
+    @abstractmethod
+    def cost_structure(self) -> tuple[float, float]:
+        """``(unit_cost_ms, overhead_ms)``: this estimator's cost is
+        ``overhead + unit × |uncollected required attributes|``.
 
-        The lockstep planner uses this to re-price a whole frontier's
-        unexplored options with vectorized counting instead of per-option
-        :meth:`predict_cost_ms` calls.  Estimators whose cost does not have
-        this shape return None and plan per-request.
+        The MDP frontier re-prices every unexplored option with vectorized
+        counting against this shape; an estimator with a constant cost
+        declares ``(0.0, cost_ms)``.
         """
-        return None
 
     def predict_costs(
         self, rewritten_queries: Sequence[SelectQuery], cache: SelectivityCache
     ) -> list[float]:
-        """Batched :meth:`predict_cost_ms` over several rewritten queries.
-
-        The MDP environment re-prices every unexplored option after each
-        step.  Estimators declaring a :meth:`cost_structure` get the fused
-        unit-cost pass; anything else falls back to a per-query loop.
-        Values are identical to per-query :meth:`predict_cost_ms` calls
-        either way.
-        """
-        structure = self.cost_structure()
-        if structure is not None:
-            unit_cost_ms, overhead_ms = structure
-            return unit_cost_predictions(
-                rewritten_queries, cache, unit_cost_ms, overhead_ms
-            )
-        return [self.predict_cost_ms(rq, cache) for rq in rewritten_queries]
+        """Batched :meth:`predict_cost_ms` over several rewritten queries,
+        through the fused :meth:`cost_structure` pass (values identical to
+        per-query :meth:`predict_cost_ms` calls)."""
+        unit_cost_ms, overhead_ms = self.cost_structure()
+        return unit_cost_predictions(
+            rewritten_queries, cache, unit_cost_ms, overhead_ms
+        )
 
     def collect_batch(self, probes: Sequence["Predicate"]) -> None:
         """Pre-collect many selectivity probes ahead of :meth:`estimate`.

@@ -12,6 +12,15 @@ draw order, same epoch rewards, same convergence epoch, same replay
 contents, same final weights — and that lockstep waves match the
 pre-batching wave loop.
 
+It also holds the per-object form of the MDP itself, frozen as it was
+before :class:`~repro.core.frontier.LockstepFrontier` became the only
+kernel: :class:`MDPState` (the state ``(E, C, T)`` and its network
+encoding), :class:`RewriteEpisode` (the Section 4.1 transition and the
+Algorithm 1/2 termination rules), the agent's action selection
+(:class:`ReferenceAgent`) and the greedy Algorithm 2 loop
+(:func:`reference_plan`).  ``tests/core/test_frontier_reference.py`` pins
+the frontier against them step by step.
+
 Do not "modernize" this module: its value is that it does NOT change when
 the production trainer does.
 """
@@ -19,19 +28,356 @@ the production trainer does.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.agent import MalivaAgent
-from repro.core.environment import RewriteEpisode
 from repro.core.qnetwork import AdamParams
 from repro.core.replay import Transition
 from repro.core.reward import EfficiencyReward, EpisodeOutcome
-from repro.core.state import MDPState
+from repro.core.rewriter import RewriteDecision
 from repro.core.trainer import TrainingConfig, TrainingHistory
+from repro.db import Database, SelectQuery
+from repro.db.predicates import Predicate
+from repro.errors import TrainingError
+from repro.qte import QueryTimeEstimator, SelectivityCache, required_attributes
 
 
+# ----------------------------------------------------------------------
+# The per-object MDP: state, episode, action selection, greedy planning
+# ----------------------------------------------------------------------
+#: Estimated times are clipped at this many budgets in the network input,
+#: so a catastrophically slow RQ does not saturate the features.
+TIME_CLIP_BUDGETS = 5.0
+
+
+@dataclass
+class MDPState:
+    """Mutable per-request MDP state (Figure 6 of the paper)."""
+
+    elapsed_ms: float
+    estimation_costs_ms: np.ndarray
+    estimated_times_ms: np.ndarray
+    explored: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        self.estimation_costs_ms = np.asarray(self.estimation_costs_ms, dtype=np.float64)
+        self.estimated_times_ms = np.asarray(self.estimated_times_ms, dtype=np.float64)
+        if self.explored is None:
+            self.explored = np.zeros(len(self.estimation_costs_ms), dtype=bool)
+        if len(self.estimation_costs_ms) != len(self.estimated_times_ms):
+            raise ValueError("cost and time vectors must have equal length")
+        if len(self.explored) != len(self.estimation_costs_ms):
+            raise ValueError("explored mask length mismatch")
+
+    @property
+    def n_options(self) -> int:
+        return len(self.estimation_costs_ms)
+
+    def remaining(self) -> np.ndarray:
+        """Indices of options not explored yet."""
+        return (~self.explored).nonzero()[0]
+
+    def explored_indices(self) -> np.ndarray:
+        return self.explored.nonzero()[0]
+
+    def copy(self) -> "MDPState":
+        return MDPState(
+            elapsed_ms=self.elapsed_ms,
+            estimation_costs_ms=self.estimation_costs_ms.copy(),
+            estimated_times_ms=self.estimated_times_ms.copy(),
+            explored=self.explored.copy(),
+        )
+
+    def vector(self, tau_ms: float) -> np.ndarray:
+        """Network input: ``[E, C_1..C_n, T_1..T_n] / tau``, clipped."""
+        if tau_ms <= 0:
+            raise ValueError("time budget must be positive")
+        n = len(self.estimation_costs_ms)
+        out = np.empty(1 + 2 * n, dtype=np.float64)
+        out[0] = min(self.elapsed_ms / tau_ms, TIME_CLIP_BUDGETS)
+        out[1 : 1 + n] = self.estimation_costs_ms
+        out[1 + n :] = self.estimated_times_ms
+        np.divide(out[1:], tau_ms, out=out[1:])
+        np.clip(out[1:], 0.0, TIME_CLIP_BUDGETS, out=out[1:])
+        return out.astype(np.float32)
+
+    @staticmethod
+    def vector_size(n_options: int) -> int:
+        return 1 + 2 * n_options
+
+    @staticmethod
+    def stack_vectors(states: Sequence["MDPState"], tau_ms: float) -> np.ndarray:
+        """Batched :meth:`vector`: one ``(len(states), vector_size)`` matrix.
+
+        Row ``i`` is bit-identical to ``states[i].vector(tau_ms)`` — the
+        same clip/divide operations run element-wise over stacked arrays —
+        so the lockstep planner can feed a whole request frontier to the
+        q-network in a single call.  All states must share one option count.
+        """
+        if tau_ms <= 0:
+            raise ValueError("time budget must be positive")
+        if not states:
+            return np.empty((0, 0), dtype=np.float32)
+        n = states[0].n_options
+        out = np.empty((len(states), 1 + 2 * n), dtype=np.float64)
+        elapsed = np.fromiter(
+            (s.elapsed_ms for s in states), dtype=np.float64, count=len(states)
+        )
+        out[:, 0] = np.minimum(elapsed / tau_ms, TIME_CLIP_BUDGETS)
+        np.clip(
+            np.stack([s.estimation_costs_ms for s in states]) / tau_ms,
+            0.0,
+            TIME_CLIP_BUDGETS,
+            out=out[:, 1 : 1 + n],
+        )
+        np.clip(
+            np.stack([s.estimated_times_ms for s in states]) / tau_ms,
+            0.0,
+            TIME_CLIP_BUDGETS,
+            out=out[:, 1 + n :],
+        )
+        return out.astype(np.float32)
+
+    @staticmethod
+    def initial(estimation_costs_ms: np.ndarray) -> "MDPState":
+        """The paper's initial state ``(0, C_1..C_n, 0..0)``."""
+        n = len(estimation_costs_ms)
+        return MDPState(
+            elapsed_ms=0.0,
+            estimation_costs_ms=np.asarray(estimation_costs_ms, dtype=np.float64),
+            estimated_times_ms=np.zeros(n, dtype=np.float64),
+        )
+
+
+@dataclass(frozen=True)
+class Decision:
+    """The episode's final choice of rewritten query."""
+
+    option_index: int
+    #: Why the episode ended: "viable", "timeout", or "exhausted".
+    reason: str
+
+
+@dataclass(frozen=True)
+class StepResult:
+    """Outcome of one environment step."""
+
+    state: MDPState
+    action: int
+    estimated_ms: float
+    actual_cost_ms: float
+    decision: Decision | None
+
+
+class RewriteEpisode:
+    """Environment for one request: candidate RQs + shared selectivity cache."""
+
+    def __init__(
+        self,
+        database: Database,
+        qte: QueryTimeEstimator,
+        space: RewriteOptionSpace,
+        query: SelectQuery,
+        tau_ms: float,
+        start_elapsed_ms: float = 0.0,
+        cache: SelectivityCache | None = None,
+        update_sibling_costs: bool = True,
+        rewritten_queries: list[SelectQuery] | None = None,
+    ) -> None:
+        if tau_ms <= 0:
+            raise TrainingError("time budget must be positive")
+        self.database = database
+        self.qte = qte
+        self.space = space
+        self.query = query
+        self.tau_ms = tau_ms
+        #: Ablation switch: when False, the estimation costs C_j of
+        #: unexplored options are NOT re-predicted after each step — the
+        #: agent loses the paper's Figure 7 shared-selectivity signal.
+        self.update_sibling_costs = update_sibling_costs
+        self.cache = cache if cache is not None else SelectivityCache()
+        # Callers holding a cross-request build memo (the rewriter) pass the
+        # candidate RQs in; standalone episodes build their own.
+        self.rewritten_queries = (
+            rewritten_queries
+            if rewritten_queries is not None
+            else space.build_all(query, database)
+        )
+        costs = np.array(self.qte.predict_costs(self.rewritten_queries, self.cache))
+        self.state = MDPState.initial(costs)
+        self.state.elapsed_ms = start_elapsed_ms
+
+    # ------------------------------------------------------------------
+    @property
+    def n_options(self) -> int:
+        return len(self.rewritten_queries)
+
+    def remaining(self) -> np.ndarray:
+        return self.state.remaining()
+
+    def probes_for(self, action: int) -> list[Predicate]:
+        """Predicates whose selectivity estimating ``action`` would collect.
+
+        The lockstep planner gathers these across a whole request frontier
+        and hands them to :meth:`QueryTimeEstimator.collect_batch` so the
+        underlying sample counts run as one fused pass; the subsequent
+        :meth:`step` then finds every collection memoized.  Virtual costs
+        are unchanged — the per-request cache is still empty, so the QTE
+        charges the same C_i it would charge sequentially.
+        """
+        rewritten = self.rewritten_queries[action]
+        missing = self.cache.missing(required_attributes(rewritten))
+        if not missing:
+            return []
+        by_column = {p.column: p for p in rewritten.predicates}
+        return [by_column[attribute] for attribute in missing]
+
+    def step(self, action: int) -> StepResult:
+        """Estimate option ``action`` and transition (paper's T function)."""
+        state = self.state
+        if state.explored[action]:
+            raise TrainingError(f"option {action} was already explored")
+        rewritten = self.rewritten_queries[action]
+        outcome = self.qte.estimate(rewritten, self.cache)
+
+        state.elapsed_ms += outcome.cost_ms
+        state.estimated_times_ms[action] = outcome.estimated_ms
+        state.explored[action] = True
+        # Actual cost replaces the prediction for the explored option; the
+        # richer cache re-prices every unexplored option.
+        state.estimation_costs_ms[action] = outcome.cost_ms
+        if self.update_sibling_costs:
+            remaining = state.remaining()
+            if len(remaining):
+                state.estimation_costs_ms[remaining] = self.qte.predict_costs(
+                    [self.rewritten_queries[index] for index in remaining], self.cache
+                )
+
+        decision = self._termination_decision(last_action=action)
+        return StepResult(
+            state=state,
+            action=action,
+            estimated_ms=outcome.estimated_ms,
+            actual_cost_ms=outcome.cost_ms,
+            decision=decision,
+        )
+
+    # ------------------------------------------------------------------
+    def _termination_decision(self, last_action: int | None) -> Decision | None:
+        state = self.state
+        if last_action is not None:
+            projected = state.elapsed_ms + state.estimated_times_ms[last_action]
+            if projected <= self.tau_ms:
+                return Decision(option_index=last_action, reason="viable")
+        if state.elapsed_ms >= self.tau_ms:
+            return Decision(option_index=self._best_explored(), reason="timeout")
+        if not len(state.remaining()):
+            return Decision(option_index=self._best_explored(), reason="exhausted")
+        return None
+
+    def _best_explored(self) -> int:
+        """Fastest-estimated explored option (Algorithm 2 line 12)."""
+        explored = self.state.explored_indices()
+        if not len(explored):
+            # Nothing was estimated (e.g. budget exhausted immediately):
+            # fall back to the first option, which by convention is the
+            # least aggressive rewrite in every factory-built space.
+            return 0
+        times = self.state.estimated_times_ms[explored]
+        return int(explored[int(np.argmin(times))])
+
+    def rewritten(self, option_index: int) -> SelectQuery:
+        return self.rewritten_queries[option_index]
+
+
+class ReferenceAgent:
+    """The per-object action selection of the pre-frontier ``MalivaAgent``."""
+
+    def __init__(self, network, space, tau_ms):
+        self.network = network
+        self.space = space
+        self.tau_ms = tau_ms
+
+    def q_values(self, state: MDPState) -> np.ndarray:
+        return self.network.predict_rows(state.vector(self.tau_ms))[0]
+
+    def best_action(
+        self,
+        state: MDPState,
+        remaining: np.ndarray,
+        vector: np.ndarray | None = None,
+    ) -> int:
+        """Highest-q unexplored option (Algorithm 2 line 5)."""
+        if not len(remaining):
+            raise TrainingError("no remaining options to choose from")
+        q = (
+            self.q_values(state)
+            if vector is None
+            else self.network.predict_rows(vector)[0]
+        )
+        return int(remaining[int(np.argmax(q[remaining]))])
+
+    def epsilon_greedy_action(
+        self,
+        state: MDPState,
+        remaining: np.ndarray,
+        epsilon: float,
+        rng: np.random.Generator,
+        vector: np.ndarray | None = None,
+    ) -> int:
+        """Exploration policy of Algorithm 1 (lines 10-15)."""
+        if not len(remaining):
+            raise TrainingError("no remaining options to choose from")
+        if rng.random() < epsilon:
+            return int(rng.choice(remaining))
+        return self.best_action(state, remaining, vector=vector)
+
+
+def reference_plan(
+    agent: ReferenceAgent,
+    database: Database,
+    qte: QueryTimeEstimator,
+    query: SelectQuery,
+    tau_ms: float | None = None,
+    start_elapsed_ms: float = 0.0,
+    cache: SelectivityCache | None = None,
+    update_sibling_costs: bool = True,
+) -> tuple[RewriteDecision, RewriteEpisode]:
+    """The pre-frontier greedy Algorithm 2 loop over one object episode."""
+    episode = RewriteEpisode(
+        database,
+        qte,
+        agent.space,
+        query,
+        agent.tau_ms if tau_ms is None else tau_ms,
+        start_elapsed_ms=start_elapsed_ms,
+        cache=cache,
+        update_sibling_costs=update_sibling_costs,
+    )
+    n_explored = 0
+    while True:
+        action = agent.best_action(episode.state, episode.remaining())
+        step = episode.step(action)
+        n_explored += 1
+        if step.decision is None:
+            continue
+        option_index = step.decision.option_index
+        decision = RewriteDecision(
+            rewritten=episode.rewritten(option_index),
+            option_index=option_index,
+            option_label=agent.space.option(option_index).label(),
+            planning_ms=episode.state.elapsed_ms - start_elapsed_ms,
+            reason=step.decision.reason,
+            n_explored=n_explored,
+        )
+        return decision, episode
+
+
+# ----------------------------------------------------------------------
+# The pre-tensorization training stack
+# ----------------------------------------------------------------------
 class ReferenceQNetwork:
     """The pre-flat-buffer q-network: per-layer arrays, looped Adam."""
 
@@ -186,9 +532,7 @@ class ReferenceTrainer:
         )
         self._target = self.network.clone()
         self.memory = ReferenceReplayMemory(self.config.replay_capacity)
-        # MalivaAgent only needs predict_rows/input_dim/n_actions — the
-        # reference network is duck-type compatible.
-        self.agent = MalivaAgent(self.network, space, tau_ms)
+        self.agent = ReferenceAgent(self.network, space, tau_ms)
         self._episodes_since_sync = 0
 
     def _default_episode(self, query):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Maliva, MDPState, TrainingConfig
+from repro.core import Maliva, TrainingConfig
+from repro.core.frontier import LockstepFrontier, state_size
 from repro.core.qnetwork import QNetwork
 from repro.core.replay import Transition
 from repro.core.trainer import DQNTrainer
@@ -21,6 +22,7 @@ from repro.qte import AccurateQTE, SamplingQTE, SelectivityCache
 from repro.workloads import TwitterWorkloadGenerator
 
 from ..conftest import TEST_TAU_MS, build_trained_maliva
+from ._reference import MDPState, ReferenceAgent, reference_plan
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +56,33 @@ def test_predict_rows_is_row_stable_across_batch_sizes():
         np.testing.assert_array_equal(batch, full[:size])
 
 
-def test_stack_vectors_rows_match_per_state_vectors():
+def _frontier_holding(maliva: Maliva, query, states, tau_norm: float):
+    """A frontier of ``len(states)`` copies of ``query`` whose rows hold the
+    given reference states."""
+    k = len(states)
+    frontier = LockstepFrontier(
+        space=maliva.space,
+        qte=maliva.qte,
+        queries=[query] * k,
+        taus=[TEST_TAU_MS] * k,
+        rewritten=[maliva.rewriter.candidate_queries(query)] * k,
+        tau_norm=tau_norm,
+    )
+    for row, state in enumerate(states):
+        frontier.elapsed[row] = state.elapsed_ms
+        frontier.costs[row] = state.estimation_costs_ms
+        frontier.times[row] = state.estimated_times_ms
+        frontier.explored[row] = state.explored
+    return frontier
+
+
+def test_stack_vectors_rows_match_per_state_vectors(accurate_maliva, twitter_queries):
+    """The frontier's stacked encoding equals the reference per-state
+    ``vector()`` row by row."""
     rng = np.random.default_rng(1)
     states = []
     for _ in range(17):
-        n = 6
+        n = len(accurate_maliva.space)
         state = MDPState(
             elapsed_ms=float(rng.uniform(0, 500)),
             estimation_costs_ms=rng.uniform(0, 400, n),
@@ -66,12 +90,15 @@ def test_stack_vectors_rows_match_per_state_vectors():
             explored=rng.random(n) < 0.4,
         )
         states.append(state)
-    matrix = MDPState.stack_vectors(states, tau_ms=75.0)
+    frontier = _frontier_holding(accurate_maliva, twitter_queries[0], states, 75.0)
+    matrix = frontier.state_matrix(np.arange(len(states)))
     for row, state in zip(matrix, states):
         np.testing.assert_array_equal(row, state.vector(75.0))
 
 
 def test_choose_batch_matches_best_action(accurate_maliva, twitter_queries):
+    """One q-network pass + the frontier's masked argmax choose what the
+    reference per-state ``best_action`` chooses."""
     agent = accurate_maliva.agent
     rng = np.random.default_rng(5)
     states = []
@@ -88,9 +115,16 @@ def test_choose_batch_matches_best_action(accurate_maliva, twitter_queries):
                 explored=explored,
             )
         )
-    batched = agent.choose_batch(states)
-    sequential = [agent.best_action(state, state.remaining()) for state in states]
-    assert batched == sequential
+    frontier = _frontier_holding(
+        accurate_maliva, twitter_queries[0], states, agent.tau_ms
+    )
+    active = np.arange(len(states))
+    batched = frontier.greedy_actions(
+        active, agent.network.predict_rows(frontier.state_matrix(active))
+    )
+    reference = ReferenceAgent(agent.network, agent.space, agent.tau_ms)
+    sequential = [reference.best_action(state, state.remaining()) for state in states]
+    assert batched.tolist() == sequential
 
 
 # ----------------------------------------------------------------------
@@ -188,12 +222,17 @@ def test_estimate_samples_last_predicate_per_duplicated_column(
 def test_rewrite_batch_bit_identical_to_sequential(
     maliva_fixture, twitter_queries, request
 ):
+    """Lockstep planning decides what the frozen per-object greedy loop
+    (``_reference.reference_plan``) decides for each request alone."""
     maliva = request.getfixturevalue(maliva_fixture)
+    agent = ReferenceAgent(maliva.agent.network, maliva.space, maliva.tau_ms)
     queries = list(twitter_queries[:20])
     taus = [TEST_TAU_MS, 40.0, 90.0, None] * 5
     batched = maliva.rewrite_batch(queries, taus)
     for query, tau, decision in zip(queries, taus, batched):
-        sequential = maliva.rewrite(query, tau_ms=tau)
+        sequential, _ = reference_plan(
+            agent, maliva.database, maliva.qte, query, tau_ms=tau
+        )
         assert decision.option_index == sequential.option_index
         assert decision.option_label == sequential.option_label
         assert decision.planning_ms == sequential.planning_ms
@@ -246,27 +285,20 @@ def test_rewrite_batch_rejects_mismatched_tau_list(accurate_maliva, twitter_quer
         accurate_maliva.rewrite_batch(list(twitter_queries[:3]), [60.0, 60.0])
 
 
-def test_rewrite_batch_falls_back_without_cost_structure(
-    accurate_maliva, twitter_queries
-):
-    qte = accurate_maliva.qte
+def test_cost_structure_is_required():
+    """Every estimator declares the unit-cost shape the frontier prices
+    with: there is no per-request planning path for one that does not."""
+    from repro.qte import QueryTimeEstimator
 
-    class OpaqueQTE(type(qte)):
-        def cost_structure(self):
-            return None
+    class Opaque(QueryTimeEstimator):
+        def predict_cost_ms(self, rewritten, cache):
+            return 1.0
 
-    opaque = OpaqueQTE(accurate_maliva.database, unit_cost_ms=5.0, overhead_ms=1.0)
-    rewriter = accurate_maliva._rewriter
-    original_qte = rewriter.qte
-    rewriter.qte = opaque
-    try:
-        batched = rewriter.rewrite_batch(list(twitter_queries[:5]))
-    finally:
-        rewriter.qte = original_qte
-    sequential = [accurate_maliva.rewrite(q) for q in twitter_queries[:5]]
-    for decision, expected in zip(batched, sequential):
-        assert decision.option_index == expected.option_index
-        assert decision.planning_ms == expected.planning_ms
+        def estimate(self, rewritten, cache):
+            raise AssertionError("never reached")
+
+    with pytest.raises(TypeError, match="cost_structure"):
+        Opaque()
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +327,7 @@ def test_bellman_targets_match_reference_loop(
         config=TrainingConfig(gamma=gamma, seed=3),
     )
     rng = np.random.default_rng(11)
-    dim = MDPState.vector_size(len(hint_space))
+    dim = state_size(len(hint_space))
     batch = []
     for i in range(40):
         mask = rng.random(len(hint_space)) < 0.5

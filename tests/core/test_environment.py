@@ -1,13 +1,19 @@
-"""Environment tests: transitions and termination (paper Section 4.1)."""
+"""Environment tests: transitions and termination (paper Section 4.1).
+
+These pin the behaviour of the frozen per-object episode in
+``_reference.py``; ``test_frontier_reference.py`` pins the production
+frontier to it step by step.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import RewriteEpisode, RewriteOptionSpace
+from repro.core import RewriteOptionSpace
 from repro.errors import TrainingError
 from repro.qte import AccurateQTE
 
 from ..conftest import TWITTER_ATTRS
+from ._reference import RewriteEpisode
 
 
 def make_episode(db, query, tau_ms=1e9, unit_cost_ms=40.0, overhead_ms=2.0):

@@ -7,16 +7,20 @@ Whatever order the agent explores options in:
 * the episode always terminates within n steps,
 * the decision index always refers to an explored option,
 * under a huge budget the first step always terminates ("viable").
+
+The episode is the frozen per-object reference (``_reference.py``), which
+``test_frontier_reference.py`` pins the production frontier to.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RewriteEpisode, RewriteOptionSpace
+from repro.core import RewriteOptionSpace
 from repro.qte import AccurateQTE
 
 from ..conftest import TWITTER_ATTRS
+from ._reference import RewriteEpisode
 
 
 @pytest.fixture(scope="module")

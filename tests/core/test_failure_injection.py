@@ -28,6 +28,9 @@ class GarbageQTE(QueryTimeEstimator):
     def predict_cost_ms(self, rewritten, cache) -> float:
         return self.cost_ms
 
+    def cost_structure(self):
+        return (0.0, self.cost_ms)
+
     def estimate(self, rewritten, cache) -> EstimationOutcome:
         for attribute in required_attributes(rewritten):
             cache.put(attribute, float(self._rng.random()))
@@ -44,6 +47,9 @@ class ConstantQTE(QueryTimeEstimator):
 
     def predict_cost_ms(self, rewritten, cache) -> float:
         return 1.0
+
+    def cost_structure(self):
+        return (0.0, 1.0)
 
     def estimate(self, rewritten, cache) -> EstimationOutcome:
         return EstimationOutcome(estimated_ms=100.0, cost_ms=1.0)

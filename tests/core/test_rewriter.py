@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import MDPQueryRewriter
-from repro.errors import TrainingError
+from repro.core import DQNTrainer, MDPQueryRewriter
+from repro.errors import QueryError, TrainingError
 
 from ..conftest import TEST_TAU_MS
 
@@ -24,22 +24,19 @@ class TestRewrite:
 
     def test_viable_decision_projects_within_budget(self, rewriter, twitter_queries):
         for query in twitter_queries[20:28]:
-            decision, episode = rewriter.plan(query)
+            decision, frontier = rewriter.plan(query)
             if decision.reason == "viable":
                 projected = (
-                    episode.state.elapsed_ms
-                    + episode.state.estimated_times_ms[decision.option_index]
+                    frontier.elapsed[0] + frontier.times[0, decision.option_index]
                 )
                 assert projected <= TEST_TAU_MS + 1e-9
 
     def test_exhausted_returns_minimum_estimate(self, rewriter, twitter_queries):
         for query in twitter_queries[20:30]:
-            decision, episode = rewriter.plan(query)
+            decision, frontier = rewriter.plan(query)
             if decision.reason == "exhausted":
-                explored_times = episode.state.estimated_times_ms[
-                    episode.state.explored
-                ]
-                chosen = episode.state.estimated_times_ms[decision.option_index]
+                explored_times = frontier.times[0][frontier.explored[0]]
+                chosen = frontier.times[0, decision.option_index]
                 assert chosen == pytest.approx(float(explored_times.min()))
 
     def test_candidate_memo_counts_replans(self, rewriter, twitter_queries):
@@ -49,13 +46,44 @@ class TestRewrite:
         assert (stats.name, stats.hits, stats.misses) == ("rq_build", 1, 1)
 
     def test_plan_chaining_preserves_elapsed(self, rewriter, twitter_queries):
-        decision, episode = rewriter.plan(
-            twitter_queries[20], start_elapsed_ms=10.0
+        from repro.qte import SelectivityCache
+
+        decision, frontier = rewriter.plan(
+            twitter_queries[20], start=(10.0, SelectivityCache())
         )
-        assert episode.state.elapsed_ms >= 10.0
+        assert frontier.elapsed[0] >= 10.0
         # Reported planning time excludes the inherited 10 ms.
-        assert decision.planning_ms == pytest.approx(
-            episode.state.elapsed_ms - 10.0
+        assert decision.planning_ms == pytest.approx(frontier.elapsed[0] - 10.0)
+
+
+@pytest.mark.parametrize(
+    "tau_ms", [0.0, -5.0, float("nan")], ids=["zero", "negative", "nan"]
+)
+def test_invalid_budget_is_rejected_on_every_planning_path(
+    trained_maliva, twitter_queries, tau_ms
+):
+    """A budget that is not a positive finite number never reaches the
+    frontier: single, batched and served planning all refuse it, and so
+    does the trainer."""
+    from repro.serving import MalivaService, VizRequest
+
+    query = twitter_queries[20]
+    with pytest.raises(QueryError):
+        trained_maliva.rewrite(query, tau_ms=tau_ms)
+    with pytest.raises(QueryError):
+        trained_maliva.rewrite_batch([query], [tau_ms])
+    with pytest.raises(QueryError):
+        trained_maliva.rewrite_batch([query, query], tau_ms)
+    with pytest.raises(QueryError):
+        MalivaService(trained_maliva).answer_many(
+            [VizRequest(payload=query, tau_ms=tau_ms)]
+        )
+    with pytest.raises(TrainingError):
+        DQNTrainer(
+            trained_maliva.database,
+            trained_maliva.qte,
+            trained_maliva.space,
+            tau_ms,
         )
 
 

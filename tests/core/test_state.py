@@ -1,12 +1,17 @@
-"""MDP state tests: layout, normalization, masks."""
+"""MDP state tests: layout, normalization, masks.
+
+These pin the frozen per-object state in ``_reference.py``;
+``test_frontier_reference.py`` pins the frontier's stacked encoding to it.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MDPState
-from repro.core.state import TIME_CLIP_BUDGETS
+from repro.core import frontier
+
+from ._reference import TIME_CLIP_BUDGETS, MDPState
 
 
 class TestInitialState:
@@ -52,6 +57,9 @@ class TestVector:
     def test_vector_size_helper(self):
         assert MDPState.vector_size(8) == 17
         assert MDPState.vector_size(21) == 43
+        # The production encoding has the same width and clip bound.
+        assert frontier.state_size(21) == MDPState.vector_size(21)
+        assert frontier.TIME_CLIP_BUDGETS == TIME_CLIP_BUDGETS
 
     def test_invalid_tau_raises(self):
         state = MDPState.initial(np.array([1.0]))

@@ -150,36 +150,125 @@ class TestLockstepWaveEquivalence:
         assert_histories_equal(new.train(queries), reference.train(queries))
         assert_replay_equal(new.memory, reference.memory)
 
-    def test_custom_episode_factory_falls_back_to_object_waves(
-        self, twitter_db, hint_space, fast_qte, twitter_queries
+
+class TestFrontierInputs:
+    """What per-object episode factories used to customise is now two
+    frontier inputs — the sibling-repricing switch and per-query start
+    states — and both train exactly as the reference trainer does over
+    reference episodes built the old way."""
+
+    @pytest.mark.parametrize("lockstep", [False, True], ids=["seq", "wave"])
+    def test_repricing_off_matches_reference(
+        self, twitter_db, hint_space, fast_qte, twitter_queries, lockstep
     ):
-        """Ablation-style custom episodes still train in wave mode (the
-        per-object fallback), matching the reference loop."""
-        from repro.core import RewriteEpisode
+        """The Figure 7 ablation (static C_i) matches reference episodes
+        built with ``update_sibling_costs=False``, in both modes."""
+        from ._reference import RewriteEpisode
 
-        def factory_for(trainer):
-            def factory(query):
-                return RewriteEpisode(
-                    trainer.database,
-                    trainer.qte,
-                    trainer.space,
-                    query,
-                    trainer.tau_ms,
-                    update_sibling_costs=False,
-                )
-            return factory
+        def factory(query):
+            return RewriteEpisode(
+                twitter_db,
+                fast_qte,
+                hint_space,
+                query,
+                TEST_TAU_MS,
+                update_sibling_costs=False,
+            )
 
-        config = TrainingConfig(max_epochs=2, seed=9, lockstep=True)
+        config = TrainingConfig(max_epochs=2, seed=9, lockstep=lockstep)
         queries = list(twitter_queries[:8])
-        new = DQNTrainer(twitter_db, fast_qte, hint_space, TEST_TAU_MS, config=config)
-        new._custom_episodes = True
-        new._episode_factory = factory_for(new)
-        reference = ReferenceTrainer(
-            twitter_db, fast_qte, hint_space, TEST_TAU_MS, config=config
+        new = DQNTrainer(
+            twitter_db, fast_qte, hint_space, TEST_TAU_MS,
+            config=config, update_sibling_costs=False,
         )
-        reference._episode_factory = factory_for(reference)
+        reference = ReferenceTrainer(
+            twitter_db, fast_qte, hint_space, TEST_TAU_MS,
+            config=config, episode_factory=factory,
+        )
         assert_histories_equal(new.train(queries), reference.train(queries))
         assert_replay_equal(new.memory, reference.memory)
+        assert_weights_equal(new.network, reference.network)
+
+    def test_two_stage_matches_reference_from_start_states(
+        self, twitter_db, hint_space, fast_qte, twitter_queries
+    ):
+        """Stage two of the two-stage rewriter trains from the states stage
+        one leaves behind exactly as reference episodes started from the
+        reference planner's end states do."""
+        from repro.core import TwoStageRewriter
+        from repro.core.options import RewriteOptionSpace
+        from repro.db import LimitRule
+        from repro.qte import SelectivityCache
+
+        from ..conftest import TWITTER_ATTRS
+        from ._reference import ReferenceAgent, RewriteEpisode, reference_plan
+
+        approx_space = RewriteOptionSpace.approximation_only(
+            TWITTER_ATTRS, [(LimitRule(0.01),), (LimitRule(0.1),)]
+        )
+        config = TrainingConfig(max_epochs=3, seed=3)
+        queries = list(twitter_queries[:15])
+        two_stage = TwoStageRewriter(
+            twitter_db, hint_space, approx_space, fast_qte, TEST_TAU_MS,
+            config=config,
+        )
+        history = two_stage.train(queries)
+
+        stage_one = ReferenceTrainer(
+            twitter_db, fast_qte, hint_space, TEST_TAU_MS, config=config
+        )
+        assert_histories_equal(history.stage_one, stage_one.train(queries))
+        starts = {}
+        for query in queries:
+            decision, episode = reference_plan(
+                stage_one.agent, twitter_db, fast_qte, query
+            )
+            if (
+                decision.reason == "exhausted"
+                and episode.state.elapsed_ms < TEST_TAU_MS
+            ):
+                starts[query.key()] = (
+                    episode.state.elapsed_ms,
+                    episode.cache.collected,
+                )
+        assert starts, "no query reached stage two: the pin would be vacuous"
+
+        def factory(query):
+            elapsed, collected = starts[query.key()]
+            cache = SelectivityCache()
+            for attribute, selectivity in collected.items():
+                cache.put(attribute, selectivity)
+            return RewriteEpisode(
+                twitter_db, fast_qte, approx_space, query, TEST_TAU_MS,
+                start_elapsed_ms=elapsed, cache=cache,
+            )
+
+        stage_two = ReferenceTrainer(
+            twitter_db, fast_qte, approx_space, TEST_TAU_MS,
+            reward=QualityAwareReward(twitter_db, JaccardQuality(), beta=0.5),
+            config=config, episode_factory=factory,
+        )
+        stage_two_queries = [q for q in queries if q.key() in starts]
+        assert_histories_equal(history.stage_two, stage_two.train(stage_two_queries))
+        assert_weights_equal(two_stage._stage_two_trainer.network, stage_two.network)
+        assert_replay_equal(two_stage._stage_two_trainer.memory, stage_two.memory)
+        # Serving chains the same way: stage two plans from stage one's end.
+        stage_two_agent = ReferenceAgent(
+            stage_two.network, approx_space, TEST_TAU_MS
+        )
+        for query in stage_two_queries:
+            elapsed, collected = starts[query.key()]
+            cache = SelectivityCache()
+            for attribute, selectivity in collected.items():
+                cache.put(attribute, selectivity)
+            expected, episode = reference_plan(
+                stage_two_agent, twitter_db, fast_qte, query,
+                start_elapsed_ms=elapsed, cache=cache,
+            )
+            outcome = two_stage.answer(query)
+            assert outcome.option_label == expected.option_label
+            assert outcome.reason == expected.reason
+            assert outcome.planning_ms == episode.state.elapsed_ms
 
 
 class TestFusedValidation:
