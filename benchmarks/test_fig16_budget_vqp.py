@@ -32,7 +32,7 @@ def test_fig16_budget_vqp(benchmark, tau_ms):
             qte=qte,
             queries=[query],
             taus=[tau_ms],
-            rewritten=[setup.space.build_all(query, setup.database)],
+            database=setup.database,
             tau_norm=tau_ms,
         )
         frontier.transition(np.arange(1), np.array([3]))

@@ -15,7 +15,10 @@ stages compose it:
   episode (:meth:`~repro.core.trainer.DQNTrainer.run_episode`) is a
   one-query frontier.
 
-Every per-step transition except the QTE estimate itself runs as one numpy
+The frontier plans on the options' hint sets: a rewritten query (RQ) is
+built only when the agent explores its option (:meth:`rewritten`, kept for
+the frontier's lifetime), and the decision takes that same object.  Every
+per-step transition except the QTE estimate itself runs as one numpy
 operation over the active frontier:
 
 * action scoring: one row-stable q-network pass over
@@ -26,8 +29,9 @@ operation over the active frontier:
 * the transition (:meth:`transition`): E advances by the estimate's actual
   cost Ĉ_i, T_i is filled, and every unexplored option's C_j is re-priced
   as ``overhead + unit × missing`` through a boolean (request, option,
-  column) required-attribute tensor — the paper's "estimating RQ1 changes
-  the costs for estimating RQ5 and RQ7" effect (Figure 7);
+  column) required-attribute tensor, read off the space's hint sets — the
+  paper's "estimating RQ1 changes the costs for estimating RQ5 and RQ7"
+  effect (Figure 7);
 * termination (:meth:`termination`): the last estimate is potentially
   viable (E + T(a) ≤ tau), the budget is exhausted (E ≥ tau), or no
   options remain; the latter two decide the fastest estimated option
@@ -46,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..db import SelectQuery
+from ..db import Database, SelectQuery
 from ..qte import QueryTimeEstimator, SelectivityCache
 from .options import RewriteOptionSpace
 
@@ -74,14 +78,15 @@ class LockstepFrontier:
         qte: QueryTimeEstimator,
         queries: Sequence[SelectQuery],
         taus: Sequence[float],
-        rewritten: Sequence[list[SelectQuery]],
+        database: Database,
         tau_norm: float,
         starts: Sequence[StartState | None] | None = None,
         update_sibling_costs: bool = True,
     ) -> None:
         self.space = space
         self.qte = qte
-        self.unit_cost_ms, self.overhead_ms = qte.cost_structure()
+        #: The catalog rewritten queries are built against.
+        self.database = database
         #: Budget the q-network's state encoding normalizes against (the
         #: agent's training budget; per-request deadlines live in ``taus``).
         self.tau_norm = tau_norm
@@ -94,11 +99,13 @@ class LockstepFrontier:
         n = len(space)
         self.queries = list(queries)
         self.taus = np.asarray(taus, dtype=np.float64)
-        self.rewritten = list(rewritten)
+        self._rewritten: dict[tuple[int, int], SelectQuery] = {}
 
         # Per-request local column indexing (first-occurrence order) and the
         # required-attribute tensor R[i, j, c]: does option j of request i
-        # need the selectivity of local column c?
+        # need the selectivity of local column c?  An RQ hints exactly the
+        # query's filter columns in its option's hint set (RewriteOption.
+        # build), so R is read off the space without building any RQ.
         self.columns: list[list[str]] = []
         self.predicate_of: list[dict[str, object]] = []
         for query in self.queries:
@@ -112,15 +119,11 @@ class LockstepFrontier:
             self.predicate_of.append(by_column)
         m = max((len(columns) for columns in self.columns), default=0)
         self.required = np.zeros((k, n, max(m, 1)), dtype=bool)
-        for i, rqs in enumerate(self.rewritten):
-            col_index = {c: ci for ci, c in enumerate(self.columns[i])}
-            for j, rq in enumerate(rqs):
-                if rq.hints is None:
-                    continue
-                for column in rq.hints.index_on:
-                    ci = col_index.get(column)
-                    if ci is not None:
-                        self.required[i, j, ci] = True
+        hinted = [option.hint_set.index_on for option in space]
+        for i, columns in enumerate(self.columns):
+            self.required[i, :, : len(columns)] = [
+                [column in index_on for column in columns] for index_on in hinted
+            ]
 
         # The paper's initial state (0, C_1..C_n, 0..0), or a start state's
         # elapsed time and (copied) selectivity cache.
@@ -142,6 +145,16 @@ class LockstepFrontier:
 
     def __len__(self) -> int:
         return len(self.queries)
+
+    def rewritten(self, index: int, option: int) -> SelectQuery:
+        """Option ``option`` applied to request ``index``: built the first
+        time the row explores it, then kept for the frontier's lifetime."""
+        key = (index, option)
+        rewritten = self._rewritten.get(key)
+        if rewritten is None:
+            rewritten = self.space.build(self.queries[index], self.database, option)
+            self._rewritten[key] = rewritten
+        return rewritten
 
     # ------------------------------------------------------------------
     # Per-wave steps (composed by the planner and the trainer)
@@ -196,7 +209,7 @@ class LockstepFrontier:
         missing = self.required[active, actions] & ~self.collected[active]
         rows = active.tolist()
         wave: list[tuple[SelectQuery, list]] = [
-            (self.rewritten[i][j], []) for i, j in zip(rows, actions.tolist())
+            (self.rewritten(i, j), []) for i, j in zip(rows, actions.tolist())
         ]
         # Row-major, as in gather_probes: columns ascend within each row.
         for pos, ci in np.argwhere(missing).tolist():
@@ -208,8 +221,8 @@ class LockstepFrontier:
         """Estimate the chosen options and apply the paper's T function."""
         # The QTE estimate is the only remaining per-request step.
         outcomes = [
-            self.qte.estimate(self.rewritten[i][j], self.caches[i])
-            for i, j in zip(active, actions)
+            self.qte.estimate(self.rewritten(i, j), self.caches[i])
+            for i, j in zip(active.tolist(), actions.tolist())
         ]
         step_costs = np.fromiter(
             (outcome.cost_ms for outcome in outcomes),
@@ -248,4 +261,4 @@ class LockstepFrontier:
         """``overhead + unit × |uncollected required attributes|`` for every
         option of ``rows`` against their current caches."""
         counts = (self.required[rows] & ~self.collected[rows][:, None, :]).sum(axis=2)
-        return self.overhead_ms + self.unit_cost_ms * counts.astype(np.float64)
+        return self.qte.estimation_cost_ms(counts.astype(np.float64))

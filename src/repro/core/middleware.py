@@ -9,6 +9,7 @@ the paper's VQP and AQRT metrics measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,8 +64,10 @@ class Maliva:
         reward: RewardFunction | None = None,
         config: TrainingConfig | None = None,
     ) -> None:
-        if tau_ms <= 0:
-            raise TrainingError("time budget must be positive")
+        if not (math.isfinite(tau_ms) and tau_ms > 0):
+            raise TrainingError(
+                f"time budget must be positive and finite, got {tau_ms}"
+            )
         self.database = database
         self.space = space
         self.qte = qte

@@ -43,16 +43,28 @@ class RewriteOption:
         a space built for (text, created_at, coordinates) also serves
         requests that only filter on two of them (a hint for an absent
         attribute is meaningless and dropped, as a real hint-injecting
-        middleware would).
+        middleware would).  A hint-only option attaches the projected hints
+        directly — they always pass :func:`~repro.db.query.apply_hints`
+        validation, and this runs once per explored option on the planning
+        hot path; approximation rules take the validated path.
         """
+        hints = HintSet(
+            index_on=frozenset(self.hint_set.index_on & set(query.filter_attributes)),
+            join_method=self.hint_set.join_method if query.is_join else None,
+        )
+        if not self.rules:
+            return SelectQuery(
+                table=query.table,
+                predicates=query.predicates,
+                output=query.output,
+                group_by=query.group_by,
+                join=query.join,
+                limit=query.limit,
+                hints=hints,
+            )
         rewritten = query
         for rule in self.rules:
             rewritten = rule.apply(rewritten, database)
-        present = set(query.filter_attributes)
-        hints = HintSet(
-            index_on=frozenset(self.hint_set.index_on & present),
-            join_method=self.hint_set.join_method if query.is_join else None,
-        )
         return apply_hints(rewritten, hints)
 
 
@@ -85,41 +97,6 @@ class RewriteOptionSpace:
 
     def build(self, query: SelectQuery, database: Database, index: int) -> SelectQuery:
         return self.options[index].build(query, database)
-
-    def build_all(self, query: SelectQuery, database: Database) -> list[SelectQuery]:
-        """Every option applied to ``query`` (one RQ per option, in order).
-
-        Equivalent to calling :meth:`RewriteOption.build` per option, with
-        the per-query work (filter-attribute set, join check) hoisted out of
-        the loop and the hint attachment constructed directly — hints built
-        by intersection with the present attributes always pass
-        :func:`~repro.db.query.apply_hints` validation, and this runs once
-        per request on the planning hot path.  Options with approximation
-        rules take the generic (validated) path.
-        """
-        present = set(query.filter_attributes)
-        join_method_allowed = query.is_join
-        rewritten_queries = []
-        for option in self.options:
-            if option.rules:
-                rewritten_queries.append(option.build(query, database))
-                continue
-            hints = HintSet(
-                index_on=frozenset(option.hint_set.index_on & present),
-                join_method=option.hint_set.join_method if join_method_allowed else None,
-            )
-            rewritten_queries.append(
-                SelectQuery(
-                    table=query.table,
-                    predicates=query.predicates,
-                    output=query.output,
-                    group_by=query.group_by,
-                    join=query.join,
-                    limit=query.limit,
-                    hints=hints,
-                )
-            )
-        return rewritten_queries
 
     @property
     def hint_only_indices(self) -> tuple[int, ...]:

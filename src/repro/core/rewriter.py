@@ -4,7 +4,9 @@ Given a trained agent, the rewriter plans greedily: at each step it picks
 the unexplored rewritten query with the highest q-value, asks the QTE for
 its time (paying the cost on the virtual clock), and stops as soon as one of
 the termination conditions fires.  The decided rewritten query and the
-planning time spent finding it are returned to the middleware.
+planning time spent finding it are returned to the middleware.  Only the
+options a request explores are ever built into rewritten queries; the
+decision is one of them.
 
 :meth:`MDPQueryRewriter.rewrite_batch` runs the algorithm for many
 requests in lockstep over one :class:`~repro.core.frontier.LockstepFrontier`
@@ -30,11 +32,18 @@ from typing import Sequence
 import numpy as np
 
 from ..db import Database, SelectQuery
-from ..db.caches import CacheStats, InstrumentedCache
 from ..errors import QueryError
 from ..qte import QueryTimeEstimator
 from .agent import MalivaAgent
 from .frontier import LockstepFrontier, StartState
+
+
+def checked_tau(tau_ms: float) -> float:
+    """``tau_ms`` if it is a usable time budget; a budget that is not a
+    positive finite number raises :class:`~repro.errors.QueryError`."""
+    if not (math.isfinite(tau_ms) and tau_ms > 0):
+        raise QueryError(f"time budget must be positive and finite, got {tau_ms}")
+    return tau_ms
 
 
 @dataclass(frozen=True)
@@ -64,36 +73,6 @@ class MDPQueryRewriter:
         self.agent = agent
         self.database = database
         self.qte = qte
-        # Cross-request memo of the candidate rewritten queries per original
-        # query: rebuilding all |Ω| RQs (and re-deriving their cache keys)
-        # dominates episode construction for repeated queries.  Approximation
-        # rules read table statistics and sample cardinalities, so ANY
-        # catalog change conservatively drops the whole memo (rebuilds are
-        # cheap; staleness is not).  Sized to what re-plans the same query:
-        # a training set or a dashboard's views.  On serving traffic the
-        # decision cache answers repeats first, so this memo is reached only
-        # by queries it has not seen, and each entry holds |Ω| SelectQuery
-        # objects — a larger memo only fills up with never-repeated ones.
-        self._build_cache = InstrumentedCache("rq_build", capacity=256)
-        database.add_invalidation_hook(self._on_table_invalidated)
-
-    def _on_table_invalidated(self, table_name: str) -> None:
-        self._build_cache.clear()
-
-    @property
-    def build_cache_stats(self) -> CacheStats:
-        """Hit/miss counters of the candidate-query memo."""
-        return self._build_cache.stats.snapshot()
-
-    def candidate_queries(self, query: SelectQuery) -> list[SelectQuery]:
-        """The option space applied to ``query``, memoized across requests."""
-        key = query.key()
-        cached = self._build_cache.get(key)
-        if cached is not None:
-            return cached
-        rewritten = self.agent.space.build_all(query, self.database)
-        self._build_cache.put(key, rewritten)
-        return rewritten
 
     def plan(
         self,
@@ -157,10 +136,7 @@ class MDPQueryRewriter:
             raise QueryError(
                 f"got {len(taus)} budgets for {n} queries in a planning batch"
             )
-        for tau in taus:
-            if not (math.isfinite(tau) and tau > 0):
-                raise QueryError(f"time budget must be positive and finite, got {tau}")
-        return taus
+        return [checked_tau(tau) for tau in taus]
 
     def _frontier(
         self,
@@ -173,7 +149,7 @@ class MDPQueryRewriter:
             qte=self.qte,
             queries=queries,
             taus=taus,
-            rewritten=[self.candidate_queries(query) for query in queries],
+            database=self.database,
             tau_norm=self.agent.tau_ms,
             starts=starts,
         )
@@ -211,7 +187,7 @@ class MDPQueryRewriter:
                 else:
                     option, reason = int(fallback[pos]), "exhausted"
                 decisions[index] = RewriteDecision(
-                    rewritten=frontier.rewritten[index][option],
+                    rewritten=frontier.rewritten(index, option),
                     option_index=option,
                     option_label=self.agent.space.option(option).label(),
                     planning_ms=float(frontier.elapsed[index]) - start_ms,

@@ -9,7 +9,8 @@ accumulated reward of an epoch stops improving by more than ~1% (the paper's
 convergence criterion) or when ``max_epochs`` is reached.
 
 Episodes step on the one MDP kernel,
-:class:`~repro.core.frontier.LockstepFrontier`.  A sequential episode
+:class:`~repro.core.frontier.LockstepFrontier`, which builds a rewritten
+query only when an episode explores its option.  A sequential episode
 (:meth:`DQNTrainer.run_episode`, the default ``lockstep=False`` mode) is a
 one-query frontier; ``TrainingConfig(lockstep=True)`` is the throughput
 mode, where an epoch's episodes advance together in waves — one row-stable
@@ -37,8 +38,8 @@ trainer (see DESIGN.md §7).
 
 ``train_validated`` implements the paper's hold-out validation protocol:
 train several candidate agents and keep the one with the best viable-query
-percentage on the validation workload.  With several candidates it defaults
-to **fused** shared-work training: one database/QTE/option-space build,
+percentage on the validation workload.  Several candidates always train
+in **fused** shared-work mode: one database/QTE/option-space build,
 candidates advancing wave-synchronized so their selectivity probes pool
 into single ``collect_batch`` sweeps, and validation scored through the
 staged serving pipeline (``MalivaService.answer_many``) instead of
@@ -61,7 +62,7 @@ from .agent import MalivaAgent
 from .frontier import LockstepFrontier, StartState, state_size
 from .options import RewriteOptionSpace
 from .qnetwork import AdamParams, QNetwork
-from .replay import ReplayMemory, Transition
+from .replay import ReplayMemory
 from .reward import EfficiencyReward, EpisodeOutcome, RewardFunction
 
 
@@ -178,21 +179,6 @@ class DQNTrainer:
         self.memory = ReplayMemory(self.config.replay_capacity)
         self.agent = MalivaAgent(self.network, space, tau_ms)
         self._episodes_since_sync = 0
-        # Candidate-RQ memo for the frontier (build_all is deterministic,
-        # so caching it across epochs changes nothing).
-        self._rq_memo: dict[object, list[SelectQuery]] = {}
-        database.add_invalidation_hook(self._on_table_invalidated)
-
-    def _on_table_invalidated(self, table_name: str) -> None:
-        self._rq_memo.clear()
-
-    def _candidates(self, query: SelectQuery) -> list[SelectQuery]:
-        key = query.key()
-        cached = self._rq_memo.get(key)
-        if cached is None:
-            cached = self.space.build_all(query, self.database)
-            self._rq_memo[key] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Public API
@@ -285,7 +271,7 @@ class DQNTrainer:
             qte=self.qte,
             queries=queries,
             taus=[self.tau_ms] * len(queries),
-            rewritten=[self._candidates(query) for query in queries],
+            database=self.database,
             tau_norm=self.tau_ms,
             starts=(
                 None
@@ -327,7 +313,7 @@ class DQNTrainer:
             # the wave's trajectory matches interleaved execution exactly.
             options = np.where(viable, actions, fallback)
             terminal_queries = [
-                frontier.rewritten[int(active[pos])][int(options[pos])]
+                frontier.rewritten(int(active[pos]), int(options[pos]))
                 for pos in finished.nonzero()[0]
             ]
             results = (
@@ -419,16 +405,6 @@ class DQNTrainer:
         best_next = np.where(has_next, masked_max, 0.0)
         return np.where(has_next, rewards + self.config.gamma * best_next, rewards)
 
-    def _bellman_targets(self, batch: list[Transition]) -> np.ndarray:
-        """Bellman targets for a list of transitions (compatibility view of
-        :meth:`_bellman_from_arrays`; the hot path samples arrays)."""
-        return self._bellman_from_arrays(
-            np.fromiter((t.reward for t in batch), dtype=np.float64, count=len(batch)),
-            np.stack([t.next_state for t in batch]),
-            np.stack([t.next_mask for t in batch]),
-            np.fromiter((t.terminal for t in batch), dtype=bool, count=len(batch)),
-        )
-
     def _epsilon_at(self, epoch: int) -> float:
         config = self.config
         if config.epsilon_decay_epochs <= 0:
@@ -452,7 +428,6 @@ def train_validated(
     n_candidates: int = 1,
     reward: RewardFunction | None = None,
     config: TrainingConfig | None = None,
-    fused: bool = True,
 ) -> tuple[MalivaAgent, TrainingHistory]:
     """Hold-out validation: train ``n_candidates`` agents, keep the best.
 
@@ -462,16 +437,14 @@ def train_validated(
     exactly as a bare :meth:`DQNTrainer.train` call would (the bit-identical
     default path).
 
-    With several candidates and ``fused=True`` (the default), candidates
-    train in **shared-work mode**: all K trainers advance their lockstep
-    epochs wave-synchronized over the one database/QTE/option-space build,
-    pooling every wave's selectivity probes into a single
-    :meth:`collect_batch` sweep across candidates, and validation runs
-    through the staged batch-serving pipeline
+    With several candidates, they train in **shared-work mode**: all K
+    trainers advance their lockstep epochs wave-synchronized over the one
+    database/QTE/option-space build, pooling every wave's selectivity
+    probes into a single :meth:`collect_batch` sweep across candidates, and
+    validation runs through the staged batch-serving pipeline
     (:meth:`MalivaService.answer_many`) instead of per-query episodes.
     Each candidate's trajectory matches what its solo ``lockstep=True``
-    training would produce (probe fusion is value-transparent); pass
-    ``fused=False`` for the fully sequential per-candidate protocol.
+    training would produce (probe fusion is value-transparent).
     """
     if n_candidates < 1:
         raise TrainingError("need at least one candidate agent")
@@ -492,44 +465,23 @@ def train_validated(
         history = trainer.train(train_queries)
         return trainer.agent, history
 
-    if fused:
-        trainers = [
-            DQNTrainer(
-                database,
-                qte,
-                space,
-                tau_ms,
-                reward=reward,
-                config=replace(candidate_config(candidate), lockstep=True),
-            )
-            for candidate in range(n_candidates)
-        ]
-        histories = _train_candidates_fused(trainers, train_queries)
-        scores = [
-            _validation_vqp_batched(trainer, validation_queries)
-            for trainer in trainers
-        ]
-        best = int(np.argmax(scores))
-        return trainers[best].agent, histories[best]
-
-    best_pair: tuple[MalivaAgent, TrainingHistory] | None = None
-    best_score = -np.inf
-    for candidate in range(n_candidates):
-        trainer = DQNTrainer(
+    trainers = [
+        DQNTrainer(
             database,
             qte,
             space,
             tau_ms,
             reward=reward,
-            config=candidate_config(candidate),
+            config=replace(candidate_config(candidate), lockstep=True),
         )
-        history = trainer.train(train_queries)
-        score = _validation_vqp(trainer, validation_queries)
-        if score > best_score:
-            best_score = score
-            best_pair = (trainer.agent, history)
-    assert best_pair is not None
-    return best_pair
+        for candidate in range(n_candidates)
+    ]
+    histories = _train_candidates_fused(trainers, train_queries)
+    scores = [
+        _validation_vqp_batched(trainer, validation_queries) for trainer in trainers
+    ]
+    best = int(np.argmax(scores))
+    return trainers[best].agent, histories[best]
 
 
 def _train_candidates_fused(
@@ -601,15 +553,6 @@ def _train_candidates_fused(
         # the whole run (the quantity an operator actually waited for).
         history.training_seconds = elapsed
     return histories
-
-
-def _validation_vqp(trainer: DQNTrainer, queries: Sequence[SelectQuery]) -> float:
-    """Greedy (epsilon = 0) viable-query percentage on a validation set."""
-    viable = 0
-    for query in queries:
-        _, was_viable = trainer.run_episode(query, epsilon=0.0, learn=False)
-        viable += int(was_viable)
-    return viable / max(1, len(queries))
 
 
 def _validation_vqp_batched(

@@ -53,10 +53,6 @@ class AccurateQTE(QueryTimeEstimator):
     def _on_table_invalidated(self, table_name: str) -> None:
         self.invalidate()
 
-    def predict_cost_ms(self, rewritten: SelectQuery, cache: SelectivityCache) -> float:
-        missing = cache.missing(required_attributes(rewritten))
-        return self.overhead_ms + self.unit_cost_ms * len(missing)
-
     def cost_structure(self) -> tuple[float, float]:
         return (self.unit_cost_ms, self.overhead_ms)
 
@@ -65,7 +61,7 @@ class AccurateQTE(QueryTimeEstimator):
     ) -> EstimationOutcome:
         needed = required_attributes(rewritten)
         missing = cache.missing(needed)
-        cost_ms = self.overhead_ms + self.unit_cost_ms * len(missing)
+        cost_ms = self.estimation_cost_ms(len(missing))
         by_column = {p.column: p for p in rewritten.predicates}
         for attribute in missing:
             cache.put(

@@ -29,38 +29,6 @@ class EstimationOutcome:
     cost_ms: float
 
 
-def unit_cost_predictions(
-    rewritten_queries: Sequence[SelectQuery],
-    cache: SelectivityCache,
-    unit_cost_ms: float,
-    overhead_ms: float,
-) -> list[float]:
-    """Fused cost prediction for per-condition estimators.
-
-    Identical arithmetic to ``overhead_ms + unit_cost_ms *
-    len(cache.missing(required_attributes(rq)))`` per query, with the set
-    constructions inlined — this runs for every unexplored option after
-    every MDP step, across the whole planning frontier.
-    """
-    collected = cache.collected_keys
-    costs: list[float] = []
-    for rewritten in rewritten_queries:
-        hints = rewritten.hints
-        if hints is None:
-            costs.append(overhead_ms)
-            continue
-        index_on = hints.index_on
-        missing = 0
-        seen: list[str] = []
-        for predicate in rewritten.predicates:
-            column = predicate.column
-            if column in index_on and column not in collected and column not in seen:
-                missing += 1
-                seen.append(column)
-        costs.append(overhead_ms + unit_cost_ms * missing)
-    return costs
-
-
 def required_attributes(rewritten: SelectQuery) -> frozenset[str]:
     """Filter attributes whose selectivity the QTE must collect for ``rewritten``.
 
@@ -80,13 +48,12 @@ class QueryTimeEstimator(ABC):
 
     name: str = "qte"
 
-    @abstractmethod
     def predict_cost_ms(self, rewritten: SelectQuery, cache: SelectivityCache) -> float:
-        """Predicted cost of estimating ``rewritten`` given what is cached.
-
-        Used to fill the MDP state's estimation-cost entries C_i; must not
-        mutate the cache.
-        """
+        """Predicted cost of estimating ``rewritten`` given what is cached:
+        :meth:`estimation_cost_ms` of its uncollected required attributes.
+        Does not mutate the cache."""
+        missing = cache.missing(required_attributes(rewritten))
+        return self.estimation_cost_ms(len(missing))
 
     @abstractmethod
     def estimate(
@@ -108,16 +75,18 @@ class QueryTimeEstimator(ABC):
         declares ``(0.0, cost_ms)``.
         """
 
+    def estimation_cost_ms(self, n_uncollected):
+        """``overhead + unit × n_uncollected``: the cost of one estimate that
+        must collect ``n_uncollected`` selectivities (element-wise over an
+        array of counts — the frontier prices whole matrices with it)."""
+        unit_cost_ms, overhead_ms = self.cost_structure()
+        return overhead_ms + unit_cost_ms * n_uncollected
+
     def predict_costs(
         self, rewritten_queries: Sequence[SelectQuery], cache: SelectivityCache
     ) -> list[float]:
-        """Batched :meth:`predict_cost_ms` over several rewritten queries,
-        through the fused :meth:`cost_structure` pass (values identical to
-        per-query :meth:`predict_cost_ms` calls)."""
-        unit_cost_ms, overhead_ms = self.cost_structure()
-        return unit_cost_predictions(
-            rewritten_queries, cache, unit_cost_ms, overhead_ms
-        )
+        """:meth:`predict_cost_ms` over several rewritten queries."""
+        return [self.predict_cost_ms(rq, cache) for rq in rewritten_queries]
 
     def collect_batch(self, probes: Sequence["Predicate"]) -> None:
         """Pre-collect many selectivity probes ahead of :meth:`estimate`.

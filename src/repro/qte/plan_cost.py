@@ -61,9 +61,6 @@ class PlanCostQTE(QueryTimeEstimator):
     def is_fitted(self) -> bool:
         return self._log_scale is not None
 
-    def predict_cost_ms(self, rewritten: SelectQuery, cache: SelectivityCache) -> float:
-        return self.cost_ms
-
     def cost_structure(self) -> tuple[float, float]:
         # Constant cost: a unit-cost structure with a zero per-condition term.
         return (0.0, self.cost_ms)

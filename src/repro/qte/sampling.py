@@ -25,7 +25,7 @@ from ..db import Database, SelectQuery
 from ..db.caches import CacheStats, InstrumentedCache
 from ..db.predicates import Predicate
 from ..errors import EstimationError
-from .base import EstimationOutcome, QueryTimeEstimator, required_attributes
+from .base import EstimationOutcome, QueryTimeEstimator
 from .fused import fused_predicate_counts
 from .selectivity import SelectivityCache
 
@@ -70,10 +70,6 @@ class SamplingQTE(QueryTimeEstimator):
     # ------------------------------------------------------------------
     # QTE protocol
     # ------------------------------------------------------------------
-    def predict_cost_ms(self, rewritten: SelectQuery, cache: SelectivityCache) -> float:
-        missing = cache.missing(required_attributes(rewritten))
-        return self.overhead_ms + self.unit_cost_ms * len(missing)
-
     def cost_structure(self) -> tuple[float, float]:
         return (self.unit_cost_ms, self.overhead_ms)
 

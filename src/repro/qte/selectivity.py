@@ -39,8 +39,8 @@ class SelectivityCache:
     def collected_keys(self):
         """Live, read-only view of the collected attribute names.
 
-        Cost predictors probe membership here once per unexplored option per
-        MDP step; the view avoids re-copying the dict on that hot path.
+        Estimators probe membership here once per MDP step; the view avoids
+        re-copying the dict on that hot path.
         """
         return self._values.keys()
 

@@ -191,11 +191,14 @@ class AsyncMalivaService:
         Applies backpressure when the session's queue is full, charges the
         estimated virtual cost to admission while queued, and raises the
         request's :class:`~repro.errors.ServiceOverloadError` if admission
-        sheds it at batch time.
+        sheds it at batch time.  An unusable budget raises
+        :class:`~repro.errors.QueryError` here, before the request is
+        queued, so it cannot fail the chunk it would have joined.
         """
         if self._closed:
             raise QueryError("async service is closed")
         service = self._service
+        tau_ms = service.effective_tau(request)
         session = request.effective_session()
         waited = False
         while self._session_depth.get(session, 0) >= self.session_queue_limit:
@@ -207,7 +210,6 @@ class AsyncMalivaService:
             await event.wait()
             if self._closed:
                 raise QueryError("async service is closed")
-        tau_ms = request.effective_tau(service.default_tau_ms)
         cost_ms = 0.0
         if service.admission is not None:
             cost_ms = service.admission.estimated_cost_ms(tau_ms)

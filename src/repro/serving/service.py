@@ -48,6 +48,7 @@ import time
 from typing import Iterable, Iterator, Sequence
 
 from ..core.middleware import Maliva, RequestOutcome
+from ..core.rewriter import checked_tau
 from ..db import SelectQuery
 from ..db.caches import CacheStatsReport, InstrumentedCache
 from ..errors import QueryError, ServiceOverloadError
@@ -173,7 +174,9 @@ class MalivaService:
         #: same request object appears twice in one chunk.
         self._shed_indexes: list[int] = []
         self.translator = translator
-        self.default_tau_ms = default_tau_ms if default_tau_ms is not None else maliva.tau_ms
+        self.default_tau_ms = checked_tau(
+            default_tau_ms if default_tau_ms is not None else maliva.tau_ms
+        )
         self.scheduler = scheduler or SessionAffinityScheduler()
         self.quality_fn = quality_fn
         self.stream_batch_size = stream_batch_size
@@ -207,7 +210,18 @@ class MalivaService:
             query = self.translator.to_query(payload)
         else:
             raise QueryError(f"unsupported request payload {type(payload).__name__}")
-        return query, request.effective_tau(self.default_tau_ms)
+        return query, self.effective_tau(request)
+
+    def effective_tau(self, request: VizRequest) -> float:
+        """The request's deadline — its own, its payload's, or the service
+        default — checked once, before admission and dispatch.
+
+        A budget that is not a positive finite number raises
+        :class:`~repro.errors.QueryError` here, with no side effects: a
+        fleet replica that refused it instead would read as a faulting
+        worker, and its journal would replay the request onto the next one.
+        """
+        return checked_tau(request.effective_tau(self.default_tau_ms))
 
     # ------------------------------------------------------------------
     # Serving
@@ -278,11 +292,12 @@ class MalivaService:
         before admission starts.
         """
         assert self.admission is not None
+        # Every budget is checked before any is admitted (and charged).
+        taus = [self.effective_tau(request) for request in requests]
         admitted: list[VizRequest] = []
         charges: list[float] = []
         degraded: list[bool] = []
-        for position, request in enumerate(requests):
-            tau_ms = request.effective_tau(self.default_tau_ms)
+        for position, (request, tau_ms) in enumerate(zip(requests, taus)):
             verdict = self.admission.admit(tau_ms)
             if not verdict.admitted:
                 error = ServiceOverloadError(
@@ -581,7 +596,6 @@ class MalivaService:
         return {
             "service": self.stats.to_dict(),
             "decision_cache": self._decision_cache.stats.to_dict(),
-            "rq_build_cache": self.maliva.rewriter.build_cache_stats.to_dict(),
             "engine_caches": engine.to_dict(),
             "engine_hit_rate": engine.hit_rate,
             "engine_maintenance": self.maliva.database.maintenance.to_dict(),

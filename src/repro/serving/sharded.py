@@ -188,7 +188,9 @@ class ScatterExecute(ExecuteStage):
     def report(self) -> dict:
         if self._closed:
             return {}
-        deadline_s = self._fleet.call_deadline_s()
+        # A stats probe is a lifecycle op: the setup deadline, not a
+        # request's (fleet.py's deadline classes).
+        deadline_s = self._fleet.setup_deadline_s()
         return {
             "shard_caches": {
                 str(slot.shard_id): stats.to_dict()

@@ -21,6 +21,11 @@ Algorithm 1/2 termination rules), the agent's action selection
 (:func:`reference_plan`).  ``tests/core/test_frontier_reference.py`` pins
 the frontier against them step by step.
 
+Last, two scorers the production trainer no longer carries:
+:func:`_validation_vqp`, the sequential greedy-episode hold-out score the
+batched ``_validation_vqp_batched`` must equal, and :func:`_bellman_targets`,
+the list-of-``Transition`` view of ``DQNTrainer._bellman_from_arrays``.
+
 Do not "modernize" this module: its value is that it does NOT change when
 the production trainer does.
 """
@@ -203,7 +208,7 @@ class RewriteEpisode:
         self.rewritten_queries = (
             rewritten_queries
             if rewritten_queries is not None
-            else space.build_all(query, database)
+            else [space.build(query, database, i) for i in range(len(space))]
         )
         costs = np.array(self.qte.predict_costs(self.rewritten_queries, self.cache))
         self.state = MDPState.initial(costs)
@@ -749,3 +754,25 @@ class ReferenceTrainer:
             config.epsilon_end - config.epsilon_start
         )
 
+
+# ----------------------------------------------------------------------
+# Scorers moved out of the production trainer
+# ----------------------------------------------------------------------
+def _validation_vqp(trainer, queries: Sequence[SelectQuery]) -> float:
+    """Greedy (epsilon = 0) viable-query percentage on a validation set."""
+    viable = 0
+    for query in queries:
+        _, was_viable = trainer.run_episode(query, epsilon=0.0, learn=False)
+        viable += int(was_viable)
+    return viable / max(1, len(queries))
+
+
+def _bellman_targets(trainer, batch: list[Transition]) -> np.ndarray:
+    """Bellman targets for a list of transitions (compatibility view of
+    :meth:`_bellman_from_arrays`; the hot path samples arrays)."""
+    return trainer._bellman_from_arrays(
+        np.fromiter((t.reward for t in batch), dtype=np.float64, count=len(batch)),
+        np.stack([t.next_state for t in batch]),
+        np.stack([t.next_mask for t in batch]),
+        np.fromiter((t.terminal for t in batch), dtype=bool, count=len(batch)),
+    )

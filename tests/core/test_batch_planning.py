@@ -22,7 +22,7 @@ from repro.qte import AccurateQTE, SamplingQTE, SelectivityCache
 from repro.workloads import TwitterWorkloadGenerator
 
 from ..conftest import TEST_TAU_MS, build_trained_maliva
-from ._reference import MDPState, ReferenceAgent, reference_plan
+from ._reference import MDPState, ReferenceAgent, _bellman_targets, reference_plan
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def _frontier_holding(maliva: Maliva, query, states, tau_norm: float):
         qte=maliva.qte,
         queries=[query] * k,
         taus=[TEST_TAU_MS] * k,
-        rewritten=[maliva.rewriter.candidate_queries(query)] * k,
+        database=maliva.database,
         tau_norm=tau_norm,
     )
     for row, state in enumerate(states):
@@ -160,7 +160,10 @@ def test_predict_costs_matches_per_query_costs(
 ):
     qte = AccurateQTE(twitter_db, unit_cost_ms=5.0, overhead_ms=1.0)
     cache = SelectivityCache()
-    rewritten = hint_space.build_all(twitter_queries[0], twitter_db)
+    rewritten = [
+        hint_space.build(twitter_queries[0], twitter_db, i)
+        for i in range(len(hint_space))
+    ]
     assert qte.predict_costs(rewritten, cache) == [
         qte.predict_cost_ms(rq, cache) for rq in rewritten
     ]
@@ -193,7 +196,9 @@ def test_estimate_samples_last_predicate_per_duplicated_column(
     qte.fit(
         [hint_space.build(q, twitter_db, i) for q in twitter_queries[:4] for i in range(8)]
     )
-    rewritten = hint_space.build_all(duplicated, twitter_db)
+    rewritten = [
+        hint_space.build(duplicated, twitter_db, i) for i in range(len(hint_space))
+    ]
     hinted = next(
         rq
         for rq in rewritten
@@ -344,7 +349,7 @@ def test_bellman_targets_match_reference_loop(
             )
         )
     np.testing.assert_array_equal(
-        trainer._bellman_targets(batch), _reference_bellman(trainer, batch)
+        _bellman_targets(trainer, batch), _reference_bellman(trainer, batch)
     )
 
 

@@ -75,7 +75,7 @@ def test_one_query_frontier_steps_like_reference_episode(
         qte=qte,
         queries=[query],
         taus=[tau],
-        rewritten=[space.build_all(query, database)],
+        database=database,
         tau_norm=60.0,
         starts=[(start_elapsed, cache)],
         update_sibling_costs=reprice,

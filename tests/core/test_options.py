@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import RewriteOption, RewriteOptionSpace
-from repro.db import HintSet, LimitRule
+from repro.db import HintSet, LimitRule, apply_hints
 from repro.errors import QueryError
+from repro.workloads import TwitterJoinWorkloadGenerator
 
 from ..conftest import TWITTER_ATTRS
 
@@ -74,6 +75,26 @@ class TestBuild:
             rewritten = hint_space.build(query, twitter_db, index)
             assert rewritten.hints is not None
             assert rewritten.hints.index_on == option.hint_set.index_on
+
+    def test_hint_only_build_equals_validated_path(self, twitter_db, twitter_queries):
+        """A hint-only option attaches its projected hints directly; the
+        result equals what ``apply_hints`` (the validated path) returns."""
+        joins = TwitterJoinWorkloadGenerator(twitter_db, seed=8).generate(4)
+        spaces = [
+            RewriteOptionSpace.hint_subsets(TWITTER_ATTRS),
+            RewriteOptionSpace.join_space(TWITTER_ATTRS, include_no_index=True),
+        ]
+        for query in [*twitter_queries[:6], *joins]:
+            present = set(query.filter_attributes)
+            for space in spaces:
+                for option in space:
+                    hints = HintSet(
+                        index_on=frozenset(option.hint_set.index_on & present),
+                        join_method=(
+                            option.hint_set.join_method if query.is_join else None
+                        ),
+                    )
+                    assert option.build(query, twitter_db) == apply_hints(query, hints)
 
     def test_build_applies_rules_then_hints(self, twitter_db, twitter_queries):
         base = RewriteOptionSpace.hint_subsets(TWITTER_ATTRS)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DQNTrainer, MDPQueryRewriter
+from repro.core import DQNTrainer, MDPQueryRewriter, RewriteOption
 from repro.errors import QueryError, TrainingError
 
 from ..conftest import TEST_TAU_MS
@@ -39,11 +39,29 @@ class TestRewrite:
                 chosen = frontier.times[0, decision.option_index]
                 assert chosen == pytest.approx(float(explored_times.min()))
 
-    def test_candidate_memo_counts_replans(self, rewriter, twitter_queries):
-        first = rewriter.candidate_queries(twitter_queries[20])
-        assert rewriter.candidate_queries(twitter_queries[20]) is first
-        stats = rewriter.build_cache_stats
-        assert (stats.name, stats.hits, stats.misses) == ("rq_build", 1, 1)
+    def test_only_explored_options_are_built(
+        self, rewriter, twitter_db, twitter_queries, monkeypatch
+    ):
+        """The frontier plans on hint sets: planning builds one rewritten
+        query per explored option, and the decision is one of them."""
+        builds = []
+        build = RewriteOption.build
+
+        def counting_build(option, query, database):
+            builds.append(option)
+            return build(option, query, database)
+
+        monkeypatch.setattr(RewriteOption, "build", counting_build)
+        queries = list(twitter_queries[20:32])
+        decisions = rewriter.rewrite_batch(queries)
+        monkeypatch.undo()
+        space = rewriter.agent.space
+        n_explored = sum(decision.n_explored for decision in decisions)
+        assert len(builds) == n_explored < len(queries) * len(space)
+        for query, decision in zip(queries, decisions):
+            assert decision.rewritten == space.build(
+                query, twitter_db, decision.option_index
+            )
 
     def test_plan_chaining_preserves_elapsed(self, rewriter, twitter_queries):
         from repro.qte import SelectivityCache

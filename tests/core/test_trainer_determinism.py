@@ -23,15 +23,11 @@ from repro.core import (
     QualityAwareReward,
     TrainingConfig,
 )
-from repro.core.trainer import (
-    _validation_vqp,
-    _validation_vqp_batched,
-    train_validated,
-)
+from repro.core.trainer import _validation_vqp_batched, train_validated
 from repro.viz import JaccardQuality
 
 from ..conftest import TEST_TAU_MS
-from ._reference import ReferenceTrainer
+from ._reference import ReferenceTrainer, _validation_vqp
 
 SEEDS = (3, 7, 11)
 

@@ -130,7 +130,13 @@ def test_selectivity_box_matches_numpy_reference(points):
 def _fitted_case(database, attributes, sample, space, queries):
     """``(fitted QTE, option space, queries)`` for one workload."""
     qte = SamplingQTE(database, attributes, sample)
-    qte.fit([rq for query in queries[:5] for rq in space.build_all(query, database)])
+    qte.fit(
+        [
+            space.build(query, database, i)
+            for query in queries[:5]
+            for i in range(len(space))
+        ]
+    )
     return qte, space, queries
 
 
@@ -172,7 +178,8 @@ def test_estimate_matches_reference_for_every_collected_subset(request, case):
                 column: qte._sample_selectivity(by_column[column])
                 for column in collected
             }
-            for rewritten in space.build_all(query, qte._db):
+            for index in range(len(space)):
+                rewritten = space.build(query, qte._db, index)
                 ours, theirs = SelectivityCache(), SelectivityCache()
                 for column, selectivity in selectivities.items():
                     ours.put(column, selectivity)

@@ -24,7 +24,7 @@ def space() -> RewriteOptionSpace:
 def rqs(request, space):
     twitter_db = request.getfixturevalue("twitter_db")
     twitter_queries = request.getfixturevalue("twitter_queries")
-    return space.build_all(twitter_queries[0], twitter_db)
+    return [space.build(twitter_queries[0], twitter_db, i) for i in range(len(space))]
 
 
 class TestSelectivityCache:

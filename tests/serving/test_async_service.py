@@ -330,6 +330,32 @@ def test_failing_chunk_fails_only_its_own_requests(async_twins):
     assert len(service.stats.records) == 9
 
 
+def test_bad_budget_is_refused_at_submit(async_twins):
+    """An unusable budget is refused when submitted, before it is queued:
+    the requests that would have shared its chunk are all served."""
+    _, maliva, stream = async_twins
+    service = MalivaService(
+        maliva, translator=TWITTER_TRANSLATOR, stream_batch_size=4
+    )
+    good = [
+        dataclasses.replace(request, session_id="good") for request in stream[:3]
+    ]
+    bad = dataclasses.replace(stream[3], session_id="bad", tau_ms=float("nan"))
+
+    async def scenario():
+        async with AsyncMalivaService(service) as tier:
+            return await asyncio.gather(
+                tier.submit(bad),
+                *(tier.submit(request) for request in good),
+                return_exceptions=True,
+            )
+
+    results = asyncio.run(scenario())
+    assert isinstance(results[0], QueryError)
+    assert all(result.result is not None for result in results[1:])
+    assert len(service.stats.records) == 3
+
+
 def test_reset_stats_clears_async_window_counters(async_twins):
     """reset_stats() replaces the stats object wholesale, so the async
     tier's queue-depth peak and backpressure-wait counters restart too."""

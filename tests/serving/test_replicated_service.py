@@ -28,6 +28,7 @@ from repro.serving import (
     DispatchExecute,
     FifoScheduler,
     MalivaService,
+    ScatterExecute,
     SessionAffinityScheduler,
 )
 from repro.serving.faults import FaultPlan, FaultSpec, WorkerFault
@@ -453,6 +454,44 @@ def test_replicated_validation(repl_twins):
             quality_fn=lambda *args: 1.0,
             execute=DispatchExecute(processes=False),
         )
+
+
+BAD_BUDGETS = [0.0, -5.0, float("nan")]
+
+
+@pytest.mark.parametrize("tau_ms", BAD_BUDGETS, ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("stage", ["local", "scatter", "dispatch"])
+def test_bad_budget_is_refused_before_dispatch(repl_twins, stage, tau_ms):
+    """One request with an unusable budget fails its batch with the
+    single engine's QueryError, before admission and dispatch: no worker
+    or router dies for it, and the next batch is served by the fleet."""
+    _, repl_maliva, stream = repl_twins
+    # An explicit empty fault plan keeps the chaos pass out of the counts.
+    execute = {
+        "local": lambda: None,
+        "scatter": lambda: ScatterExecute(
+            n_shards=2, processes=False, fault_plan=FaultPlan()
+        ),
+        "dispatch": lambda: DispatchExecute(
+            n_routers=2, processes=False, fault_plan=FaultPlan()
+        ),
+    }[stage]()
+    service = MalivaService(
+        repl_maliva, translator=TWITTER_TRANSLATOR, execute=execute
+    )
+    batch = list(stream[:5])
+    batch[2] = dataclasses.replace(batch[2], tau_ms=tau_ms)
+    with service:
+        with pytest.raises(QueryError, match="time budget"):
+            service.answer_many(batch)
+        assert len(service.answer_many(stream[:5])) == 5
+        shards, routers = service.stats.shards, service.stats.routers
+        if shards is not None:
+            assert shards.n_worker_deaths == 0
+        if routers is not None:
+            assert routers.n_router_deaths == 0
+            assert routers.n_local == 0
+            assert routers.n_dispatched == 5
 
 
 def test_reset_stats_resets_fleet_window(repl_twins):

@@ -317,8 +317,8 @@ def test_submit_failure_also_recovers(twins):
 
 def test_planning_stays_on_the_router():
     """Shard workers only execute: their op table has no planning op, no
-    fault can target one, and a cold stream moves the *router's* QTE memos
-    and rewrite build cache."""
+    fault can target one, and a cold stream moves the *router's* QTE
+    memo."""
     from repro.serving.faults import FaultSpec
     from repro.serving.sharded import shard_ops
 
@@ -340,7 +340,7 @@ def test_planning_stays_on_the_router():
     )
 
     def lookups(report):
-        caches = [report["rq_build_cache"], *report["qte_caches"].values()]
+        caches = list(report["qte_caches"].values())
         return [cache["hits"] + cache["misses"] for cache in caches]
 
     with sharded:
@@ -349,8 +349,31 @@ def test_planning_stays_on_the_router():
             single.answer_many(stream), sharded.answer_many(stream)
         )
         after = lookups(sharded.report())
-    assert len(before) > 1  # the build cache and the QTE selectivity memo
+    assert len(before) == 1  # the QTE selectivity memo
     assert all(now > then for then, now in zip(before, after))
+
+
+def test_report_probes_shard_caches_under_the_setup_deadline(twins, monkeypatch):
+    """A stats probe is a lifecycle op: it gets the fleet's setup deadline,
+    not a request's."""
+    from repro.serving.faults import FaultPlan
+    from repro.serving.sharded import ShardHandle
+
+    _single, sharded_maliva, _stream = twins
+    deadlines = []
+    cache_stats = ShardHandle.cache_stats
+
+    def recording_cache_stats(handle, deadline_s=None):
+        deadlines.append(deadline_s)
+        return cache_stats(handle, deadline_s)
+
+    monkeypatch.setattr(ShardHandle, "cache_stats", recording_cache_stats)
+    stage = ScatterExecute(n_shards=2, processes=False, fault_plan=FaultPlan())
+    with MalivaService(sharded_maliva, execute=stage) as sharded:
+        assert set(sharded.report()["shard_caches"]) == {"0", "1"}
+        fleet = stage._fleet
+        assert fleet.setup_deadline_s() != fleet.call_deadline_s()
+        assert deadlines == [fleet.setup_deadline_s()] * 2
 
 
 def test_closed_service_refuses_work(twins):
