@@ -15,7 +15,11 @@ post-batch cache state — while doing the underlying computation once per
   representation) is built at most once per batch and lives in the batch:
   the match cache keeps only the compact one-array form;
 * **scan memoization** — requests whose plans share the same (scan, join,
-  limit) pipeline reuse the selected rows and their work counters;
+  limit) pipeline reuse the selected rows, their work counters, their
+  base-table row ids and their histograms (one :class:`ScanResult`).  A
+  pipeline computed again in a later batch is promoted into the engine's
+  byte-bounded ``scan_memo`` (admission on second sighting), so a repeated
+  view skips the intersect / binning / id-mapping math across batches too;
 * **fused aggregation** — all histograms over the same (table, BIN_ID cell
   grid) are counted in one ``bin_counts_many`` sweep against the table's
   shared :class:`~repro.db.binning.BinLayout`.
@@ -44,7 +48,7 @@ bit-identical, for every profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -74,7 +78,8 @@ class BatchSharingStats:
     n_plan_groups: int = 0
     #: Distinct (scan, join, limit) pipelines actually executed.
     n_distinct_scans: int = 0
-    #: Requests whose row selection came from the batch scan memo.
+    #: Requests whose row selection came from a scan memo: the batch's own,
+    #: or the engine's ``scan_memo`` of pipelines earlier batches computed.
     shared_scans: int = 0
     #: Distinct index probes computed for this batch ...
     n_probes_computed: int = 0
@@ -184,6 +189,54 @@ class _BatchAccess(EngineAccess):
         return rowset
 
 
+#: Estimated bytes of one histogram bin (dict slot, int key, float value)
+#: and of a :class:`ScanResult`'s fixed part (counters dict, the object).
+_BIN_BYTES = 96
+_RESULT_BYTES = 512
+
+
+def _read_only(ids: np.ndarray) -> np.ndarray:
+    """A read-only view of ``ids``: memoized arrays are handed to many
+    requests, so a caller writing into one must fail, not corrupt them."""
+    if not ids.flags.writeable:
+        return ids
+    view = ids.view()
+    view.setflags(write=False)
+    return view
+
+
+@dataclass(eq=False, slots=True)
+class ScanResult:
+    """One (scan, join, limit) pipeline's row selection and what the
+    aggregation / projection tail derived from it — pure functions of the
+    plan and the tables it reads.  Shared by every request of a batch with
+    that pipeline, and kept across batches in the engine's ``scan_memo``."""
+
+    key: tuple
+    #: The scan's ``WorkCounters`` (as a dict; each request gets a copy).
+    counters: dict[str, float]
+    #: Selected rows in the scanned table's local id space (read-only).
+    local_ids: np.ndarray
+    #: ``local_ids`` in base-table id space, once a row query needed it.
+    base_ids: np.ndarray | None = None
+    #: Histogram per BIN_ID grid an aggregate over this pipeline asked for.
+    bins: dict[BinGroupBy, dict[int, float]] = field(default_factory=dict)
+
+    @property
+    def tags(self) -> list[str]:
+        scan, join, _limit = self.key
+        return [scan.table] if join is None else [scan.table, join.inner_table]
+
+    @property
+    def nbytes(self) -> int:
+        size = _RESULT_BYTES + self.local_ids.nbytes
+        if self.base_ids is not None and self.base_ids is not self.local_ids:
+            size += self.base_ids.nbytes
+        for bins in self.bins.values():
+            size += _BIN_BYTES * len(bins)
+        return size
+
+
 @dataclass
 class _Pending:
     """Per-request execution state carried between pipeline phases."""
@@ -193,8 +246,7 @@ class _Pending:
     plan: PhysicalPlan | None = None
     plan_cached: bool = False
     scan_key: tuple | None = None
-    scan_counters: dict[str, float] | None = None
-    result_ids: np.ndarray | None = None
+    scan: ScanResult | None = None
     cache_hits: int = 0
     cache_misses: int = 0
     result: ExecutionResult | None = None
@@ -208,10 +260,12 @@ class BatchExecutor:
         self._stats = BatchSharingStats()
         #: The batch's engine access; the shard worker scans through it too.
         self.access = _BatchAccess(database, self._stats)
-        self._scan_memo: dict[tuple, tuple[dict[str, float], np.ndarray]] = {}
-        self._bin_memo: dict[tuple, dict[int, float]] = {}
-        self._bins_served: set[tuple] = set()
-        self._row_memo: dict[tuple, np.ndarray] = {}
+        self._scans: dict[tuple, ScanResult] = {}
+        self._bins_served: set[tuple[ScanResult, BinGroupBy]] = set()
+        #: Results bound for (or taken from) the engine's scan memo, mapped
+        #: to whether this batch must (re)store them: admitted ones, and memo
+        #: entries the batch added a histogram or base ids to.
+        self._memoized: dict[ScanResult, bool] = {}
 
     # ------------------------------------------------------------------
     def execute(
@@ -247,6 +301,7 @@ class BatchExecutor:
                 self._scan_one(item)
                 self._finish_one(item)
         self._count_plan_groups(pending)
+        self._store_memoized()
         results = [item.result for item in pending]
         assert all(result is not None for result in results)
         return results, self._stats  # type: ignore[return-value]
@@ -271,22 +326,28 @@ class BatchExecutor:
 
     def _scan_one(self, item: _Pending) -> None:
         db = self._db
-        plan = item.plan
-        assert plan is not None and item.scan_key is not None
+        plan, key = item.plan, item.scan_key
+        assert plan is not None and key is not None
         before = db._cache_counts()
-        memo = self._scan_memo.get(item.scan_key)
-        if memo is not None:
+        result = self._scans.get(key)
+        if result is None:
+            result = db._scan_memo.get(key)
+            if result is not None:
+                self._scans[key] = result
+                self._memoized[result] = False
+        if result is not None:
             self._replay_accesses(plan)
-            item.scan_counters, item.result_ids = memo
             self._stats.shared_scans += 1
         else:
-            counters, result_ids, _cards = db._executor.scan_rows(
+            counters, local_ids, _cards = db._executor.scan_rows(
                 plan, access=self.access
             )
-            memo = (counters.as_dict(), result_ids)
-            self._scan_memo[item.scan_key] = memo
-            item.scan_counters, item.result_ids = memo
+            result = ScanResult(key, counters.as_dict(), _read_only(local_ids))
+            self._scans[key] = result
             self._stats.n_distinct_scans += 1
+            if db._admits_scan(result):
+                self._memoized[result] = True
+        item.scan = result
         hits, misses = db._cache_delta(before)
         item.cache_hits += hits
         item.cache_misses += misses
@@ -308,26 +369,35 @@ class BatchExecutor:
             for predicate in plan.join.inner_predicates:
                 self.access.match_rowset(plan.join.inner_table, predicate)
 
+    def _grew(self, result: ScanResult) -> None:
+        """``result`` gained a histogram or base ids: a memo entry must be
+        stored again, so the memo's byte count covers what it holds."""
+        if result in self._memoized:
+            self._memoized[result] = True
+
+    def _store_memoized(self) -> None:
+        memo = self._db._scan_memo
+        for result, dirty in self._memoized.items():
+            if dirty:
+                memo.put(result.key, result, tags=result.tags)
+
     def _fused_bins(self, pending: list[_Pending]) -> None:
         """One histogram sweep per (table, bin grid) over distinct row sets."""
-        groups: dict[tuple[str, BinGroupBy], dict[tuple, np.ndarray]] = {}
+        groups: dict[tuple[str, BinGroupBy], dict[ScanResult, None]] = {}
         for item in pending:
-            plan = item.plan
-            assert plan is not None and item.scan_key is not None
-            if plan.group_by is None:
+            plan, result = item.plan, item.scan
+            assert plan is not None and result is not None
+            if plan.group_by is None or plan.group_by in result.bins:
                 continue
-            bin_key = (item.scan_key, plan.group_by)
-            if bin_key in self._bin_memo:
-                continue
-            group = groups.setdefault((plan.scan.table, plan.group_by), {})
-            if bin_key not in group:
-                assert item.result_ids is not None
-                group[bin_key] = item.result_ids
+            groups.setdefault((plan.scan.table, plan.group_by), {})[result] = None
         for (table_name, group_by), members in groups.items():
             layout, weight = self._weighted_layout(table_name, group_by)
-            histograms = bin_counts_many(layout, list(members.values()), weight=weight)
-            for bin_key, bins in zip(members.keys(), histograms):
-                self._bin_memo[bin_key] = bins
+            histograms = bin_counts_many(
+                layout, [result.local_ids for result in members], weight=weight
+            )
+            for result, bins in zip(members, histograms):
+                result.bins[group_by] = bins
+                self._grew(result)
             self._stats.n_bin_sweeps += 1
             self._stats.n_bin_results += len(members)
 
@@ -341,44 +411,45 @@ class BatchExecutor:
         return self._db.bin_layout(table_name, group_by), weight
 
     def _bins_for(self, item: _Pending) -> dict[int, float]:
-        plan = item.plan
-        assert plan is not None and plan.group_by is not None
-        bin_key = (item.scan_key, plan.group_by)
-        bins = self._bin_memo.get(bin_key)
+        plan, result = item.plan, item.scan
+        assert plan is not None and plan.group_by is not None and result is not None
+        group_by = plan.group_by
+        bins = result.bins.get(group_by)
         if bins is None:
-            layout, weight = self._weighted_layout(plan.scan.table, plan.group_by)
-            assert item.result_ids is not None
-            bins = bin_counts_many(layout, [item.result_ids], weight=weight)[0]
-            self._bin_memo[bin_key] = bins
+            layout, weight = self._weighted_layout(plan.scan.table, group_by)
+            bins = bin_counts_many(layout, [result.local_ids], weight=weight)[0]
+            result.bins[group_by] = bins
+            self._grew(result)
             self._stats.n_bin_sweeps += 1
             self._stats.n_bin_results += 1
-        if bin_key in self._bins_served:
+        served = (result, group_by)
+        if served in self._bins_served:
             self._stats.shared_bins += 1
         else:
-            self._bins_served.add(bin_key)
+            self._bins_served.add(served)
         return bins
 
     def _finish_one(self, item: _Pending) -> None:
         """Aggregation/projection, cost conversion, and profile effects —
         the tail of ``Database.execute``, per request in batch order."""
         db = self._db
-        plan = item.plan
-        assert plan is not None
-        assert item.scan_counters is not None and item.result_ids is not None
-        counters = WorkCounters(**item.scan_counters)
+        plan, result = item.plan, item.scan
+        assert plan is not None and result is not None
+        counters = WorkCounters(**result.counters)
         if plan.group_by is not None:
-            counters.group_rows += len(item.result_ids)
+            counters.group_rows += len(result.local_ids)
             bins = self._bins_for(item)
             counters.output_rows += len(bins)
             row_ids: np.ndarray | None = None
             bins = dict(bins)
         else:
-            counters.output_rows += len(item.result_ids)
-            row_ids = self._row_memo.get(item.scan_key)  # type: ignore[arg-type]
+            counters.output_rows += len(result.local_ids)
+            row_ids = result.base_ids
             if row_ids is None:
                 table = db.table(plan.scan.table)
-                row_ids = table.to_base_ids(item.result_ids)
-                self._row_memo[item.scan_key] = row_ids  # type: ignore[index]
+                row_ids = _read_only(table.to_base_ids(result.local_ids))
+                result.base_ids = row_ids
+                self._grew(result)
             bins = None
         base_ms = db.cost_model.time_ms(counters)
         execution_ms = db._apply_profile_effects(base_ms, plan)

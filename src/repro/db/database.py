@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from .batch_executor import BatchExecutor, BatchSharingStats
+from .batch_executor import BatchExecutor, BatchSharingStats, ScanResult
 from .binning import BinLayout, build_bin_layout
 from .caches import CacheStats, CacheStatsReport, InstrumentedCache
 from .cost_model import CostModel
@@ -51,6 +51,9 @@ from .types import ColumnKind
 ARRAY_CACHE_BYTES = 16 << 20
 #: Entry cap of the scalar-valued engine caches (``estimate``, ``true_time``).
 SCALAR_CACHE_ENTRIES = 4096
+#: Byte budget of the batch executor's engine-lifetime ``scan_memo``.  A
+#: 64-view dashboard's scans, histograms and row ids take about 1.1 MiB.
+SCAN_MEMO_BYTES = ARRAY_CACHE_BYTES // 4
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,16 @@ class Database:
         # the sequential and the batched executor may consult it without
         # perturbing the per-request cache hit/miss accounting.
         self._bin_layout_cache: dict[tuple, BinLayout] = {}
+        # Scan pipelines (rows, counters, base ids, histograms) that batches
+        # computed more than once, kept across batches.  Uninstrumented
+        # towards the per-request deltas: not one of ``_engine_caches``, and
+        # a hit still replays the match/lookup accesses (DESIGN §6.1).
+        self._scan_memo = InstrumentedCache("scan_memo", budget_bytes=SCAN_MEMO_BYTES)
+        #: Hashes of the scan pipelines batches have computed (oldest first,
+        #: at most ``SCALAR_CACHE_ENTRIES``): the memo admits a pipeline on
+        #: its second computation.  Hashes, not keys, so a never-repeated
+        #: pipeline keeps no plan objects alive.
+        self._scans_seen: dict[int, None] = {}
         self._warm_structures: OrderedDict = OrderedDict()
         #: Callables invoked with the table name whenever a table is
         #: invalidated, so layers holding derived state the database cannot
@@ -387,6 +400,24 @@ class Database:
         batch's sharing statistics for serving-layer reports.
         """
         return BatchExecutor(self).execute(list(queries))
+
+    def _admits_scan(self, result: ScanResult) -> bool:
+        """Whether a scan a batch just computed enters the scan memo: only
+        if an earlier batch computed the same pipeline, and only if it takes
+        at most a quarter of the memo's budget."""
+        digest = hash(result.key)
+        seen = self._scans_seen
+        if digest not in seen:
+            seen[digest] = None
+            if len(seen) > SCALAR_CACHE_ENTRIES:
+                del seen[next(iter(seen))]
+            return False
+        return result.nbytes <= SCAN_MEMO_BYTES // 4
+
+    def scan_memo_stats(self) -> CacheStats:
+        """Counters and gauges of the batch executor's scan memo (kept out
+        of :meth:`cache_stats`: it is no cache a request's deltas count)."""
+        return self._scan_memo.stats.snapshot()
 
     def bin_layout(self, table_name: str, group_by: BinGroupBy) -> BinLayout:
         """Whole-column BIN_ID layout, cached per (table, column, cell size).
@@ -678,6 +709,7 @@ class Database:
         self._plan_cache.invalidate_tag(name)
         self._true_time_cache.invalidate_tag(name)
         self._estimate_cache.invalidate_tag(name)
+        self._scan_memo.invalidate_tag(name)
         for key in [k for k in self._key_cache if k[0] == name]:
             del self._key_cache[key]
         for key in [k for k in self._bin_layout_cache if k[0] == name]:
@@ -727,4 +759,6 @@ class Database:
         self._true_time_cache.clear()
         self._estimate_cache.clear()
         self._bin_layout_cache.clear()
+        self._scan_memo.clear()
+        self._scans_seen.clear()
         self._warm_structures.clear()

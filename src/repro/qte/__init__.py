@@ -2,14 +2,12 @@
 
 from .accurate import AccurateQTE
 from .base import EstimationOutcome, QueryTimeEstimator, required_attributes
-from .plan_cost import PlanCostQTE
 from .sampling import SamplingQTE
 from .selectivity import SelectivityCache
 
 __all__ = [
     "AccurateQTE",
     "EstimationOutcome",
-    "PlanCostQTE",
     "QueryTimeEstimator",
     "SamplingQTE",
     "SelectivityCache",

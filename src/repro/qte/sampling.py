@@ -85,7 +85,7 @@ class SamplingQTE(QueryTimeEstimator):
         # the lockstep frontier) and of the original frozenset walk.
         hints = rewritten.hints
         collected = cache.collected_keys
-        cost_ms = self.overhead_ms
+        n_collected = 0
         if hints is not None:
             index_on = hints.index_on
             by_column: dict[str, object] | None = None
@@ -95,11 +95,13 @@ class SamplingQTE(QueryTimeEstimator):
                     if by_column is None:
                         by_column = {p.column: p for p in rewritten.predicates}
                     cache.put(column, self._sample_selectivity(by_column[column]))
-                    cost_ms += self.unit_cost_ms
+                    n_collected += 1
         features = self.feature_vector(rewritten, cache)
         predicted_log = float(features @ self._weights)
         estimated_ms = min(max(math.expm1(min(predicted_log, 25.0)), 0.1), 1e7)
-        return EstimationOutcome(estimated_ms=estimated_ms, cost_ms=cost_ms)
+        return EstimationOutcome(
+            estimated_ms=estimated_ms, cost_ms=self.estimation_cost_ms(n_collected)
+        )
 
     # ------------------------------------------------------------------
     # Selectivity collection and featurization

@@ -185,6 +185,7 @@ class MalivaService:
         # Engine caches are shared with offline work (training warmed them);
         # reports cover only the window since construction / reset_stats().
         self._engine_baseline = maliva.database.cache_stats()
+        self._scan_memo_baseline = maliva.database.scan_memo_stats()
         #: Where planned micro-batches become outcomes (default: the local
         #: engine).  Bound once everything above exists: a fleet stage
         #: spawns its workers from the constructed service.
@@ -547,6 +548,7 @@ class MalivaService:
         """
         self.stats = ServiceStats()
         self._engine_baseline = self.maliva.database.cache_stats()
+        self._scan_memo_baseline = self.maliva.database.scan_memo_stats()
         self._last_shed = []
         self._shed_indexes = []
         self.execute.reset_stats()
@@ -590,14 +592,18 @@ class MalivaService:
         training does not pollute serving hit rates.  ``engine_maintenance``
         counts the engine's mutation upkeep (rows appended, texts
         tokenized, indexes extended / rebuilt) since the database was
-        created.
+        created.  ``scan_memo`` is the batch executor's cross-batch memo of
+        scan pipelines (window counters, current gauges); it stays out of
+        ``engine_caches`` because requests' cache deltas do not count it.
         """
         engine = self.engine_cache_window()
+        scan_memo = self.maliva.database.scan_memo_stats()
         return {
             "service": self.stats.to_dict(),
             "decision_cache": self._decision_cache.stats.to_dict(),
             "engine_caches": engine.to_dict(),
             "engine_hit_rate": engine.hit_rate,
+            "scan_memo": scan_memo.delta(self._scan_memo_baseline).to_dict(),
             "engine_maintenance": self.maliva.database.maintenance.to_dict(),
             "qte_caches": {s.name: s.to_dict() for s in self.maliva.qte.cache_stats()},
             **(

@@ -193,7 +193,7 @@ def test_fused_and_fallback_paths_cover_profiles():
 
 def test_batch_after_mutation_sees_fresh_data():
     """``append_rows`` between batches must invalidate every shared
-    structure — match/lookup caches, scan memos are per-batch, and the
+    structure — match/lookup caches, the engine's scan memo, and the
     whole-column bin layout — so no stale rows leak into later batches."""
     db_seq, db_bat = _twin_dbs("deterministic")
     workload = random_query_workload(db_seq, seed=7, n=20)
@@ -242,6 +242,141 @@ def test_execute_batch_empty_and_singleton():
     batched, sharing = db_bat.execute_batch(workload)
     assert sharing.n_queries == 1
     assert_results_identical(sequential, batched)
+
+
+# ----------------------------------------------------------------------
+# The engine-lifetime scan memo (repeats across batches)
+# ----------------------------------------------------------------------
+def _micro_batches(workload, size: int = 8):
+    return [workload[start:start + size] for start in range(0, len(workload), size)]
+
+
+@pytest.mark.parametrize("profile_name", ["deterministic", "postgres", "commercial"])
+def test_repeats_across_batches_bit_identical_to_sequential(profile_name):
+    """Micro-batches that repeat earlier batches' pipelines are served from
+    the scan memo and still equal sequential ``execute``: rows, bins,
+    counters, times, per-request cache deltas and final cache state.  The
+    noisy profiles draw hint-ignore RNG, so they take the in-order path."""
+    db_seq, db_bat = _twin_dbs(profile_name)
+    workload = random_query_workload(db_seq, seed=4, n=24)
+    hit_batches = 0
+    for _ in range(3):
+        for batch in _micro_batches(workload):
+            sequential = [db_seq.execute(query) for query in batch]
+            hits_before = db_bat.scan_memo_stats().hits
+            batched, sharing = db_bat.execute_batch(batch)
+            assert_results_identical(sequential, batched)
+            hit_batches += db_bat.scan_memo_stats().hits > hits_before
+    assert_cache_state_identical(db_seq, db_bat)
+    assert hit_batches > 0
+    if profile_name != "deterministic":
+        assert any(query.hints for query in workload) and not sharing.fused
+    # The memo is not an engine cache: requests' deltas never count it.
+    assert "scan_memo" not in {c.name for c in db_bat.cache_stats().caches}
+
+
+def _heatmap_and_rows(keyword: str):
+    from repro.db import BinGroupBy, SelectQuery
+
+    predicates = (KeywordPredicate("text", keyword),)
+    return [
+        SelectQuery(
+            table="tweets",
+            predicates=predicates,
+            group_by=BinGroupBy("coordinates", 0.5, 0.5),
+        ),
+        SelectQuery(table="tweets", predicates=predicates, output=("id",)),
+    ]
+
+
+def _fresh_rows(tweets, n_new: int = 50) -> dict:
+    return {
+        "id": np.arange(tweets.n_rows, tweets.n_rows + n_new),
+        "text": ["fresh mutation tweet"] * n_new,
+        "created_at": np.full(n_new, float(np.median(tweets.numeric("created_at")))),
+        "coordinates": np.tile(
+            np.median(tweets.points("coordinates"), axis=0), (n_new, 1)
+        ),
+        "users_statues_count": np.zeros(n_new, dtype=np.int64),
+        "users_followers_count": np.zeros(n_new, dtype=np.int64),
+        "user_id": np.zeros(n_new, dtype=np.int64),
+    }
+
+
+def _append_behind_the_engine(database: Database) -> None:
+    tweets = database.table("tweets")
+    tweets.append_rows(_fresh_rows(tweets))
+    database.invalidate_table("tweets")
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        lambda db: db.append_rows("tweets", _fresh_rows(db.table("tweets"))),
+        _append_behind_the_engine,
+        Database.clear_caches,
+    ],
+    ids=["append_rows", "invalidate_table", "clear_caches"],
+)
+def test_memoized_repeat_after_invalidation_is_fresh(event):
+    db_seq, db_bat = _twin_dbs("deterministic")
+    probes = _heatmap_and_rows("mutation")
+    for _ in range(3):
+        before, _ = db_bat.execute_batch(probes)
+        [db_seq.execute(query) for query in probes]
+    assert db_bat.scan_memo_stats().entries == 1
+    event(db_seq)
+    event(db_bat)
+    assert db_bat.scan_memo_stats().entries == 0
+    sequential = [db_seq.execute(query) for query in probes]
+    batched, sharing = db_bat.execute_batch(probes)
+    assert sharing.n_distinct_scans == 1
+    assert_results_identical(sequential, batched)
+    assert_cache_state_identical(db_seq, db_bat)
+    added = len(batched[1].row_ids) - len(before[1].row_ids)
+    assert sum(batched[0].bins.values()) - sum(before[0].bins.values()) == added
+    if event is not Database.clear_caches:
+        assert added == 50
+
+
+def test_scan_memo_admits_on_second_sighting():
+    _, database = _twin_dbs("deterministic")
+    probes = _heatmap_and_rows("good")
+    _, sharing = database.execute_batch(probes)
+    assert sharing.n_distinct_scans == 1
+    assert database.scan_memo_stats().entries == 0
+    database.execute_batch(probes)
+    stats = database.scan_memo_stats()
+    assert stats.entries == 1 and stats.bytes_held > 0
+    _, sharing = database.execute_batch(probes)
+    assert database.scan_memo_stats().hits == 1
+    assert sharing.n_distinct_scans == 0 and sharing.n_bin_results == 0
+    assert sharing.shared_scans == len(probes)
+
+
+def test_scan_memo_stays_within_its_byte_budget(monkeypatch):
+    from repro.db import database as database_module
+
+    budget = 64 << 10
+    monkeypatch.setattr(database_module, "SCAN_MEMO_BYTES", budget)
+    _, database = _twin_dbs("deterministic")
+    workload = random_query_workload(database, seed=6, n=40)
+    for _ in range(3):
+        for batch in _micro_batches(workload):
+            database.execute_batch(batch)
+            assert database.scan_memo_stats().bytes_held <= budget
+    stats = database.scan_memo_stats()
+    assert stats.entries > 0 and stats.hits > 0
+
+
+def test_returned_row_ids_are_read_only():
+    _, database = _twin_dbs("deterministic")
+    rows = _heatmap_and_rows("good")[1]
+    for _ in range(3):
+        results, _ = database.execute_batch([rows])
+        with pytest.raises(ValueError):
+            results[0].row_ids[0] = -1
+    assert database.scan_memo_stats().hits == 1
 
 
 # ----------------------------------------------------------------------

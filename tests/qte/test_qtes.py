@@ -183,3 +183,31 @@ class TestSamplingQTE:
         )
         fitted.estimate(rqs[all_three], cache)
         assert len(cache) == 3
+
+    def test_estimate_charges_estimation_cost_ms(self, twitter_db, rqs, space, request):
+        """``estimate`` prices collection as ``overhead + unit × n`` — the
+        frontier's ``estimation_cost_ms`` — bit for bit, also for costs whose
+        running sum would round differently (0.7 + 0.3 + 0.3 != 0.7 + 0.6)."""
+        twitter_queries = request.getfixturevalue("twitter_queries")
+        qte = SamplingQTE(
+            twitter_db,
+            TWITTER_ATTRS,
+            "tweets_qte_sample",
+            unit_cost_ms=0.3,
+            overhead_ms=0.7,
+        )
+        qte.fit(
+            [
+                space.build(query, twitter_db, index)
+                for query in twitter_queries[:4]
+                for index in range(len(space))
+            ]
+        )
+        two = next(i for i, o in enumerate(space) if len(o.hint_set.index_on) == 2)
+        rewritten = rqs[two]
+        cache = SelectivityCache()
+        assert len(required_attributes(rewritten) - set(cache.collected)) == 2
+        outcome = qte.estimate(rewritten, cache)
+        assert len(cache) == 2
+        assert outcome.cost_ms == qte.estimation_cost_ms(2)
+        assert qte.estimation_cost_ms(2) != 0.7 + 0.3 + 0.3

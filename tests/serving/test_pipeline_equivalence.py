@@ -269,3 +269,52 @@ def test_mutations_mid_stream_do_not_leak_stale_shared_state():
         "indexes_extended": 3,
         "indexes_rebuilt": 0,
     }
+
+
+def test_repeated_stream_matches_sequential_across_micro_batches(
+    serving_maliva, make_workload
+):
+    """Passes over one stream reach the engine's scan memo from later
+    micro-batches; outcomes stay those of the sequential reference."""
+    requests = make_workload(17, 24)
+    batched = MalivaService(
+        serving_maliva, translator=TWITTER_TRANSLATOR, stream_batch_size=8
+    )
+    sequential = MalivaService(
+        serving_maliva,
+        translator=TWITTER_TRANSLATOR,
+        stream_batch_size=8,
+        execute=SequentialExecute(),
+    )
+    for _ in range(3):
+        served = [outcome for _, outcome in batched.answer_stream(iter(requests))]
+        reference = [
+            outcome for _, outcome in sequential.answer_stream(iter(requests))
+        ]
+        _assert_outcomes_identical(served, reference)
+    memo = batched.report()["scan_memo"]
+    assert memo["hits"] > 0
+    assert set(memo) >= {"hits", "misses", "invalidations", "entries", "bytes_held"}
+    assert "scan_memo" not in batched.report()["engine_caches"]
+
+
+def test_third_pass_of_a_dashboard_runs_no_scan_and_no_histogram(
+    serving_maliva, make_workload
+):
+    """Count guard: a fixed 64-view dashboard stream served twice puts every
+    view's scan in the engine's scan memo, so a third pass runs no scan
+    kernel and counts no histogram."""
+    requests = make_workload(19, 64)
+    service = MalivaService(
+        serving_maliva, translator=TWITTER_TRANSLATOR, stream_batch_size=8
+    )
+    for _ in range(2):
+        list(service.answer_stream(iter(requests)))
+    service.reset_stats()
+    list(service.answer_stream(iter(requests)))
+    sharing = service.stats.execute_sharing
+    assert sharing.n_queries == len(requests)
+    assert sharing.n_distinct_scans == 0
+    assert sharing.n_bin_results == 0
+    assert sharing.shared_scans == len(requests)
+    assert service.report()["scan_memo"]["misses"] == 0
